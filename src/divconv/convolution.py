@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd
 
 from .arith import classify_level, divisors, sigma, sigma_scaled
-from .linalg import InconsistentSystem, UnderdeterminedSystem, rank, solve
+from .linalg import Echelon, InconsistentSystem
 from .qseries import squared_difference
 from .spaces import (
     BasisIncompleteError,
@@ -148,9 +149,11 @@ def derive_formula(
 ) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity to verify_to.
 
-    Sample rows: the constant row sum X_delta = (alpha-beta)^2, then the
-    q^n rows for n in D(N) union {1..m_S}, extended with further indices
-    until the matrix has full column rank.
+    Sample rows go into one incremental fraction-free elimination: the
+    constant row sum X_delta = (alpha-beta)^2, then the q^n rows for n in
+    D(N) union {1..m_S}, filled up to nunk + 4 rows with further indices,
+    then one row at a time until the rank reaches nunk.  Consistency is
+    judged over exactly those rows; the verification loop checks the rest.
     """
     if gcd(alpha, beta) != 1:
         raise ValueError("derive_formula: alpha and beta must be coprime")
@@ -174,46 +177,28 @@ def derive_formula(
         row.extend(basis.coefficient(j, n) for j in range(m_s))
         return row
 
-    rows = [[1] * len(divs) + [0] * m_s]
-    rhs = [(alpha - beta) ** 2]
+    ech = Echelon(nunk)
+    ech.add([1] * len(divs) + [0] * m_s, (alpha - beta) ** 2)
     sampled = sorted(set(divs) | set(range(1, m_s + 1)))
-    for n in sampled:
-        rows.append(coeff_row(n))
-        rhs.append(lhs.coefficient(n))
-    used = set(sampled)
-    nxt = 1
-    while len(rows) < nunk + 4 and nxt <= T:
-        if nxt not in used:
-            rows.append(coeff_row(nxt))
-            rhs.append(lhs.coefficient(nxt))
-            used.add(nxt)
-        nxt += 1
-    while True:
-        try:
-            sol = solve(rows, rhs)
-            break
-        except UnderdeterminedSystem:
-            added = False
-            while nxt <= T:
-                if nxt not in used:
-                    rows.append(coeff_row(nxt))
-                    rhs.append(lhs.coefficient(nxt))
-                    used.add(nxt)
-                    nxt += 1
-                    added = True
-                    break
-                nxt += 1
-            if not added:
-                r = rank(rows)
-                raise UnderdeterminedBasisError(
-                    f"level {N}: sample matrix rank {r} < {nunk} unknowns after "
-                    f"exhausting n <= {T}; the basis is degenerate"
-                ) from None
-        except InconsistentSystem as e:
-            raise BasisNotSpanningError(
-                f"level {N} ({alpha},{beta}): no exact solution; the basis does "
-                f"not span the squared Eisenstein difference"
-            ) from e
+    fresh = (n for n in range(1, T + 1) if n not in sampled)
+    # the first batch fills the sample matrix up to nunk + 4 rows
+    for n in sampled + list(islice(fresh, max(nunk + 3 - len(sampled), 0))):
+        ech.add(coeff_row(n), lhs.coefficient(n))
+    while ech.rank < nunk:
+        n = next(fresh, None)
+        if n is None:
+            raise UnderdeterminedBasisError(
+                f"level {N}: sample matrix rank {ech.rank} < {nunk} unknowns after "
+                f"exhausting n <= {T}; the basis is degenerate"
+            )
+        ech.add(coeff_row(n), lhs.coefficient(n))
+    try:
+        sol = ech.solution()
+    except InconsistentSystem as e:
+        raise BasisNotSpanningError(
+            f"level {N} ({alpha},{beta}): no exact solution; the basis does "
+            f"not span the squared Eisenstein difference"
+        ) from e
     x = dict(zip(divs, sol[: len(divs)]))
     y = sol[len(divs):]
     first_bad = None
@@ -305,7 +290,8 @@ class FormulaProvider:
             fb = load_fixture_basis(level, T)
             probe = min((b for a, b in _coprime_splits(level)), default=level)
             try:
-                derive_formula(level // probe, probe, fb, T=T, verify_to=self.verify_to)
+                f = derive_formula(level // probe, probe, fb, T=T, verify_to=self.verify_to)
+                self._formulas[(f.alpha, f.beta)] = (f, fb)
                 basis = fb
                 self.notes[level] = {"basis": "fixture", "defects": list(fb.defects)}
             except DerivationError as e:
@@ -333,8 +319,10 @@ class FormulaProvider:
         key = (alpha, beta)
         if key not in self._formulas:
             basis = self.basis_for(alpha * beta)
-            f = derive_formula(alpha, beta, basis, T=basis.precision, verify_to=self.verify_to)
-            self._formulas[key] = (f, basis)
+            # the fixture probe inside basis_for may have derived this pair
+            if key not in self._formulas:
+                f = derive_formula(alpha, beta, basis, T=basis.precision, verify_to=self.verify_to)
+                self._formulas[key] = (f, basis)
         return self._formulas[key]
 
     def w(self, alpha: int, beta: int, n: int) -> int:

@@ -1,9 +1,14 @@
-"""Exact linear algebra: fraction-free rank and rational solving.
+"""Exact linear algebra: one incremental fraction-free elimination.
 
-Rank uses Bareiss elimination over the integers (rows are cleared of
-denominators first; scaling rows does not change rank).  Solving uses
-Gauss-Jordan over Fractions and rejects underdetermined or inconsistent
-systems instead of guessing.
+`Echelon` holds integer rows [coeffs | rhs] in fraction-free (Bareiss)
+echelon form and takes one row at a time: each row is reduced once against
+the stored pivot rows, reports whether the rank rose, and flags an
+inconsistent system when it reduces to 0 = nonzero.  Every reduced entry is
+a minor of the rows added so far (Sylvester's identity, Bareiss 1968), so
+the divisions are exact and the entries stay bounded.  The unique solution
+is back-substituted once into Fractions.  `rank` and `solve` are one-shot
+loops over it; `solve` rejects underdetermined or inconsistent systems
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -20,43 +25,72 @@ class InconsistentSystem(ValueError):
     pass
 
 
-def _integer_rows(rows):
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
-    return out
+def _integer_row(row) -> list[int]:
+    # scaling a whole row [coeffs | rhs] changes neither rank nor solution
+    den = 1
+    for x in row:
+        if isinstance(x, Fraction):
+            den = lcm(den, x.denominator)
+    return [int(x * den) for x in row]
+
+
+class Echelon:
+    """Fraction-free row echelon of a system with `ncols` unknowns."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.inconsistent = False
+        # pivot rows (length ncols + 1) in insertion order, with their pivot
+        # columns; row k is zero in the pivot columns of rows 0..k-1
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, coeffs, rhs=0) -> bool:
+        """Reduce the row [coeffs | rhs]; True when it raised the rank."""
+        row = _integer_row([*coeffs, rhs])
+        prev = 1
+        for pivot_row, c in zip(self._rows, self._pivots):
+            pivot = pivot_row[c]
+            factor = row[c]
+            if factor:
+                row = [(pivot * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+            elif pivot != prev:
+                row = [pivot * x // prev for x in row]
+            prev = pivot
+        c = next((j for j in range(self.ncols) if row[j]), None)
+        if c is None:
+            if row[self.ncols]:
+                self.inconsistent = True
+            return False
+        self._rows.append(row)
+        self._pivots.append(c)
+        return True
+
+    def solution(self) -> list[Fraction]:
+        """The unique solution; needs full column rank and no inconsistency."""
+        if self.rank < self.ncols:
+            raise UnderdeterminedSystem(f"rank {self.rank} < {self.ncols} unknowns")
+        if self.inconsistent:
+            raise InconsistentSystem("no exact solution satisfies every sampled equation")
+        x = [Fraction(0)] * self.ncols
+        for row, c in zip(reversed(self._rows), reversed(self._pivots)):
+            acc = row[self.ncols] - sum(row[j] * x[j] for j in self._pivots if j != c and row[j])
+            x[c] = Fraction(acc, row[c])
+        return x
 
 
 def rank(rows) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination."""
-    m = [r[:] for r in _integer_rows(rows)]
-    if not m:
+    """Exact rank of a matrix given as a list of rows."""
+    if not rows:
         return 0
-    nr, nc = len(m), len(m[0])
-    piv_r = 0
-    prev = 1
-    for c in range(nc):
-        if piv_r >= nr:
-            break
-        p = next((r for r in range(piv_r, nr) if m[r][c] != 0), None)
-        if p is None:
-            continue
-        if p != piv_r:
-            m[piv_r], m[p] = m[p], m[piv_r]
-        pivot = m[piv_r][c]
-        for r in range(piv_r + 1, nr):
-            mr = m[r]
-            mp = m[piv_r]
-            factor = mr[c]
-            for j in range(c, nc):
-                mr[j] = (pivot * mr[j] - factor * mp[j]) // prev
-        prev = pivot
-        piv_r += 1
-    return piv_r
+    ech = Echelon(len(rows[0]))
+    for row in rows:
+        ech.add(row)
+    return ech.rank
 
 
 def solve(rows, rhs) -> list[Fraction]:
@@ -66,29 +100,9 @@ def solve(rows, rhs) -> list[Fraction]:
     consistent with the unique solution or InconsistentSystem is raised.
     Raises UnderdeterminedSystem when column rank < number of unknowns.
     """
-    nr = len(rows)
-    if nr == 0:
+    if not rows:
         raise UnderdeterminedSystem("no equations")
-    nc = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    piv_r = 0
-    for c in range(nc):
-        p = next((r for r in range(piv_r, nr) if m[r][c] != 0), None)
-        if p is None:
-            continue
-        if p != piv_r:
-            m[piv_r], m[p] = m[p], m[piv_r]
-        pv = m[piv_r][c]
-        m[piv_r] = [x / pv for x in m[piv_r]]
-        for r in range(nr):
-            if r != piv_r and m[r][c] != 0:
-                f = m[r][c]
-                mp = m[piv_r]
-                m[r] = [x - f * y for x, y in zip(m[r], mp)]
-        piv_r += 1
-    if piv_r < nc:
-        raise UnderdeterminedSystem(f"rank {piv_r} < {nc} unknowns")
-    for r in range(piv_r, nr):
-        if m[r][nc] != 0:
-            raise InconsistentSystem("no exact solution satisfies every sampled equation")
-    return [m[c][nc] for c in range(nc)]
+    ech = Echelon(len(rows[0]))
+    for row, b in zip(rows, rhs):
+        ech.add(row, b)
+    return ech.solution()

@@ -23,7 +23,7 @@ from .eta import (
     order_at_infinity,
     search_cusp_forms,
 )
-from .linalg import rank
+from .linalg import Echelon
 from .qseries import QSeries, eisenstein_M, eisenstein_weight2
 
 
@@ -237,14 +237,14 @@ def select_cusp_basis(
     Ts = max(T, depth)
     series = [(g, g.series(Ts)) for g in ordered]
     chosen: list[CuspGenerator] = []
-    cols: list[list] = []
+    # each candidate's coefficient column enters as one row; the echelon
+    # keeps only the rows that raise the rank, i.e. the chosen generators
+    ech = Echelon(depth)
     for g, s in series:
         if len(chosen) == m:
             break
-        col = [s.coefficient(n) for n in range(1, depth + 1)]
-        if rank([row + [c] for row, c in zip(_transpose(cols, depth), col)]) > len(chosen):
+        if ech.add([s.coefficient(n) for n in range(1, depth + 1)]):
             chosen.append(g)
-            cols.append(col)
     if len(chosen) < m:
         have = sorted({g.order() for g in chosen})
         missing = [o for o in range(1, m + 1) if o not in have]
@@ -253,12 +253,6 @@ def select_cusp_basis(
             f"orders not represented: {missing}"
         )
     return build_basis(N, chosen, T)
-
-
-def _transpose(cols: list[list], depth: int) -> list[list]:
-    if not cols:
-        return [[] for _ in range(depth)]
-    return [[col[i] for col in cols] for i in range(depth)]
 
 
 def load_fixture_basis(N: int, T: int) -> ModularBasis:

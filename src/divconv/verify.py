@@ -373,7 +373,7 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
                 bad.append(f"({a},{b}) verified only to {f.verified_to}")
                 continue
             for n in range(1, depth + 1):
-                if evaluate_W(f, provider._bases[N], n) != brute_force_W(a, b, n):
+                if evaluate_W(f, basis, n) != brute_force_W(a, b, n):
                     bad.append(f"({a},{b}) mismatch at n={n}")
                     break
         basis_note = provider.notes.get(N, {}).get("basis", "?")

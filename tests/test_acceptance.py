@@ -228,7 +228,6 @@ def test_criterion_4_oracle_equivalence(provider):
                 continue
             if f.verified_to < sturm_bound(N):
                 problems.append(f"({a},{b}): verified_to {f.verified_to} < sturm")
-            basis = provider._bases[N]
             for n in range(1, 201):
                 if evaluate_W(f, basis, n) != brute_force_W(a, b, n):
                     problems.append(f"({a},{b}): mismatch at n={n}")

@@ -93,22 +93,38 @@ def test_evaluate_examples(provider):
         assert evaluate_W(f, basis, n) == brute_force_W(1, 33, n)
 
 
+# The failure texts feed provider.notes[level]["fixture_failure"] and the
+# --machine output, so they are pinned byte for byte.
+
+
 def test_fixture_level_33_does_not_span():
     basis = load_fixture_basis(33, 208)
-    with pytest.raises(BasisNotSpanningError):
+    with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 33, basis)
+    assert str(err.value) == (
+        "level 33 (1,33): no exact solution; the basis does not span the "
+        "squared Eisenstein difference"
+    )
 
 
 def test_fixture_level_24_underdetermined():
     basis = load_fixture_basis(24, 208)
-    with pytest.raises(UnderdeterminedBasisError):
+    with pytest.raises(UnderdeterminedBasisError) as err:
         derive_formula(1, 24, basis)
+    assert str(err.value) == (
+        "level 24: sample matrix rank 15 < 16 unknowns after exhausting n <= 200; "
+        "the basis is degenerate"
+    )
 
 
 def test_fixture_level_11_fails_verification():
     basis = load_fixture_basis(11, 208)
-    with pytest.raises(BasisNotSpanningError):
+    with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 11, basis)
+    assert str(err.value) == (
+        "level 11 (1,11): no exact solution; the basis does not span the "
+        "squared Eisenstein difference"
+    )
 
 
 def test_provider_notes(provider):
@@ -116,6 +132,28 @@ def test_provider_notes(provider):
     provider.formula(1, 33)
     assert provider.notes[40]["basis"] == "fixture"
     assert provider.notes[33]["basis"] == "repaired"
+    assert provider.notes[33]["fixture_failure"] == (
+        "level 33 (3,11): no exact solution; the basis does not span the "
+        "squared Eisenstein difference"
+    )
+
+
+def test_provider_keeps_fixture_probe_formula(monkeypatch):
+    # (3, 4) is the pair the level-12 fixture probe derives
+    from divconv import convolution
+
+    calls = []
+    real = convolution.derive_formula
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convolution, "derive_formula", counting)
+    f, basis = FormulaProvider().formula(3, 4)
+    assert calls == [(3, 4)]
+    assert f.basis_ref == basis.checksum
+    assert all(evaluate_W(f, basis, n) == brute_force_W(3, 4, n) for n in range(1, 101))
 
 
 def test_basis_independence_level_12(provider):
