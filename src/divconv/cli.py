@@ -94,7 +94,7 @@ def cmd_search_cusp(args) -> int:
 
 def cmd_basis(args) -> int:
     N = args.level
-    T = args.terms or 208
+    T = 208
     if args.use_fixture:
         if N not in fixtures.BASIS_TABLES:
             print(f"no fixture basis for level {N}", file=sys.stderr)
@@ -162,16 +162,13 @@ def cmd_convsum(args) -> int:
         lines = []
     level = a1 * b1
     verify_to = args.verify
-    min_terms = max(args.terms or 0, verify_to + 8)
     try:
         if args.use_fixture:
-            basis = load_fixture_basis(level, max(208, min_terms))
+            basis = load_fixture_basis(level, max(208, verify_to + 8))
             f = derive_formula(a1, b1, basis, verify_to=verify_to)
         else:
             provider = FormulaProvider(bound=args.bound, verify_to=verify_to, jobs=args.jobs)
             f, basis = provider.formula(a1, b1)
-            if basis.precision < min_terms:
-                basis = basis.at_precision(min_terms)
             note = provider.notes.get(level, {})
             if note.get("basis") == "repaired" and "fixture_failure" in note:
                 lines.append(f"note: fixture basis unusable ({note['fixture_failure']}); using repaired basis")
@@ -240,7 +237,11 @@ def cmd_repnum(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     provider = FormulaProvider(jobs=args.jobs)
-    results = verify_mod.run_all(provider, jobs=args.jobs, cache_dir=None)
+    searches = {
+        N: verify_mod.regeneration_search(N, jobs=args.jobs)
+        for N in verify_mod.REGENERATION_LEVELS
+    }
+    results = verify_mod.run_all(provider, searches)
     doc = {
         "items": [
             {"item": r.item, "status": r.status, "detail": r.detail} for r in results
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("basis", help="construct and print a cusp basis")
     b.add_argument("level", type=int)
-    b.add_argument("--terms", type=int, default=None)
     b.add_argument("--bound", type=int, default=10)
     b.add_argument("--use-fixture", action="store_true")
     b.add_argument("--repair", action="store_true", help="certified-membership candidates only")
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convsum", help="derive the closed form of W_(alpha,beta)")
     c.add_argument("alpha", type=int)
     c.add_argument("beta", type=int)
-    c.add_argument("--terms", type=int, default=None)
     c.add_argument("--verify", type=int, default=200)
     c.add_argument("--bound", type=int, default=10)
     c.add_argument("--use-fixture", action="store_true")

@@ -349,10 +349,8 @@ def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
         return diagonal_W(a, m)
     f, basis = provider.formula(a, b)
     if m > basis.precision:
+        # the checksum covers rows 1..dim S4 only, so f.basis_ref still holds
         basis = basis.at_precision(m + 16)
-        f, _ = provider.formula(a, b)
-        if basis.checksum != f.basis_ref:
-            f = derive_formula(a, b, basis, T=basis.precision, verify_to=f.verified_to)
         provider._bases[a * b] = basis
         provider._formulas[(min(a, b), max(a, b))] = (f, basis)
     return evaluate_W(f, basis, m)

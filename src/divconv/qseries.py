@@ -123,22 +123,6 @@ def one(T: int) -> QSeries:
     return QSeries([1] + [0] * T)
 
 
-def add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def scale(c: Coeff, a: QSeries) -> QSeries:
-    return a.scale(c)
-
-
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def substitute_power(a: QSeries, t: int) -> QSeries:
-    return a.substitute_power(t)
-
-
 def eisenstein_L(t: int, T: int) -> QSeries:
     """L(q^t) = 1 - 24 sum sigma(n) q^{tn}, truncated at T."""
     if t < 1:

@@ -234,15 +234,15 @@ def select_cusp_basis(
         return build_basis(N, chosen, T)
     # Case 2: exact-rank greedy selection over sample rows 1..max(2m, m+8)
     depth = max(2 * m, m + 8)
-    Ts = max(T, depth)
-    series = [(g, g.series(Ts)) for g in ordered]
     chosen: list[CuspGenerator] = []
-    # each candidate's coefficient column enters as one row; the echelon
-    # keeps only the rows that raise the rank, i.e. the chosen generators
+    # each candidate's coefficient column enters as one row, expanded only
+    # when it is reached; the echelon keeps only the rows that raise the
+    # rank, i.e. the chosen generators
     ech = Echelon(depth)
-    for g, s in series:
+    for g in ordered:
         if len(chosen) == m:
             break
+        s = g.series(depth)
         if ech.add([s.coefficient(n) for n in range(1, depth + 1)]):
             chosen.append(g)
     if len(chosen) < m:

@@ -10,23 +10,23 @@ reports DOCUMENTED-DISCREPANCY with the exact point of failure.
 from __future__ import annotations
 
 import itertools
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixtures
-from .arith import classify_level, coprime_pairs, divisors, num_divisors, sigma
+from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
 from .convolution import (
     DerivationError,
     FormulaProvider,
     brute_force_W,
     derive_formula,
     diagonal_W,
-    dispatch_W,
     evaluate_W,
     sturm_bound,
 )
 from .eta import EtaQuotient, ligozat_check, search_cusp_forms
-from .qseries import eisenstein_L, mul, squared_difference
+from .qseries import eisenstein_L, squared_difference
 from .representation import (
     count_N,
     count_R,
@@ -45,6 +45,8 @@ FAIL = "FAIL"
 DISCREPANCY = "DOCUMENTED-DISCREPANCY"
 SKIPPED = "SKIPPED"
 
+REGENERATION_LEVELS = (33, 40, 56)
+
 
 @dataclass
 class ItemResult:
@@ -56,55 +58,49 @@ class ItemResult:
         return f"{self.status:<24} {self.item}: {self.detail}"
 
 
+def _first_failure(ns, holds):
+    """The first n in ns for which holds(n) is false, or None."""
+    return next((n for n in ns if not holds(n)), None)
+
+
+def _resolve_signs(ambiguous, magnitude, first_bad):
+    """Try every sign pattern on the printed values whose sign is ambiguous.
+
+    first_bad(signed) returns the first failing n (or None) given a dict
+    key -> signed value for the ambiguous keys.  Returns (None, [(key, "+"
+    or "-"), ...]) for the first pattern that holds, else the first
+    failure with every sign "+" and an empty list.
+    """
+    for signs in itertools.product((1, -1), repeat=len(ambiguous)):
+        if first_bad({k: s * magnitude(k) for k, s in zip(ambiguous, signs)}) is None:
+            return None, [(k, "+" if s > 0 else "-") for k, s in zip(ambiguous, signs)]
+    return first_bad({k: magnitude(k) for k in ambiguous}), []
+
+
 def _published_expansion_series_check(pair, basis, depth=200):
     """Directly test the published expansion coefficients against the
     squared difference; ambiguous signs are resolved by trying both."""
     a, b = pair
     data = fixtures.PUBLISHED_EXPANSIONS[pair]
     lhs = squared_difference(a, b, depth)
-    ambiguous = []
-    sig = dict(data["sigma3"])
-    cusp = dict(data["cusp"])
-    for d, v in sig.items():
-        if v is None:
-            ambiguous.append(("sigma3", d))
-    for j, v in cusp.items():
-        if v is None:
-            ambiguous.append(("cusp", j))
+    ambiguous = [("sigma3", d) for d, v in data["sigma3"].items() if v is None]
+    ambiguous += [("cusp", j) for j, v in data["cusp"].items() if v is None]
 
-    def run(assign):
-        s = dict(sig)
-        c = dict(cusp)
-        for (kind, key), sgn in assign.items():
-            absval = fixtures.PUBLISHED_ABS[("expansion", pair, kind, key)]
-            if kind == "sigma3":
-                s[key] = sgn * absval
-            else:
-                c[key] = sgn * absval
+    def first_bad(signed):
         if data["constant"] != (a - b) ** 2:
             return 0
-        for n in range(1, depth + 1):
-            val = Fraction(0)
-            for d, coeff in s.items():
-                if n % d == 0:
-                    val += coeff * sigma(3, n // d)
-            for j, coeff in c.items():
-                val += coeff * basis.coefficient(j - 1, n)
-            if val != lhs.coefficient(n):
-                return n
-        return None
+        s3 = {d: signed.get(("sigma3", d), v) for d, v in data["sigma3"].items()}
+        cusp = {j: signed.get(("cusp", j), v) for j, v in data["cusp"].items()}
+        return _first_failure(
+            range(1, depth + 1),
+            lambda n: sum(c * sigma_scaled(3, n, d) for d, c in s3.items())
+            + sum(c * basis.coefficient(j - 1, n) for j, c in cusp.items())
+            == lhs.coefficient(n),
+        )
 
-    if not ambiguous:
-        return run({}), []
-    for signs in itertools.product((1, -1), repeat=len(ambiguous)):
-        assign = dict(zip(ambiguous, signs))
-        first_bad = run(assign)
-        if first_bad is None:
-            res = [
-                (kind, key, "+" if s > 0 else "-") for (kind, key), s in assign.items()
-            ]
-            return None, res
-    return run(dict(zip(ambiguous, [1] * len(ambiguous)))), []
+    return _resolve_signs(
+        ambiguous, lambda k: fixtures.PUBLISHED_ABS[("expansion", pair, *k)], first_bad
+    )
 
 
 def _published_w_check(pair, basis, depth=200):
@@ -112,35 +108,70 @@ def _published_w_check(pair, basis, depth=200):
     data = fixtures.PUBLISHED_W[pair]
     ambiguous = [k for k, v in data["cusp"].items() if v is None]
 
-    def run(assign):
-        for n in range(1, depth + 1):
-            val = Fraction(0)
-            for d, coeff in data["sigma3"].items():
-                if n % d == 0:
-                    val += coeff * sigma(3, n // d)
-            for (j, scl), coeff in data["cusp"].items():
-                if coeff is None:
-                    coeff = assign[(j, scl)]
-                if n % scl == 0:
-                    val += coeff * basis.coefficient(j - 1, n // scl)
-            val += (Fraction(1, 24) - Fraction(n, 4 * b)) * (sigma(1, n // a) if n % a == 0 else 0)
-            val += (Fraction(1, 24) - Fraction(n, 4 * a)) * (sigma(1, n // b) if n % b == 0 else 0)
-            if val != brute_force_W(a, b, n):
-                return n
-        return None
+    def first_bad(signed):
+        cusp = {k: signed.get(k, v) for k, v in data["cusp"].items()}
 
-    if not ambiguous:
-        return run({}), []
-    for signs in itertools.product((1, -1), repeat=len(ambiguous)):
-        assign = {
-            k: s * fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)]
-            for k, s in zip(ambiguous, signs)
-        }
-        first_bad = run(assign)
-        if first_bad is None:
-            return None, [(k, "+" if s > 0 else "-") for k, s in zip(ambiguous, signs)]
-    assign = {k: fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)] for k in ambiguous}
-    return run(assign), []
+        def holds(n):
+            val = sum(c * sigma_scaled(3, n, d) for d, c in data["sigma3"].items())
+            val += sum(
+                c * basis.coefficient(j - 1, n // scl)
+                for (j, scl), c in cusp.items()
+                if n % scl == 0
+            )
+            val += (Fraction(1, 24) - Fraction(n, 4 * b)) * sigma_scaled(1, n, a)
+            val += (Fraction(1, 24) - Fraction(n, 4 * a)) * sigma_scaled(1, n, b)
+            return val == brute_force_W(a, b, n)
+
+        return _first_failure(range(1, depth + 1), holds)
+
+    return _resolve_signs(
+        ambiguous, lambda k: fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)], first_bad
+    )
+
+
+def derived_vs_published(pair, basis, verify_to=200):
+    """Derive W for pair on basis and list every coefficient that differs
+    from print: the expansion's 240 X_delta and Y_j, and the W formula's
+    sigma3 and unsubstituted cusp coefficients.  A printed value with an
+    ambiguous sign is compared in absolute value.  Raises DerivationError
+    when the basis admits no verified derivation."""
+    a, b = pair
+    f = derive_formula(a, b, basis, verify_to=verify_to)
+    mismatches = []
+    pub = fixtures.PUBLISHED_EXPANSIONS[pair]
+    for d, v in pub["sigma3"].items():
+        got = 240 * f.x[d]
+        if v is None:
+            absv = fixtures.PUBLISHED_ABS[("expansion", pair, "sigma3", d)]
+            if abs(got) != absv:
+                mismatches.append(f"sigma3(n/{d}): derived {got} vs printed +-{absv}")
+        elif got != v:
+            mismatches.append(f"sigma3(n/{d}): derived {got} vs printed {v}")
+    for j, v in pub["cusp"].items():
+        got = f.y[j - 1]
+        if v is None:
+            absv = fixtures.PUBLISHED_ABS[("expansion", pair, "cusp", j)]
+            if abs(got) != absv:
+                mismatches.append(f"Y_{j}: derived {got} vs printed +-{absv}")
+        elif got != v:
+            mismatches.append(f"Y_{j}: derived {got} vs printed {v}")
+    pub_w = fixtures.PUBLISHED_W[pair]
+    for d, v in pub_w["sigma3"].items():
+        if f.sigma3_coefficient(d) != v:
+            mismatches.append(
+                f"W sigma3(n/{d}): derived {f.sigma3_coefficient(d)} vs printed {v}"
+            )
+    for (j, scale), v in pub_w["cusp"].items():
+        if scale != 1:
+            continue  # substituted-generator bookkeeping checked via expansion Y
+        got = f.cusp_coefficient(j - 1)
+        if v is None:
+            absv = fixtures.PUBLISHED_ABS[("w", pair, "cusp", (j, scale))]
+            if abs(got) != absv:
+                mismatches.append(f"W b_{j}: derived {got} vs printed +-{absv}")
+        elif got != v:
+            mismatches.append(f"W b_{j}: derived {got} vs printed {v}")
+    return f, mismatches
 
 
 def check_dimensions() -> list[ItemResult]:
@@ -210,11 +241,20 @@ def check_tables_cuspidality() -> list[ItemResult]:
     return out
 
 
-def check_search_regeneration(jobs: int = 1) -> list[ItemResult]:
+def regeneration_search(N: int, jobs: int = 1) -> set[tuple]:
+    """Exponent vectors of the exhaustive bound-10 weight-4 cusp search at
+    N, orders up to dim S4: the sets the published tables are checked
+    against."""
+    m = profile(N).dim_S4
+    return {q.exponents for q in search_cusp_forms(N, 8, 10, max_order=m, jobs=jobs)}
+
+
+def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResult]:
+    """Compare the tables at REGENERATION_LEVELS with searches[N], the
+    output of regeneration_search(N)."""
     out = []
-    for N in (33, 40, 56):
-        m = profile(N).dim_S4
-        found = {q.exponents for q in search_cusp_forms(N, 8, 10, max_order=m, jobs=jobs)}
+    for N in REGENERATION_LEVELS:
+        found = searches[N]
         expected_bad = set(fixtures.NONCUSPIDAL_ROWS.get(N, ()))
         missing, excluded = [], []
         for i, exps in enumerate(fixtures.BASIS_TABLES[N], start=1):
@@ -285,25 +325,15 @@ def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
         N = a * b
         basis = load_fixture_basis(N, max(208, provider.verify_to + 8))
         first_bad, resolved = _published_expansion_series_check(pair, basis)
-        derived_note = ""
         try:
-            f = derive_formula(a, b, basis, verify_to=provider.verify_to)
-            solved = {d: 240 * f.x[d] for d in f.x}
-            printed = fixtures.PUBLISHED_EXPANSIONS[pair]["sigma3"]
-            diff = [
-                f"sigma3(n/{d}): derived {solved[d]} vs printed {printed[d]}"
-                for d in solved
-                if printed.get(d) is not None and solved[d] != printed[d]
-            ]
+            _, diff = derived_vs_published(pair, basis, verify_to=provider.verify_to)
             derived_note = "; derivation verified" + (
                 f" but differs from print ({diff[0]}, ...)" if diff else ", matches print"
             )
-            derived_diff = bool(diff)
         except DerivationError as e:
             derived_note = f"; derivation on the published basis fails: {e}"
-            derived_diff = True
         if first_bad is None and resolved:
-            res = ", ".join(f"{kind}[{key}] sign resolved to {s}" for kind, key, s in resolved)
+            res = ", ".join(f"{kind}[{key}] sign resolved to {s}" for (kind, key), s in resolved)
             out.append(
                 ItemResult(
                     f"published expansion ({a},{b})",
@@ -372,10 +402,12 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
             if f.verified_to < sturm_bound(N):
                 bad.append(f"({a},{b}) verified only to {f.verified_to}")
                 continue
-            for n in range(1, depth + 1):
-                if evaluate_W(f, basis, n) != brute_force_W(a, b, n):
-                    bad.append(f"({a},{b}) mismatch at n={n}")
-                    break
+            n = _first_failure(
+                range(1, depth + 1),
+                lambda n: evaluate_W(f, basis, n) == brute_force_W(a, b, n),
+            )
+            if n is not None:
+                bad.append(f"({a},{b}) mismatch at n={n}")
         basis_note = provider.notes.get(N, {}).get("basis", "?")
         out.append(
             ItemResult(
@@ -392,12 +424,13 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
 
 def check_diagonal(depth: int = 200) -> ItemResult:
     for alpha in range(1, 6):
-        for n in range(1, depth + 1):
-            want = brute_force_W(alpha, alpha, n) if n % alpha == 0 else 0
-            if diagonal_W(alpha, n) != want:
-                return ItemResult(
-                    "diagonal closed form", FAIL, f"alpha={alpha}, n={n} mismatch"
-                )
+        n = _first_failure(
+            range(1, depth + 1),
+            lambda n: diagonal_W(alpha, n)
+            == (brute_force_W(alpha, alpha, n) if n % alpha == 0 else 0),
+        )
+        if n is not None:
+            return ItemResult("diagonal closed form", FAIL, f"alpha={alpha}, n={n} mismatch")
     return ItemResult(
         "diagonal closed form", PASS, "W_(a,a) matches the direct sum (a <= 5, n <= 200)"
     )
@@ -428,23 +461,12 @@ def check_omega_sets() -> list[ItemResult]:
 def check_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
     out = []
     w = provider.w
-    jobs = []
-    for a, b in omega4(40).pairs:
-        jobs.append(("quad", a, b))
-    for a, b in omega4(56).pairs:
-        jobs.append(("quad", a, b))
-    for c, d in omega3(33).pairs:
-        jobs.append(("hex", c, d))
+    ns = range(1, depth + 1)
+    jobs = [("quad", a, b) for a, b in omega4(40).pairs + omega4(56).pairs]
+    jobs += [("hex", c, d) for c, d in omega3(33).pairs]
     for form, a, b in jobs:
         counter = count_N if form == "quad" else count_R
-        bad = next(
-            (
-                n
-                for n in range(1, depth + 1)
-                if counter(a, b, n, w) != rep_oracle(form, a, b, n)
-            ),
-            None,
-        )
+        bad = _first_failure(ns, lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n))
         name = ("N" if form == "quad" else "R") + f"_({a},{b})"
         out.append(
             ItemResult(
@@ -455,20 +477,16 @@ def check_representations(provider: FormulaProvider, depth: int = 100) -> list[I
                 else f"mismatch at n={bad}",
             )
         )
-    bad = None
-    for n in range(1, depth + 1):
-        closed = 16 * sigma(1, n) - 64 * (sigma(1, n // 4) if n % 4 == 0 else 0)
-        closed += 64 * diagonal_W(1, n) - 512 * dispatch_W(1, 4, n, provider)
-        if n % 4 == 0:
-            closed += 1024 * diagonal_W(1, n // 4)
+
+    def eight_squares(n):
         sig_form = (
             16 * sigma(3, n)
-            - 32 * (sigma(3, n // 2) if n % 2 == 0 else 0)
-            + 256 * (sigma(3, n // 4) if n % 4 == 0 else 0)
+            - 32 * sigma_scaled(3, n, 2)
+            + 256 * sigma_scaled(3, n, 4)
         )
-        if closed != sig_form or closed != rep_oracle("quad", 1, 1, n):
-            bad = n
-            break
+        return count_N(1, 1, n, w) == sig_form == rep_oracle("quad", 1, 1, n)
+
+    bad = _first_failure(ns, eight_squares)
     out.append(
         ItemResult(
             "representation N_(1,1)",
@@ -485,10 +503,8 @@ def check_representations(provider: FormulaProvider, depth: int = 100) -> list[I
 def check_revisited_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
     out = []
     w = provider.w
-    bad = next(
-        (n for n in range(1, depth + 1) if count_N(1, 3, n, w) != rep_oracle("quad", 1, 3, n)),
-        None,
-    )
+    ns = range(1, depth + 1)
+    bad = _first_failure(ns, lambda n: count_N(1, 3, n, w) == rep_oracle("quad", 1, 3, n))
     out.append(
         ItemResult(
             "representation N_(1,3)",
@@ -496,10 +512,7 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
             "matches the lattice oracle" if bad is None else f"mismatch at n={bad}",
         )
     )
-    bad = next(
-        (n for n in range(1, depth + 1) if count_N(2, 3, n, w) != rep_oracle("quad", 2, 3, n)),
-        None,
-    )
+    bad = _first_failure(ns, lambda n: count_N(2, 3, n, w) == rep_oracle("quad", 2, 3, n))
     out.append(
         ItemResult(
             "representation N_(2,3)",
@@ -512,10 +525,10 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
     # the published combination replaces W_(2,3) by W_(1,3)
     def published_n23(n):
         total = (
-            8 * (sigma(1, n // 2) if n % 2 == 0 else 0)
-            - 32 * (sigma(1, n // 8) if n % 8 == 0 else 0)
-            + 8 * (sigma(1, n // 3) if n % 3 == 0 else 0)
-            - 32 * (sigma(1, n // 12) if n % 12 == 0 else 0)
+            8 * sigma_scaled(1, n, 2)
+            - 32 * sigma_scaled(1, n, 8)
+            + 8 * sigma_scaled(1, n, 3)
+            - 32 * sigma_scaled(1, n, 12)
             + 64 * w(1, 3, n)
             - 256 * (w(3, 8, n) + w(1, 12, n))
         )
@@ -523,10 +536,7 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
             total += 1024 * w(1, 3, n // 4)
         return total
 
-    bad = next(
-        (n for n in range(1, depth + 1) if published_n23(n) != rep_oracle("quad", 2, 3, n)),
-        None,
-    )
+    bad = _first_failure(ns, lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n))
     out.append(
         ItemResult(
             "published N_(2,3) combination",
@@ -560,9 +570,8 @@ def check_level_11(provider: FormulaProvider, depth: int = 200) -> list[ItemResu
         detail.append(f"published W_(1,11) disagrees with the direct sum first at n={first_bad_w}")
     try:
         f, b11 = provider.formula(1, 11)
-        bad = next(
-            (n for n in range(1, depth + 1) if evaluate_W(f, b11, n) != brute_force_W(1, 11, n)),
-            None,
+        bad = _first_failure(
+            range(1, depth + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
         )
         if bad is None:
             gens = ", ".join(g.describe() for g in b11.cusp)
@@ -586,14 +595,10 @@ def check_classical_identities() -> list[ItemResult]:
     out = []
     T = 200
     L = eisenstein_L(1, T)
-    L2 = mul(L, L)
-    bad = next(
-        (
-            n
-            for n in range(1, T + 1)
-            if L2.coefficient(n) != 240 * sigma(3, n) - 288 * n * sigma(1, n)
-        ),
-        None,
+    L2 = L * L
+    bad = _first_failure(
+        range(1, T + 1),
+        lambda n: L2.coefficient(n) == 240 * sigma(3, n) - 288 * n * sigma(1, n),
     )
     out.append(
         ItemResult(
@@ -604,8 +609,8 @@ def check_classical_identities() -> list[ItemResult]:
             else f"mismatch at n={bad}",
         )
     )
-    bad = next((n for n in range(0, 101) if r4(n) != r4_by_enumeration(n)), None)
-    bad2 = next((n for n in range(0, 101) if s4(n) != s4_by_enumeration(n)), None)
+    bad = _first_failure(range(0, 101), lambda n: r4(n) == r4_by_enumeration(n))
+    bad2 = _first_failure(range(0, 101), lambda n: s4(n) == s4_by_enumeration(n))
     out.append(
         ItemResult(
             "quaternary counts",
@@ -640,14 +645,13 @@ def check_cache_roundtrip(provider: FormulaProvider, tmpdir: str) -> ItemResult:
     )
 
 
-def run_all(provider: FormulaProvider | None = None, jobs: int = 1, cache_dir: str | None = None) -> list[ItemResult]:
-    import tempfile
-
-    provider = provider or FormulaProvider(jobs=jobs)
+def run_all(provider: FormulaProvider, searches: dict[int, set[tuple]]) -> list[ItemResult]:
+    """Every verify-paper item, in report order; searches maps each of
+    REGENERATION_LEVELS to its regeneration_search output."""
     results: list[ItemResult] = []
     results += check_dimensions()
     results += check_tables_cuspidality()
-    results += check_search_regeneration(jobs=jobs)
+    results += check_search_regeneration(searches)
     results += check_substitution_claims()
     results += check_published_formulas(provider)
     results += check_oracle_equivalence(provider)
@@ -657,9 +661,6 @@ def run_all(provider: FormulaProvider | None = None, jobs: int = 1, cache_dir: s
     results += check_revisited_representations(provider)
     results += check_level_11(provider)
     results += check_classical_identities()
-    if cache_dir is None:
-        with tempfile.TemporaryDirectory() as td:
-            results.append(check_cache_roundtrip(provider, td))
-    else:
-        results.append(check_cache_roundtrip(provider, cache_dir))
+    with tempfile.TemporaryDirectory() as td:
+        results.append(check_cache_roundtrip(provider, td))
     return results

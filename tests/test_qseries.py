@@ -15,7 +15,6 @@ from divconv.qseries import (
     euler_product_power,
     one,
     squared_difference,
-    substitute_power,
     zero,
 )
 
@@ -73,11 +72,11 @@ def test_precision_rules():
 
 def test_substitute_power():
     L = eisenstein_L(1, 40)
-    assert substitute_power(L, 1) == L
-    assert substitute_power(L, 33).coefficient(33) == -24
-    assert substitute_power(L, 2).coefficient(3) == 0
+    assert L.substitute_power(1) == L
+    assert L.substitute_power(33).coefficient(33) == -24
+    assert L.substitute_power(2).coefficient(3) == 0
     with pytest.raises(ValueError):
-        substitute_power(L, 0)
+        L.substitute_power(0)
 
 
 def test_eisenstein_series():
