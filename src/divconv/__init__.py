@@ -65,7 +65,6 @@ from .spaces import (
     CuspGenerator,
     ModularBasis,
     SpaceProfile,
-    eisenstein_basis,
     load_fixture_basis,
     profile,
     repair_basis,

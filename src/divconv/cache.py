@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .convolution import ConvolutionFormula
@@ -21,14 +21,6 @@ from .eta import EtaQuotient
 from .spaces import CuspGenerator, ModularBasis, build_basis
 
 FORMAT_VERSION = 1
-ENV_VAR = "DIVCONV_CACHE"
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "divconv")
 
 
 def encode_rational(x) -> str:
@@ -109,7 +101,8 @@ def basis_to_payload(b: ModularBasis) -> dict:
 
 def basis_from_payload(p: dict, T: int) -> ModularBasis:
     gens = [generator_from_payload(g) for g in p["cusp"]]
-    basis = build_basis(p["level"], gens, T, defects=list(p.get("defects", [])))
+    # the stored defects already hold the ones build_basis recomputes
+    basis = replace(build_basis(p["level"], gens, T), defects=list(p.get("defects", [])))
     if basis.checksum != p["matrix_checksum"]:
         raise ValueError(
             f"cached basis for level {p['level']} fails its matrix checksum"
@@ -143,8 +136,8 @@ def formula_from_payload(p: dict) -> ConvolutionFormula:
 
 
 class Cache:
-    def __init__(self, directory: str | None = None):
-        self.directory = directory or default_cache_dir()
+    def __init__(self, directory: str):
+        self.directory = directory
 
     def _path(self, kind: str, level: int) -> str:
         return os.path.join(self.directory, f"{kind}-{level}.json")

@@ -14,7 +14,7 @@ import sys
 from math import gcd
 
 from .arith import classify_level, divisors
-from .cache import Cache, default_cache_dir, encode_rational
+from .cache import Cache, encode_rational
 from .convolution import (
     DerivationError,
     FormulaIntegrityError,
@@ -92,19 +92,22 @@ def cmd_search_cusp(args) -> int:
     return EXIT_OK
 
 
+def _fixture_basis(level: int, T: int):
+    if level not in fixtures.BASIS_TABLES:
+        raise UnsupportedLevelError(f"no fixture basis for level {level}")
+    return load_fixture_basis(level, T)
+
+
 def cmd_basis(args) -> int:
     N = args.level
     T = 208
     if args.use_fixture:
-        if N not in fixtures.BASIS_TABLES:
-            print(f"no fixture basis for level {N}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        basis = load_fixture_basis(N, T)
+        basis = _fixture_basis(N, T)
     elif args.repair:
         basis = repair_basis(N, T, bound=args.bound, jobs=args.jobs)
     else:
         basis = search_basis(N, T, bound=args.bound, jobs=args.jobs)
-    if args.cache_dir is not False:
+    if args.cache_dir:
         Cache(args.cache_dir).store_basis(basis)
     doc = {
         "level": N,
@@ -162,26 +165,16 @@ def cmd_convsum(args) -> int:
         lines = []
     level = a1 * b1
     verify_to = args.verify
-    try:
-        if args.use_fixture:
-            basis = load_fixture_basis(level, max(208, verify_to + 8))
-            f = derive_formula(a1, b1, basis, verify_to=verify_to)
-        else:
-            provider = FormulaProvider(bound=args.bound, verify_to=verify_to, jobs=args.jobs)
-            f, basis = provider.formula(a1, b1)
-            note = provider.notes.get(level, {})
-            if note.get("basis") == "repaired" and "fixture_failure" in note:
-                lines.append(f"note: fixture basis unusable ({note['fixture_failure']}); using repaired basis")
-    except UnsupportedLevelError as e:
-        print(f"unsupported level: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DerivationError as e:
-        print(f"derivation failed: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if args.cache_dir is not False:
+    if args.use_fixture:
+        basis = _fixture_basis(level, max(208, verify_to + 8))
+        f = derive_formula(a1, b1, basis, verify_to=verify_to)
+    else:
+        provider = FormulaProvider(bound=args.bound, verify_to=verify_to, jobs=args.jobs)
+        f, basis = provider.formula(a1, b1)
+        note = provider.notes.get(level, {})
+        if note.get("basis") == "repaired" and "fixture_failure" in note:
+            lines.append(f"note: fixture basis unusable ({note['fixture_failure']}); using repaired basis")
+    if args.cache_dir:
         cache = Cache(args.cache_dir)
         cache.store_basis(basis)
         cache.store_formula(f)
@@ -210,17 +203,8 @@ def cmd_repnum(args) -> int:
         calls.append((x, y, m))
         return dispatch_W(x, y, m, provider)
 
-    try:
-        if args.form == "quad":
-            value = count_N(a, b, n, w)
-        else:
-            value = count_R(a, b, n, w)
-    except UnsupportedLevelError as e:
-        print(f"unsupported level: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DerivationError as e:
-        print(f"derivation failed: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    count = count_N if args.form == "quad" else count_R
+    value = count(a, b, n, w)
     doc = {
         "form": args.form,
         "a": a,
@@ -274,7 +258,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--cache-dir",
-        help=f"cache directory (default ${'{'}DIVCONV_CACHE{'}'} or {default_cache_dir()})",
+        help="write the basis and formula to this directory (nothing is written without it)",
         **({"default": argparse.SUPPRESS} if suppress else {"default": None}),
     )
     parser.add_argument(
@@ -350,6 +334,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except UnsupportedLevelError as e:
         print(f"unsupported level: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except DerivationError as e:
+        print(f"derivation failed: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

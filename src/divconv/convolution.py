@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, gcd
 
-from .arith import classify_level, divisors, sigma, sigma_scaled
+from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
 from .linalg import Echelon, InconsistentSystem
 from .qseries import squared_difference
 from .spaces import (
@@ -261,14 +261,16 @@ class FormulaProvider:
 
     Basis resolution per level: the embedded fixture basis when one exists
     and derivation verifies; otherwise the certified repair basis.  Every
-    resolution is recorded in .notes for reporting.
+    resolution is recorded in .notes for reporting.  Each level has one
+    basis, which formula() re-expands when a larger n asks for it; the
+    formulas of all pairs at that level share it.
     """
 
     def __init__(self, bound: int = 10, verify_to: int = 200, jobs: int = 1):
         self.bound = bound
         self.verify_to = verify_to
         self.jobs = jobs
-        self._formulas: dict[tuple[int, int], tuple[ConvolutionFormula, ModularBasis]] = {}
+        self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
         self.notes: dict = {}
 
@@ -288,10 +290,10 @@ class FormulaProvider:
         basis = None
         if level in fixtures.BASIS_TABLES:
             fb = load_fixture_basis(level, T)
-            probe = min((b for a, b in _coprime_splits(level)), default=level)
+            probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
             try:
                 f = derive_formula(level // probe, probe, fb, T=T, verify_to=self.verify_to)
-                self._formulas[(f.alpha, f.beta)] = (f, fb)
+                self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
                 self.notes[level] = {"basis": "fixture", "defects": list(fb.defects)}
             except DerivationError as e:
@@ -311,29 +313,30 @@ class FormulaProvider:
         self._bases[level] = basis
         return basis
 
-    def formula(self, alpha: int, beta: int) -> tuple[ConvolutionFormula, ModularBasis]:
+    def formula(
+        self, alpha: int, beta: int, n: int = 0
+    ) -> tuple[ConvolutionFormula, ModularBasis]:
+        """The formula for the coprime pair and its level's basis, expanded
+        to at least n."""
         if gcd(alpha, beta) != 1:
             raise ValueError("formula: alpha, beta must be coprime")
         if alpha > beta:
             alpha, beta = beta, alpha
-        key = (alpha, beta)
+        key, level = (alpha, beta), alpha * beta
         if key not in self._formulas:
-            basis = self.basis_for(alpha * beta)
+            basis = self.basis_for(level)
             # the fixture probe inside basis_for may have derived this pair
             if key not in self._formulas:
-                f = derive_formula(alpha, beta, basis, T=basis.precision, verify_to=self.verify_to)
-                self._formulas[key] = (f, basis)
-        return self._formulas[key]
+                self._formulas[key] = derive_formula(
+                    alpha, beta, basis, T=basis.precision, verify_to=self.verify_to
+                )
+        basis = self._bases[level]
+        if n > basis.precision:
+            basis = self._bases[level] = basis.at_precision(n + 16)
+        return self._formulas[key], basis
 
     def w(self, alpha: int, beta: int, n: int) -> int:
         return dispatch_W(alpha, beta, n, self)
-
-
-def _coprime_splits(n: int):
-    for a in divisors(n):
-        b = n // a
-        if a < b and gcd(a, b) == 1:
-            yield a, b
 
 
 def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
@@ -347,10 +350,5 @@ def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     a, b, m = reduced
     if a == b:
         return diagonal_W(a, m)
-    f, basis = provider.formula(a, b)
-    if m > basis.precision:
-        # the checksum covers rows 1..dim S4 only, so f.basis_ref still holds
-        basis = basis.at_precision(m + 16)
-        provider._bases[a * b] = basis
-        provider._formulas[(min(a, b), max(a, b))] = (f, basis)
+    f, basis = provider.formula(a, b, m)
     return evaluate_W(f, basis, m)

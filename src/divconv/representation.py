@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Callable
 
-from .arith import classify_level, sigma_scaled
+from .arith import classify_level, coprime_pairs, sigma_scaled
 
 WProvider = Callable[[int, int, int], int]
 
@@ -104,63 +104,24 @@ class PairSet:
     pairs: tuple[tuple[int, int], ...]
 
 
-def _coprime_factor_pairs(product: int) -> list[tuple[int, int]]:
-    pairs = set()
-    for a in range(1, product + 1):
-        if product % a == 0:
-            b = product // a
-            if gcd(a, b) == 1:
-                pairs.add((min(a, b), max(a, b)))
-    return sorted(pairs)
-
-
 def omega4(level: int) -> PairSet:
-    """Coprime pairs (a, b) with a*b = level/4, built from the prime blocks
-    {2^(nu-2)} and the odd primes of the level."""
+    """Coprime pairs (a, b) with a*b = level/4."""
     cls = classify_level(level)
     if level % 4 != 0 or not cls.in_class:
         raise ValueError(
             f"omega4: level must be in the class and divisible by 4, got {level}"
         )
-    lam = level // 4
-    blocks = [2 ** (cls.nu - 2)] + [p for p in _odd_primes(cls.mho)]
-    pairs = _pairs_from_blocks(blocks, lam)
-    return PairSet(level=level, modality="quad", pairs=tuple(pairs))
+    return PairSet(level=level, modality="quad", pairs=tuple(coprime_pairs(level // 4)))
 
 
 def omega3(level: int) -> PairSet:
-    """Coprime pairs (c, d) with c*d = level/3, built from the blocks
-    {2^nu} and the odd primes other than 3."""
+    """Coprime pairs (c, d) with c*d = level/3."""
     cls = classify_level(level)
     if level % 3 != 0 or not cls.in_class:
         raise ValueError(
             f"omega3: level must be in the class and divisible by 3, got {level}"
         )
-    delta = level // 3
-    blocks = [2**cls.nu] + [p for p in _odd_primes(cls.mho) if p != 3]
-    pairs = _pairs_from_blocks(blocks, delta)
-    return PairSet(level=level, modality="hex", pairs=tuple(pairs))
-
-
-def _odd_primes(m: int) -> list[int]:
-    from .arith import prime_factors
-
-    return [p for p in prime_factors(m) if p % 2 == 1]
-
-
-def _pairs_from_blocks(blocks: list[int], product: int) -> list[tuple[int, int]]:
-    # all subset products (mu of the construction); 1 contributes nothing
-    pairs = set()
-    n = len(blocks)
-    for mask in range(1 << n):
-        m1 = 1
-        for i in range(n):
-            if mask >> i & 1:
-                m1 *= blocks[i]
-        m2 = product // m1 if m1 and product % m1 == 0 else None
-        if m2 is not None and gcd(m1, m2) == 1 and m1 * m2 == product:
-            pairs.add((min(m1, m2), max(m1, m2)))
-    return sorted(pairs)
+    return PairSet(level=level, modality="hex", pairs=tuple(coprime_pairs(level // 3)))
 
 
 def count_N(a: int, b: int, n: int, w: WProvider) -> int:
@@ -224,18 +185,3 @@ def rep_oracle(form: str, a: int, b: int, n: int, ceiling: int = DEFAULT_ORACLE_
         if rest % b == 0:
             total += table(l) * table(rest // b)
     return total
-
-
-def brute_force_W_provider(alpha: int, beta: int, n: int) -> int:
-    """Direct-summation W provider for tests and cross-checks."""
-    from .convolution import brute_force_W, reduce_by_gcd, diagonal_W
-
-    if n < 1:
-        return 0
-    reduced = reduce_by_gcd(alpha, beta, n)
-    if reduced is None:
-        return 0
-    a, b, m = reduced
-    if a == b:
-        return diagonal_W(a, m)
-    return brute_force_W(a, b, m)

@@ -1,18 +1,17 @@
 """Weight-4 modular form spaces: dimensions, Eisenstein and cusp bases.
 
 Dimension formulas for the trivial character (genus, elliptic point and
-cusp counts), the Eisenstein basis {M(q^t) : t | N}, cusp-basis selection
-from search candidates, the embedded fixture bases, and `repair_basis`,
-which builds a certified cusp basis out of generators that provably lie in
-the weight-4 cusp space (strict eta quotients, their substitutions from
-sublevels, and weight-2 cusp quotients multiplied by weight-2 Eisenstein
-combinations).
+cusp counts), cusp-basis selection from search candidates, the embedded
+fixture bases, and `repair_basis`, which builds a certified cusp basis out
+of generators that provably lie in the weight-4 cusp space (strict eta
+quotients, their substitutions from sublevels, and weight-2 cusp quotients
+multiplied by weight-2 Eisenstein combinations).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from . import fixtures
@@ -24,7 +23,7 @@ from .eta import (
     search_cusp_forms,
 )
 from .linalg import Echelon
-from .qseries import QSeries, eisenstein_M, eisenstein_weight2
+from .qseries import QSeries, eisenstein_weight2
 
 
 class BasisIncompleteError(ValueError):
@@ -86,11 +85,6 @@ def profile(N: int) -> SpaceProfile:
     )
 
 
-def eisenstein_basis(N: int, T: int) -> list[QSeries]:
-    """[M(q^t) for t | N], ascending t."""
-    return [eisenstein_M(t, T) for t in divisors(N)]
-
-
 KIND_ETA = "eta-quotient"
 KIND_DECLARED = "declared-fixture"
 KIND_PRODUCT = "eta-eisenstein-product"
@@ -136,7 +130,6 @@ class ModularBasis:
     eisenstein: list[int]
     cusp: list[CuspGenerator]
     precision: int
-    eis_series: list[QSeries] = field(repr=False)
     cusp_series: list[QSeries] = field(repr=False)
     defects: list[str] = field(default_factory=list)
     checksum: str = ""
@@ -150,9 +143,12 @@ class ModularBasis:
         return self.cusp_series[j].coefficient(n)
 
     def at_precision(self, T: int) -> "ModularBasis":
+        # the checksum covers rows 1..dim S4 and no defect depends on T
         if T <= self.precision:
             return self
-        return build_basis(self.level, self.cusp, T, defects=list(self.defects))
+        return replace(
+            self, precision=T, cusp_series=[g.series(T) for g in self.cusp]
+        )
 
 
 def _matrix_checksum(cusp_series: list[QSeries], m: int) -> str:
@@ -163,17 +159,11 @@ def _matrix_checksum(cusp_series: list[QSeries], m: int) -> str:
     return f"sha256:{digest[:16]}"
 
 
-def build_basis(
-    N: int,
-    generators: list[CuspGenerator],
-    T: int,
-    defects: list[str] | None = None,
-) -> ModularBasis:
-    """Expand generators and package them with the Eisenstein block."""
+def build_basis(N: int, generators: list[CuspGenerator], T: int) -> ModularBasis:
+    """Expand generators, record their defects and checksum the first rows."""
     prof = profile(N)
-    eis = divisors(N)
     series = [g.series(T) for g in generators]
-    defects = list(defects or [])
+    defects = []
     for i, (g, s) in enumerate(zip(generators, series), start=1):
         if s.coefficient(0) != 0:
             defects.append(f"generator {i} ({g.describe()}) has a nonzero constant term")
@@ -187,10 +177,9 @@ def build_basis(
     checksum = _matrix_checksum(series, max(m, 1)) if m else "sha256:empty"
     basis = ModularBasis(
         level=N,
-        eisenstein=eis,
+        eisenstein=divisors(N),
         cusp=list(generators),
         precision=T,
-        eis_series=eisenstein_basis(N, T),
         cusp_series=series,
         defects=defects,
         checksum=checksum,

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divconv.cli import main
 
@@ -138,6 +142,16 @@ def test_cache_roundtrip(tmp_path, provider):
     assert cache.load_formula(3, 11) is None
 
 
+def test_cache_roundtrip_keeps_defects(tmp_path):
+    from divconv.cache import Cache
+    from divconv.spaces import load_fixture_basis
+
+    basis = load_fixture_basis(24, 40)
+    cache = Cache(str(tmp_path))
+    cache.store_basis(basis)
+    assert cache.load_basis(24, 40).defects == basis.defects
+
+
 def test_cache_rejects_tampering(tmp_path, provider):
     from divconv.cache import Cache
 
@@ -152,8 +166,48 @@ def test_cache_rejects_tampering(tmp_path, provider):
         cache.load_formula(1, 10)
 
 
-def test_cache_env_var(monkeypatch, tmp_path):
-    from divconv.cache import default_cache_dir
+def test_convsum_without_cache_dir_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    code, _, _ = run_cli(capsys, "convsum", "1", "10", "--use-fixture")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "basis", "10", "--use-fixture")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
 
-    monkeypatch.setenv("DIVCONV_CACHE", str(tmp_path))
-    assert default_cache_dir() == str(tmp_path)
+
+# Inputs that never start a repair search: dims, convsum on fixture bases,
+# and repnum whose W calls stay at the fixture-resolved levels 10 and 40.
+# count_R of a coprime pair calls W at 3ab, a level no fixture resolves
+# here, so hex counts are drawn only for n <= 0.
+_REPNUM_PAIRS = [(1, 10), (10, 1), (2, 5), (5, 2), (2, 4), (0, 3), (1, 0), (-1, 1)]
+_cli_inputs = st.one_of(
+    st.builds(lambda N: ["dims", str(N)], st.integers(-5, 3000)),
+    st.builds(
+        lambda a, b, v: ["convsum", str(a), str(b), "--use-fixture", "--verify", str(v)],
+        st.integers(-1, 60),
+        st.integers(-1, 60),
+        st.integers(-5, 260),
+    ),
+    st.builds(
+        lambda ab, n: ["repnum", "--form", "quad", str(ab[0]), str(ab[1]), str(n)],
+        st.sampled_from(_REPNUM_PAIRS),
+        st.integers(-3, 250),
+    ),
+    st.builds(
+        lambda ab, n: ["repnum", "--form", "hex", str(ab[0]), str(ab[1]), str(n)],
+        st.sampled_from(_REPNUM_PAIRS),
+        st.integers(-3, 0),
+    ),
+)
+
+
+@settings(max_examples=40)
+@given(_cli_inputs, st.booleans())
+def test_cli_exit_codes(argv, machine):
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main((["--machine"] if machine else []) + argv)
+    except SystemExit as e:
+        assert e.code == 2  # argparse usage error
+        return
+    assert code in (0, 2, 3, 4)

@@ -184,6 +184,21 @@ def test_dispatch_reexpands_beyond_precision(provider):
     assert dispatch_W(1, 10, 555, provider) == brute_force_W(1, 10, 555)
 
 
+def test_reexpansion_serves_every_pair_of_the_level():
+    p = FormulaProvider()
+    dispatch_W(1, 10, 300, p)
+    _, basis = p.formula(1, 10)
+    assert p.formula(2, 5)[1] is basis
+    assert basis.precision >= 300
+    # grown once, to n + 16
+    assert p.formula(2, 5, 400)[1].precision == 416
+
+
+@given(st.sampled_from([(1, 10), (2, 5)]), st.integers(209, 400))
+def test_dispatch_beyond_fixture_precision_matches_direct_sum(provider, pair, n):
+    assert dispatch_W(*pair, n, provider) == brute_force_W(*pair, n)
+
+
 def test_dispatch_gcd_reduction(provider):
     for n in range(1, 61):
         want = brute_force_W(2, 5, n // 2) if n % 2 == 0 else 0

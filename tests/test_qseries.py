@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divconv.arith import sigma
+from divconv.arith import divisors, sigma
 from divconv.convolution import brute_force_W
+from divconv.linalg import rank
 from divconv.qseries import (
     QSeries,
     eisenstein_L,
@@ -88,6 +89,16 @@ def test_eisenstein_series():
     assert M.coefficient(1) == 240
     assert M.coefficient(2) == 2160
     assert eisenstein_M(11, 12).coefficient(1) == 0
+
+
+def test_eisenstein_block_independent():
+    # the Eisenstein columns M(q^t), t | 33, of the level-33 weight-4 basis
+    block = [eisenstein_M(t, 40) for t in divisors(33)]
+    for t, s in zip([1, 3, 11, 33], block):
+        assert s.coefficient(0) == 1
+        assert next(n for n in range(1, 40) if s.coefficient(n) != 0) == t
+    m = [[block[j].coefficient(n) for j in range(4)] for n in [1, 3, 11, 33]]
+    assert rank(m) == 4
 
 
 def test_weight2_combination():

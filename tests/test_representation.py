@@ -3,8 +3,8 @@ from math import gcd
 import pytest
 
 from divconv.arith import divisors
+from divconv.convolution import brute_force_W
 from divconv.representation import (
-    brute_force_W_provider,
     count_N,
     count_R,
     omega3,
@@ -83,14 +83,14 @@ def test_rep_oracle_examples():
 
 
 def test_count_examples():
-    w = brute_force_W_provider
+    w = brute_force_W
     assert count_N(1, 1, 1, w) == 16
     assert count_R(1, 1, 1, w) == 24
 
 
 @pytest.mark.parametrize("level", [12, 24, 40, 56])
 def test_count_N_vs_oracle_brute_provider(level):
-    w = brute_force_W_provider
+    w = brute_force_W
     for a, b in omega4(level).pairs:
         for n in range(1, 101):
             assert count_N(a, b, n, w) == rep_oracle("quad", a, b, n), (a, b, n)
@@ -98,7 +98,7 @@ def test_count_N_vs_oracle_brute_provider(level):
 
 @pytest.mark.parametrize("level", [12, 15, 24, 33])
 def test_count_R_vs_oracle_brute_provider(level):
-    w = brute_force_W_provider
+    w = brute_force_W
     for c, d in omega3(level).pairs:
         for n in range(1, 101):
             assert count_R(c, d, n, w) == rep_oracle("hex", c, d, n), (c, d, n)
@@ -109,7 +109,7 @@ def test_count_uses_injected_provider():
 
     def spy(a, b, n):
         calls.append((a, b, n))
-        return brute_force_W_provider(a, b, n)
+        return brute_force_W(a, b, n)
 
     count_N(1, 10, 40, spy)
     assert (1, 10, 40) in calls
@@ -119,7 +119,7 @@ def test_count_uses_injected_provider():
 
 
 def test_count_guards():
-    w = brute_force_W_provider
+    w = brute_force_W
     with pytest.raises(ValueError):
         count_N(2, 4, 5, w)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from divconv.linalg import rank
 from divconv.spaces import (
     BasisIncompleteError,
     CuspGenerator,
-    eisenstein_basis,
     eta_generator,
     fixture_substitution_report,
     load_fixture_basis,
@@ -43,17 +42,6 @@ def test_profile_consistency():
 def test_genus_integral_to_10000():
     for N in range(1, 10001):
         assert profile(N).genus >= 0
-
-
-def test_eisenstein_basis():
-    basis = eisenstein_basis(33, 40)
-    assert len(basis) == 4
-    for t, s in zip([1, 3, 11, 33], basis):
-        assert s.coefficient(0) == 1
-        assert next(n for n in range(1, 40) if s.coefficient(n) != 0) == t
-    m = [[basis[j].coefficient(n) for j in range(4)] for n in [1, 3, 11, 33]]
-    assert rank(m) == 4
-    assert len(eisenstein_basis(1, 10)) == 1
 
 
 def test_load_fixture_all_levels():
@@ -143,6 +131,18 @@ def test_basis_at_precision_extends():
     for j in range(b.dim_cusp):
         for n in range(31):
             assert b.coefficient(j, n) == b2.coefficient(j, n)
+        assert b2.coefficient(j, 50) == b.cusp[j].series(50).coefficient(50)
+
+
+@pytest.mark.parametrize("level", [24, 56])
+def test_basis_at_precision_keeps_defects_and_checksum(level):
+    b = load_fixture_basis(level, 40)
+    assert b.defects
+    for T in (60, 80):
+        b2 = b.at_precision(T)
+        assert b2.defects == b.defects
+        assert b2.checksum == b.checksum
+        b = b2
 
 
 def test_generator_series_product_kind():
