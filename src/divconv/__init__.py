@@ -37,6 +37,7 @@ from .convolution import (
 from .eta import (
     EtaQuotient,
     LigozatReport,
+    SearchCeilingError,
     dual_congruence,
     ligozat_check,
     order_at_infinity,

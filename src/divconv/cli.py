@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: dims, search-cusp, basis, convsum, repnum, verify-paper.
-Exit codes: 0 success, 2 usage error, 3 unsupported level, 4 internal
-invariant breach.  --machine switches to deterministic JSON with exact
-rationals encoded as "p/q" strings.
+Exit codes: 0 success, 2 usage error, 3 unsupported level (or a strict
+search above its ceiling), 4 internal invariant breach.  --machine switches
+to deterministic JSON with exact rationals encoded as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -23,9 +23,15 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import order_at_infinity, search_cusp_forms
+from .eta import SearchCeilingError, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
-from .spaces import load_fixture_basis, profile, repair_basis, search_basis
+from .spaces import (
+    BasisIncompleteError,
+    load_fixture_basis,
+    profile,
+    repair_basis,
+    search_basis,
+)
 from . import fixtures
 from . import verify as verify_mod
 
@@ -104,7 +110,7 @@ def cmd_basis(args) -> int:
     if args.use_fixture:
         basis = _fixture_basis(N, T)
     elif args.repair:
-        basis = repair_basis(N, T, bound=args.bound, jobs=args.jobs)
+        basis = repair_basis(N, T, bound=args.bound)
     else:
         basis = search_basis(N, T, bound=args.bound, jobs=args.jobs)
     if args.cache_dir:
@@ -169,7 +175,7 @@ def cmd_convsum(args) -> int:
         basis = _fixture_basis(level, max(208, verify_to + 8))
         f = derive_formula(a1, b1, basis, verify_to=verify_to)
     else:
-        provider = FormulaProvider(bound=args.bound, verify_to=verify_to, jobs=args.jobs)
+        provider = FormulaProvider(bound=args.bound, verify_to=verify_to)
         f, basis = provider.formula(a1, b1)
         note = provider.notes.get(level, {})
         if note.get("basis") == "repaired" and "fixture_failure" in note:
@@ -196,7 +202,7 @@ def cmd_repnum(args) -> int:
     if gcd(a, b) != 1:
         print("(a, b) must be coprime", file=sys.stderr)
         return EXIT_USAGE
-    provider = FormulaProvider(bound=args.bound, jobs=args.jobs)
+    provider = FormulaProvider(bound=args.bound)
     calls: list[tuple[int, int, int]] = []
 
     def w(x, y, m):
@@ -220,7 +226,7 @@ def cmd_repnum(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    provider = FormulaProvider(jobs=args.jobs)
+    provider = FormulaProvider()
     searches = {
         N: verify_mod.regeneration_search(N, jobs=args.jobs)
         for N in verify_mod.REGENERATION_LEVELS
@@ -264,7 +270,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        help="parallel workers for the search",
+        help="parallel workers for the non-strict search",
         **({"default": argparse.SUPPRESS} if suppress else {"default": 1}),
     )
 
@@ -332,8 +338,11 @@ def main(argv=None) -> int:
     except FormulaIntegrityError as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except UnsupportedLevelError as e:
+    except (UnsupportedLevelError, BasisIncompleteError) as e:
         print(f"unsupported level: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except SearchCeilingError as e:
+        print(f"search too large: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except DerivationError as e:
         print(f"derivation failed: {e}", file=sys.stderr)

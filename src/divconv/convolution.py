@@ -266,10 +266,9 @@ class FormulaProvider:
     formulas of all pairs at that level share it.
     """
 
-    def __init__(self, bound: int = 10, verify_to: int = 200, jobs: int = 1):
+    def __init__(self, bound: int = 10, verify_to: int = 200):
         self.bound = bound
         self.verify_to = verify_to
-        self.jobs = jobs
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
         self.notes: dict = {}
@@ -304,7 +303,7 @@ class FormulaProvider:
                 }
         if basis is None:
             try:
-                basis = repair_basis(level, T, bound=self.bound, jobs=self.jobs)
+                basis = repair_basis(level, T, bound=self.bound)
             except BasisIncompleteError as e:
                 raise UnsupportedLevelError(
                     f"level {level}: no spanning weight-4 cusp basis found ({e})"

@@ -1,4 +1,4 @@
-"""Eta quotients, the membership criterion, and exhaustive cusp-form search.
+"""Eta quotients, the membership criterion, and the cusp-form searches.
 
 An eta quotient at level N is a finite product prod_{delta | N}
 eta(delta*z)^{r_delta}.  It lies in the weight-k modular (resp. cusp) space
@@ -12,32 +12,48 @@ for the level-N Hecke congruence subgroup when
 
 `ligozat_check` evaluates exactly these conditions.  The classical
 statement carries one more congruence, sum (N/delta) * r_delta == 0
-(mod 24); it is exposed separately as `dual_congruence` and enforced by
-the search only when strict=True (candidates are then certified members
-of the level-N space, which basis repair relies on).
+(mod 24); it is exposed separately as `dual_congruence`, and quotients
+that meet it as well are *strict*: certified members of the level-N space,
+which basis repair relies on.
 
-The exhaustive search walks exponent vectors depth-first.  All pruning is
-driven by the integer cusp sums S_d = sum gcd(d, delta)^2 * (N/delta) *
-r_delta (so S_d > 0 is the cusp condition at d, and S_N = 24*N*order at
-infinity) together with the valence identity
+Both searches work with the integer cusp sums S_d = sum_delta A[d][delta] *
+r_delta, A[d][delta] = gcd(d, delta)^2 * N/delta, so S_d > 0 is the cusp
+condition at d and S_N = 24*N*(order at infinity), and with the valence
+identity
 
-    sum_{d | N} phi(g_d)/(g_d * d) * S_d = 2 * k2 * mu(N),   g_d = gcd(d, N/d),
+    sum_{d | N} phi(g_d)/(g_d * d) * S_d = k2 * mu(N),   g_d = gcd(d, N/d),
 
-which bounds every S_d above once all are positive.  Per-depth bounds on
-the achievable suffix of each S_d are exact maxima/minima of a weighted
-sum subject to the remaining exponent-sum budget (an assignment bound,
-much tighter than +-bound * sum of weights).
+k2 = sum r_delta, which bounds every S_d above once all are positive.
+
+The search under the published criterion walks exponent vectors
+depth-first.  Per-depth bounds on the achievable suffix of each S_d are
+exact maxima/minima of a weighted sum subject to the remaining
+exponent-sum budget (an assignment bound, much tighter than +-bound * sum
+of weights).
+
+The strict search runs in cusp-order space instead (Ligozat's criterion
+read as in Kilford (2007), "Generating spaces of modular forms with
+eta-quotients", and Rouse & Webb (2015), "On spaces of modular forms spanned
+by eta-quotients").  With (ii), even weight and both congruences a quotient
+lies in S_k for the trivial character, so its order v_d at each cusp 1/d
+is a positive integer, S_d = 24 * g_d * d * v_d, and the valence identity
+reads sum phi(g_d) * v_d = k2 * mu / 24.  The search enumerates those
+weighted compositions, maps each v back to r = A^-1 * S and keeps it when r
+is integral, |r_delta| <= bound, v_N <= max_order and (ii) holds; (i) and
+the companion congruence are v_N and v_1 being integers.  There are at most
+C(k2*mu/24 - 1, #divisors - 1) compositions; above
+STRICT_COMPOSITION_CEILING the search raises SearchCeilingError at once.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
 from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
+from .linalg import Echelon
 from .qseries import QSeries, eta_quotient_series
 
 
@@ -204,7 +220,7 @@ def _search_ctx(N: int, k2: int, B: int, max_order: int):
     coefs = [
         Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs
     ]
-    tot = 2 * k2 * mu
+    tot = k2 * mu
     caps = []
     for i in range(nd):
         rest = sum(coefs[j] for j in range(nd) if j != i)
@@ -233,23 +249,13 @@ def _search_ctx(N: int, k2: int, B: int, max_order: int):
     return divs, proc, w, caps, iN, off, bounds, order_at, pf, vp
 
 
-def _crt_merge(a1, m1, a2, m2):
-    g = gcd(m1, m2)
-    if (a2 - a1) % g:
-        return None
-    l = m1 // g * m2
-    t = ((a2 - a1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return ((a1 + m1 * t) % l, l)
-
-
-def _search_range(N, k2, B, max_order, strict, first_values=None):
+def _search_range(N, k2, B, max_order, first_values=None):
     """DFS over exponent vectors; first_values restricts the top-level branch."""
     divs, proc, w, caps, iN, off, bounds, order_at, pf, vp = _search_ctx(
         N, k2, B, max_order
     )
     nd = len(divs)
     SNlo, SNhi = 24 * N, 24 * N * max_order
-    halfN = [N // d for d in proc]
     out = []
     S = [0] * nd
     path = [0] * nd
@@ -259,8 +265,6 @@ def _search_range(N, k2, B, max_order, strict, first_values=None):
         for p in pf:
             if sum(path[j] * vp[p][j] for j in range(nd)) % 2:
                 return
-        if strict and sum(halfN[j] * path[j] for j in range(nd)) % 24:
-            return
         out.append({proc[j]: path[j] for j in range(nd) if path[j]})
 
     def two_left(i, sr):
@@ -300,25 +304,6 @@ def _search_range(N, k2, B, max_order, strict, first_values=None):
             if r0 is None:
                 return
             sol = (r0 % step, step)
-        if strict:
-            cur2 = sum(halfN[j] * path[j] for j in range(i))
-            a2 = (halfN[i] - halfN[i + 1]) % 24
-            b2 = (-(cur2 + halfN[i + 1] * t)) % 24
-            if a2 == 0:
-                if b2 % 24:
-                    return
-            else:
-                g2 = gcd(a2, 24)
-                if b2 % g2:
-                    return
-                step2 = 24 // g2
-                r02 = next((x for x in range(24) if (a2 * x) % 24 == b2), None)
-                if r02 is None:
-                    return
-                merged = _crt_merge(sol[0], sol[1], r02 % step2, step2)
-                if merged is None:
-                    return
-                sol = merged
         r0, step = sol
         start = lo + ((r0 - lo) % step)
         for r in range(start, hi + 1, step):
@@ -382,8 +367,184 @@ def _search_range(N, k2, B, max_order, strict, first_values=None):
 
 
 def _search_worker(args):
-    N, k2, B, max_order, strict, first = args
-    return _search_range(N, k2, B, max_order, strict, first_values=[first])
+    N, k2, B, max_order, first = args
+    return _search_range(N, k2, B, max_order, first_values=[first])
+
+
+# --- strict search in cusp-order space ---------------------------------------
+
+# Largest number of cusp-order compositions a strict search may face; above
+# it the search raises at once.  It admits every class level below 60 at
+# weights 2 and 4 (levels 42 and 56 at weight 4 have the most, 2,629,575)
+# and the weight-2 searches that repair runs at levels 102, 110 and 114
+# (up to 15,380,937); level 66 at weight 4 (62,891,499) is above it.
+STRICT_COMPOSITION_CEILING = 20_000_000
+
+
+class SearchCeilingError(ValueError):
+    """A strict search whose cusp-order space exceeds the ceiling."""
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _column_hermite(M: list[list[int]]) -> list[list[int]]:
+    """Lower-triangular H = M * U, U unimodular, by integer column operations."""
+    H = [row[:] for row in M]
+    n = len(H)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = H[i][i], H[i][j]
+            if b:
+                g, x, y = _xgcd(a, b)
+                p, q = a // g, b // g
+                for row in H:
+                    row[i], row[j] = x * row[i] + y * row[j], p * row[j] - q * row[i]
+        if H[i][i] < 0:
+            for row in H:
+                row[i] = -row[i]
+    return H
+
+
+def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int]]:
+    """Strict quotients from their cusp orders; see the module docstring.
+
+    Orders are assigned depth-first.  At each depth the next order is
+    confined to an interval, from the extremes each r_delta can still reach
+    over the remaining simplex, and to one residue class, from the Hermite
+    form H = A*U: S lies in A*Z^n, i.e. r is integral, iff S = H*c for an
+    integer c, solved row by row as the orders are assigned.
+    """
+    if k2 % 4:
+        raise ValueError("strict search needs an even weight (sum r_delta == 0 mod 4)")
+    mu = index_mu(N)
+    if k2 * mu % 24:
+        return []
+    n = k2 * mu // 24
+    divs = divisors(N)
+    nd = len(divs)
+    count = comb(n - 1, nd - 1)
+    if count > STRICT_COMPOSITION_CEILING:
+        raise SearchCeilingError(
+            f"strict search at level {N}, weight {k2 // 2}: {count} cusp-order "
+            f"compositions exceed the ceiling of {STRICT_COMPOSITION_CEILING}"
+        )
+    A = [[gcd(d, e) ** 2 * (N // e) for e in divs] for d in divs]
+    # r = A^-1 * S = C * v / D with C = D * A^-1 * diag(s) integral;
+    # column j of A^-1 solves A * x = e_j
+    inv_cols = []
+    for j in range(nd):
+        ech = Echelon(nd)
+        for i, row in enumerate(A):
+            ech.add(row, int(i == j))
+        inv_cols.append(ech.solution())
+    D = lcm(*(x.denominator for col in inv_cols for x in col))
+    g = [gcd(d, N // d) for d in divs]
+    s = [24 * gd * d for gd, d in zip(g, divs)]  # S_d = s_d * v_d
+    cols = [[int(x * D) * sd for x in col] for sd, col in zip(s, inv_cols)]
+    # the cusps with the largest columns go first (then the larger d), so
+    # that the columns left bound each later r_delta tightly
+    order = sorted(range(nd), key=lambda j: (-max(map(abs, cols[j])), -j))
+    iN = order.index(nd - 1)
+    cols = [cols[j] for j in order]
+    s = [s[j] for j in order]
+    ph = [euler_phi(g[j]) for j in order]
+    H = _column_hermite([A[j] for j in order])
+    L = lcm(*ph)
+    BD = B * D
+    BDL = BD * L
+    # at depth i, with slack = what the budget leaves above 1 per later
+    # order, L * D * r_delta is at least al * x + L * (P + base) + slack * lo
+    # and at most the same with (ah, hi), where lo/hi are the extreme ratios
+    # C/phi over the later orders (times L, integral since phi | L)
+    phi_suf = [sum(ph[i:]) for i in range(nd + 1)]
+    bnd = []
+    for i in range(nd - 1):
+        rows = []
+        for e in range(nd):
+            later = [cols[j][e] * L // ph[j] for j in range(i + 1, nd)]
+            lo, hi = min(later), max(later)
+            base = sum(cols[j][e] for j in range(i + 1, nd))
+            ce = L * cols[i][e]
+            rows.append((base, lo, hi, ce - ph[i] * lo, ce - ph[i] * hi))
+        bnd.append(rows)
+    # s_i * v_i + rem_i == 0 (mod H_ii): v_i == (rem_i / gg) * inv (mod step)
+    lattice = []
+    for i in range(nd):
+        gg = gcd(s[i], H[i][i])
+        step = H[i][i] // gg
+        lattice.append((gg, step, pow(-s[i] // gg, -1, step)))
+    hcols = [[row[i] for row in H] for i in range(nd)]
+    out = []
+
+    def interval(i, R, P):
+        # orders x at depth i that keep every r_delta within bounds: the
+        # lower extreme must stay <= BDL and the upper >= -BDL
+        slack = R - phi_suf[i + 1]
+        lo_x, hi_x = 1, slack // ph[i]
+        if i == iN:
+            hi_x = min(hi_x, max_order)
+        for p, (base, lo, hi, al, ah) in zip(P, bnd[i]):
+            q = L * (p + base)
+            b = BDL - q - slack * lo  # al * x <= b
+            if al > 0:
+                hi_x = min(hi_x, b // al)
+            elif al < 0:
+                lo_x = max(lo_x, -(b // -al))
+            elif b < 0:
+                return 1, 0
+            b = BDL + q + slack * hi  # ah * x >= -b
+            if ah < 0:
+                hi_x = min(hi_x, b // -ah)
+            elif ah > 0:
+                lo_x = max(lo_x, -(b // ah))
+            elif b < 0:
+                return 1, 0
+            if lo_x > hi_x:
+                return 1, 0
+        return lo_x, hi_x
+
+    def dfs(i, R, P, rem):
+        # P = D * r and rem = -sum_k H[.][k] * c_k over the orders so far
+        gg, step, inv = lattice[i]
+        if rem[i] % gg:
+            return
+        x0 = (rem[i] // gg) * inv % step
+        if i == nd - 1:
+            # the last order takes what is left of the budget
+            x = R // ph[i]
+            if R % ph[i] or x % step != x0 or (i == iN and x > max_order):
+                return
+            exps = {}
+            for e in range(nd):
+                t = P[e] + cols[i][e] * x
+                if not -BD <= t <= BD:
+                    return
+                if t:
+                    exps[divs[e]] = t // D
+            if _is_square_product(exps):
+                out.append(exps)
+            return
+        lo_x, hi_x = interval(i, R, P)
+        col, hcol = cols[i], hcols[i]
+        for x in range(lo_x + (x0 - lo_x) % step, hi_x + 1, step):
+            c = (s[i] * x + rem[i]) // H[i][i]
+            dfs(
+                i + 1,
+                R - ph[i] * x,
+                [p + a * x for p, a in zip(P, col)],
+                [r - h * c for r, h in zip(rem, hcol)],
+            )
+
+    dfs(0, n, [0] * nd, [0] * nd)
+    return out
 
 
 def search_cusp_forms(
@@ -400,6 +561,8 @@ def search_cusp_forms(
     are restricted to order at infinity <= max_order (default: the valence
     cap) and returned sorted lexicographically by exponent vector over
     ascending divisors, so output is reproducible regardless of jobs.
+    strict=True also requires the companion congruence and runs the
+    cusp-order search, which jobs does not parallelise.
     """
     if bound < 1 or N < 1:
         raise ValueError("search_cusp_forms: N and bound must be >= 1")
@@ -407,10 +570,11 @@ def search_cusp_forms(
         max_order = (weight_times_two * index_mu(N)) // 12
     if max_order < 1:
         return []
-    nd = len(divisors(N))
-    if jobs > 1 and nd > 2:
+    if strict:
+        vecs = _search_strict(N, weight_times_two, bound, max_order)
+    elif jobs > 1 and len(divisors(N)) > 2:
         tasks = [
-            (N, weight_times_two, bound, max_order, strict, r)
+            (N, weight_times_two, bound, max_order, r)
             for r in range(-bound, bound + 1)
         ]
         vecs = []
@@ -418,7 +582,7 @@ def search_cusp_forms(
             for part in pool.map(_search_worker, tasks):
                 vecs.extend(part)
     else:
-        vecs = _search_range(N, weight_times_two, bound, max_order, strict)
+        vecs = _search_range(N, weight_times_two, bound, max_order)
     quotients = [EtaQuotient.make(N, e) for e in vecs]
     quotients.sort(key=lambda q: q.vector())
     return quotients

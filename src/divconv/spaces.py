@@ -276,7 +276,7 @@ def search_basis(N: int, T: int, bound: int = 10, jobs: int = 1) -> ModularBasis
     return select_cusp_basis(N, cands, T)
 
 
-def repair_candidates(N: int, bound: int = 10, jobs: int = 1) -> list[CuspGenerator]:
+def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
     """Certified weight-4 cusp generators at level N.
 
     Three certified families: (a) strict-condition cusp quotients from
@@ -299,7 +299,7 @@ def repair_candidates(N: int, bound: int = 10, jobs: int = 1) -> list[CuspGenera
     for M in divisors(N):
         if M == 1 or M == N:
             continue
-        for q in search_cusp_forms(M, 8, bound, max_order=m, strict=True, jobs=jobs):
+        for q in search_cusp_forms(M, 8, bound, max_order=m, strict=True):
             for t in divisors(N // M):
                 cand = q.substitute(t, level=N) if t > 1 else q.at_level(N)
                 if order_at_infinity(cand) <= m:
@@ -307,7 +307,7 @@ def repair_candidates(N: int, bound: int = 10, jobs: int = 1) -> list[CuspGenera
     for M in divisors(N):
         if M == 1:
             continue
-        for q in search_cusp_forms(M, 4, bound, max_order=m, strict=True, jobs=jobs):
+        for q in search_cusp_forms(M, 4, bound, max_order=m, strict=True):
             for s in divisors(N // M):
                 base = q.substitute(s, level=N) if s > 1 else q.at_level(N)
                 if order_at_infinity(base) > m:
@@ -318,17 +318,17 @@ def repair_candidates(N: int, bound: int = 10, jobs: int = 1) -> list[CuspGenera
     return out
 
 
-def repair_basis(N: int, T: int, bound: int = 10, jobs: int = 1) -> ModularBasis:
+def repair_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
     """Certified basis: sublevel closure and products first, the strict
     search at N only when those do not span."""
-    cands = repair_candidates(N, bound, jobs=jobs)
+    cands = repair_candidates(N, bound)
     try:
         basis = select_cusp_basis(N, cands, T)
     except BasisIncompleteError:
         m = max(profile(N).dim_S4, 1)
         extra = [
             CuspGenerator(kind=KIND_ETA, eta=q)
-            for q in search_cusp_forms(N, 8, bound, max_order=m, strict=True, jobs=jobs)
+            for q in search_cusp_forms(N, 8, bound, max_order=m, strict=True)
         ]
         known = {c.eta.exponents for c in cands if c.kind == KIND_ETA}
         merged = cands + [g for g in extra if g.eta.exponents not in known]

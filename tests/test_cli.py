@@ -100,6 +100,12 @@ def test_convsum_fixture_33_reports_failure(capsys):
     assert "span" in err
 
 
+def test_basis_repair_without_spanning_basis_exits_3(capsys):
+    code, _, err = run_cli(capsys, "basis", "21", "--repair", "--bound", "2")
+    assert code == 3
+    assert err.startswith("unsupported level: level 21:")
+
+
 def test_repnum_quad(capsys):
     code, out, _ = run_cli(capsys, "repnum", "--form", "quad", "1", "1", "1")
     assert code == 0

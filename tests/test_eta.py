@@ -1,18 +1,22 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from divconv import fixtures
-from divconv.arith import divisors
+from divconv import cli, fixtures
+from divconv.arith import classify_level, divisors
 from divconv.eta import (
+    STRICT_COMPOSITION_CEILING,
     EtaQuotient,
+    SearchCeilingError,
     dual_congruence,
     is_square_product_by_value,
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
 )
+from divconv.spaces import profile
 
 
 def test_ligozat_table4_row1():
@@ -128,6 +132,63 @@ def test_strict_search_subset():
     assert strict <= loose
     for exps in strict:
         assert dual_congruence(EtaQuotient(14, exps))
+
+
+def _strict_oracle(N, k2, bound, max_order):
+    # the published criterion's exhaustive search, filtered by the companion
+    # congruence
+    return {
+        q.exponents
+        for q in search_cusp_forms(N, k2, bound, max_order=max_order)
+        if dual_congruence(q)
+    }
+
+
+_CLASS_LEVELS = [N for N in range(1, 60) if classify_level(N).in_class]
+
+
+@pytest.mark.parametrize("k2", [4, 8])
+@pytest.mark.parametrize("N", _CLASS_LEVELS)
+def test_strict_search_equals_filtered_search(N, k2):
+    m = max(profile(N).dim_S4, 1)
+    strict = {q.exponents for q in search_cusp_forms(N, k2, 3, max_order=m, strict=True)}
+    assert strict == _strict_oracle(N, k2, 3, m)
+
+
+@pytest.mark.parametrize(
+    "N, k2, bound, max_order",
+    [(18, 8, 4, 6), (27, 8, 4, 5), (27, 4, 4, 5), (36, 8, 3, 4), (24, 8, 4, 2), (30, 8, 4, 1)],
+)
+def test_strict_search_equals_filtered_search_other(N, k2, bound, max_order):
+    # levels outside the class (phi(g_d) > 1 at some cusp) and binding
+    # max_order
+    strict = {
+        q.exponents
+        for q in search_cusp_forms(N, k2, bound, max_order=max_order, strict=True)
+    }
+    assert strict == _strict_oracle(N, k2, bound, max_order)
+
+
+def test_strict_search_ceiling_raises_at_once():
+    # level 66, weight 4: C(47, 7) = 62,891,499 cusp-order compositions
+    start = time.perf_counter()
+    with pytest.raises(SearchCeilingError) as e:
+        search_cusp_forms(66, 8, 10, max_order=32, strict=True)
+    assert time.perf_counter() - start < 2  # the search itself takes about 7 s
+    msg = str(e.value)
+    assert "level 66" in msg and "weight 4" in msg
+    assert "62891499" in msg and str(STRICT_COMPOSITION_CEILING) in msg
+
+
+def test_strict_search_needs_even_weight():
+    # with odd weight the character is not trivial and orders need not be integral
+    with pytest.raises(ValueError):
+        search_cusp_forms(12, 6, 3, strict=True)
+
+
+def test_search_cusp_strict_above_ceiling_exits_3(capsys):
+    assert cli.main(["search-cusp", "66", "--strict"]) == 3
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_dual_congruence_examples():
