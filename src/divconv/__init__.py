@@ -38,7 +38,6 @@ from .eta import (
     EtaQuotient,
     LigozatReport,
     SearchCeilingError,
-    dual_congruence,
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
@@ -48,7 +47,6 @@ from .qseries import (
     eisenstein_L,
     eisenstein_M,
     eta_quotient_series,
-    euler_product_power,
     squared_difference,
 )
 from .representation import (

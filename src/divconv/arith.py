@@ -11,8 +11,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
+# Entries kept by factorize's cache: far above the distinct arguments of any
+# benchmark workload (a few hundred), while one large direct sum, which
+# factorizes each argument once, cannot grow it without bound.
+FACTORIZE_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...), trial division."""
     if n < 1:

@@ -13,8 +13,9 @@ the closed form
 
 Every derived formula is verified coefficient-by-coefficient against the
 squared difference well past the Sturm bound before it is returned; the
-dispatcher additionally reduces by gcd and short-circuits the diagonal
-a = b through the classical closed form.
+dispatcher additionally reduces by gcd, short-circuits the diagonal a = b
+through the classical closed form, and answers n past the basis precision
+with the direct double sum, so a basis is never re-expanded to serve a query.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def evaluate_W(f: ConvolutionFormula, basis: ModularBasis, n: int) -> int:
         raise ValueError("evaluate_W: basis does not match the formula's basis_ref")
     if n > basis.precision:
         raise ValueError(
-            f"evaluate_W: n={n} beyond basis precision {basis.precision}; re-expand"
+            f"evaluate_W: n={n} beyond basis precision {basis.precision}; use dispatch_W"
         )
     ab = f.alpha * f.beta
     val = Fraction(0)
@@ -262,8 +263,8 @@ class FormulaProvider:
     Basis resolution per level: the embedded fixture basis when one exists
     and derivation verifies; otherwise the certified repair basis.  Every
     resolution is recorded in .notes for reporting.  Each level has one
-    basis, which formula() re-expands when a larger n asks for it; the
-    formulas of all pairs at that level share it.
+    basis, fixed once resolved; the formulas of all pairs at that level
+    share it.
     """
 
     def __init__(self, bound: int = 10, verify_to: int = 200):
@@ -294,13 +295,9 @@ class FormulaProvider:
                 f = derive_formula(level // probe, probe, fb, T=T, verify_to=self.verify_to)
                 self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
-                self.notes[level] = {"basis": "fixture", "defects": list(fb.defects)}
+                self.notes[level] = {"basis": "fixture"}
             except DerivationError as e:
-                self.notes[level] = {
-                    "basis": "repaired",
-                    "fixture_failure": str(e),
-                    "defects": list(fb.defects),
-                }
+                self.notes[level] = {"basis": "repaired", "fixture_failure": str(e)}
         if basis is None:
             try:
                 basis = repair_basis(level, T, bound=self.bound)
@@ -312,11 +309,8 @@ class FormulaProvider:
         self._bases[level] = basis
         return basis
 
-    def formula(
-        self, alpha: int, beta: int, n: int = 0
-    ) -> tuple[ConvolutionFormula, ModularBasis]:
-        """The formula for the coprime pair and its level's basis, expanded
-        to at least n."""
+    def formula(self, alpha: int, beta: int) -> tuple[ConvolutionFormula, ModularBasis]:
+        """The formula for the coprime pair and its level's basis."""
         if gcd(alpha, beta) != 1:
             raise ValueError("formula: alpha, beta must be coprime")
         if alpha > beta:
@@ -329,18 +323,17 @@ class FormulaProvider:
                 self._formulas[key] = derive_formula(
                     alpha, beta, basis, T=basis.precision, verify_to=self.verify_to
                 )
-        basis = self._bases[level]
-        if n > basis.precision:
-            basis = self._bases[level] = basis.at_precision(n + 16)
-        return self._formulas[key], basis
+        return self._formulas[key], self._bases[level]
 
     def w(self, alpha: int, beta: int, n: int) -> int:
         return dispatch_W(alpha, beta, n, self)
 
 
 def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
-    """Full W evaluation: gcd reduction, diagonal closed form, or a derived
-    formula from the provider."""
+    """Full W evaluation: gcd reduction, diagonal closed form, then the
+    provider's derived formula up to its basis precision and the direct sum
+    past it.  The formula is resolved first, so an unsupported level raises
+    for every n."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("dispatch_W: alpha, beta, n must be >= 1")
     reduced = reduce_by_gcd(alpha, beta, n)
@@ -349,5 +342,7 @@ def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     a, b, m = reduced
     if a == b:
         return diagonal_W(a, m)
-    f, basis = provider.formula(a, b, m)
+    f, basis = provider.formula(a, b)
+    if m > basis.precision:
+        return brute_force_W(a, b, m)
     return evaluate_W(f, basis, m)

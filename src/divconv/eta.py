@@ -12,9 +12,8 @@ for the level-N Hecke congruence subgroup when
 
 `ligozat_check` evaluates exactly these conditions.  The classical
 statement carries one more congruence, sum (N/delta) * r_delta == 0
-(mod 24); it is exposed separately as `dual_congruence`, and quotients
-that meet it as well are *strict*: certified members of the level-N space,
-which basis repair relies on.
+(mod 24), and quotients that meet it as well are *strict*: certified
+members of the level-N space, which basis repair relies on.
 
 Both searches work with the integer cusp sums S_d = sum_delta A[d][delta] *
 r_delta, A[d][delta] = gcd(d, delta)^2 * N/delta, so S_d > 0 is the cusp
@@ -154,28 +153,6 @@ def _is_square_product(exps: dict[int, int]) -> bool:
         for p, k in factorize(d):
             vals[p] = vals.get(p, 0) + r * k
     return all(v % 2 == 0 for v in vals.values())
-
-
-def is_square_product_by_value(exps: dict[int, int]) -> bool:
-    """Independent check of condition (ii): build the rational and test squares."""
-    from math import isqrt
-
-    num = den = 1
-    for d, r in exps.items():
-        if r >= 0:
-            num *= d**r
-        else:
-            den *= d ** (-r)
-    g = gcd(num, den)
-    num //= g
-    den //= g
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
-
-
-def dual_congruence(e: EtaQuotient) -> bool:
-    """Classical companion congruence sum (N/delta)*r_delta == 0 (mod 24)."""
-    N = e.level
-    return sum((N // d) * r for d, r in e.exponents) % 24 == 0
 
 
 def order_at_infinity(e: EtaQuotient) -> int:

@@ -10,8 +10,8 @@ Provides the weight-2 and weight-4 Eisenstein series
 
     L(q) = 1 - 24 sum sigma(n) q^n,      M(q) = 1 + 240 sum sigma_3(n) q^n,
 
-the squared difference (a*L(q^a) - b*L(q^b))^2, Euler products
-prod (1 - q^{mn})^e, and eta-quotient expansions.
+the squared difference (a*L(q^a) - b*L(q^b))^2, and eta-quotient
+expansions.
 """
 
 from __future__ import annotations
@@ -104,24 +104,6 @@ class QSeries:
         t = self.precision
         return QSeries([0] * min(s, t + 1) + list(self.coeffs[: max(t + 1 - s, 0)]))
 
-    def substitute_power(self, t: int) -> "QSeries":
-        """q -> q^t; precision preserved, coefficients beyond it dropped."""
-        if t < 1:
-            raise ValueError("substitute_power: t must be >= 1")
-        T = self.precision
-        out = [0] * (T + 1)
-        for n in range(T // t + 1):
-            out[t * n] = self.coeffs[n]
-        return QSeries(out)
-
-
-def zero(T: int) -> QSeries:
-    return QSeries([0] * (T + 1))
-
-
-def one(T: int) -> QSeries:
-    return QSeries([1] + [0] * T)
-
 
 def eisenstein_L(t: int, T: int) -> QSeries:
     """L(q^t) = 1 - 24 sum sigma(n) q^{tn}, truncated at T."""
@@ -203,17 +185,6 @@ def _div_sparse(dense: list, sparse: list[tuple[int, int]], T: int) -> list:
             acc -= s * out[n - e]
         out[n] = acc
     return out
-
-
-def euler_product_power(m: int, e: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{mn})^e; negative e via exact series division."""
-    if m < 1:
-        raise ValueError("euler_product_power: m must be >= 1")
-    sparse = _pentagonal_terms(m, T)
-    out = [1] + [0] * T
-    for _ in range(abs(e)):
-        out = _mul_sparse(out, sparse, T) if e > 0 else _div_sparse(out, sparse, T)
-    return QSeries(out)
 
 
 def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:

@@ -16,6 +16,7 @@ from divconv.arith import (
     sigma_by_enumeration,
     sigma_scaled,
 )
+from divconv.convolution import brute_force_W
 
 
 def test_sigma_examples():
@@ -110,6 +111,14 @@ def test_factorize_roundtrip():
         for p, e in factorize(n):
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_cache_is_bounded():
+    bound = factorize.cache_info().maxsize
+    assert bound is not None
+    # the direct sum W_(1,1)(bound + 2) factorizes every l in 1..bound + 1
+    brute_force_W(1, 1, bound + 2)
+    assert factorize.cache_info().currsize <= bound
 
 
 def test_coprime_pairs():

@@ -184,17 +184,20 @@ def test_dispatch_reexpands_beyond_precision(provider):
     assert dispatch_W(1, 10, 555, provider) == brute_force_W(1, 10, 555)
 
 
-def test_reexpansion_serves_every_pair_of_the_level():
+def test_dispatch_past_precision_keeps_the_basis():
+    # n past the basis precision is answered by the direct sum; the level's
+    # basis is neither re-expanded nor replaced
     p = FormulaProvider()
-    dispatch_W(1, 10, 300, p)
-    _, basis = p.formula(1, 10)
-    assert p.formula(2, 5)[1] is basis
-    assert basis.precision >= 300
-    # grown once, to n + 16
-    assert p.formula(2, 5, 400)[1].precision == 416
+    _, basis = p.formula(7, 8)
+    assert basis.precision == 208
+    assert dispatch_W(7, 8, 20000, p) == brute_force_W(7, 8, 20000)
+    assert p.formula(7, 8)[1] is basis
+    assert basis.precision == 208
 
 
-@given(st.sampled_from([(1, 10), (2, 5)]), st.integers(209, 400))
+# both sides of the basis precision (208) at a fixture level (10, 56), a
+# repaired level (33) and a gcd-reducible pair
+@given(st.sampled_from([(1, 10), (2, 5), (3, 11), (7, 8), (4, 10)]), st.integers(1, 416))
 def test_dispatch_beyond_fixture_precision_matches_direct_sum(provider, pair, n):
     assert dispatch_W(*pair, n, provider) == brute_force_W(*pair, n)
 
@@ -221,6 +224,8 @@ def test_unsupported_level():
         p.formula(1, 9)  # 9 = 3^2: odd part not squarefree
     with pytest.raises(UnsupportedLevelError):
         p.formula(1, 16)  # 2^4: nu > 3
+    with pytest.raises(UnsupportedLevelError):
+        dispatch_W(1, 9, 10**6, p)  # refused before the direct sum
 
 
 def test_evaluate_integrity_guard(provider):

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,13 +11,32 @@ from divconv.eta import (
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
     SearchCeilingError,
-    dual_congruence,
-    is_square_product_by_value,
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
 )
 from divconv.spaces import profile
+
+
+def is_square_product_by_value(exps: dict[int, int]) -> bool:
+    """Oracle for condition (ii): build the rational and test squares."""
+    num = den = 1
+    for d, r in exps.items():
+        if r >= 0:
+            num *= d**r
+        else:
+            den *= d ** (-r)
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+
+
+def dual_congruence(e: EtaQuotient) -> bool:
+    """Oracle for the classical companion congruence
+    sum (N/delta)*r_delta == 0 (mod 24), which strict quotients meet."""
+    N = e.level
+    return sum((N // d) * r for d, r in e.exponents) % 24 == 0
 
 
 def test_ligozat_table4_row1():
