@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -42,11 +43,17 @@ EXIT_INTERNAL = 4
 
 
 def _emit(args, machine_doc, human_lines):
-    if args.machine:
-        print(json.dumps(machine_doc, sort_keys=True, separators=(",", ": "), indent=1))
-    else:
-        for line in human_lines:
-            print(line)
+    try:
+        if args.machine:
+            print(json.dumps(machine_doc, sort_keys=True, separators=(",", ": "), indent=1))
+        else:
+            for line in human_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: drop the rest (so the flush at exit cannot
+        # raise again) and let the command's own exit code stand
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_dims(args) -> int:
@@ -74,7 +81,7 @@ def cmd_dims(args) -> int:
 
 def cmd_search_cusp(args) -> int:
     N = args.level
-    max_order = args.max_order if args.max_order else max(profile(N).dim_S4, 1)
+    max_order = max(profile(N).dim_S4, 1) if args.max_order is None else args.max_order
     found = search_cusp_forms(
         N, 8, bound=args.bound, max_order=max_order, strict=args.strict, jobs=args.jobs
     )
@@ -199,6 +206,9 @@ def cmd_convsum(args) -> int:
 
 def cmd_repnum(args) -> int:
     a, b, n = args.a, args.b, args.n
+    if a < 1 or b < 1:
+        print("a and b must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if gcd(a, b) != 1:
         print("(a, b) must be coprime", file=sys.stderr)
         return EXIT_USAGE

@@ -57,12 +57,6 @@ class BasisNotSpanningError(DerivationError):
 class VerificationError(DerivationError):
     """Solved coefficients fail the identity beyond the sampled rows."""
 
-    def __init__(self, msg, first_failure=None, x=None, y=None):
-        super().__init__(msg)
-        self.first_failure = first_failure
-        self.x = x
-        self.y = y
-
 
 class FormulaIntegrityError(ArithmeticError):
     """evaluate_W produced a non-integer or negative value."""
@@ -212,10 +206,7 @@ def derive_formula(
     if first_bad is not None:
         raise VerificationError(
             f"level {N} ({alpha},{beta}): solved identity fails first at n={first_bad} "
-            f"(sturm bound {sb}); the basis columns do not span the form",
-            first_failure=first_bad,
-            x=x,
-            y=y,
+            f"(sturm bound {sb}); the basis columns do not span the form"
         )
     return ConvolutionFormula(
         alpha=alpha,

@@ -189,9 +189,6 @@ def _search_ctx(N: int, k2: int, B: int, max_order: int):
     divs = divisors(N)
     nd = len(divs)
     proc = sorted(divs, reverse=True)
-    if proc[-1] != 1:
-        proc.remove(1)
-        proc.append(1)
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
     mu = index_mu(N)
     coefs = [
@@ -336,8 +333,6 @@ def _search_range(N, k2, B, max_order, first_values=None):
         S0 = r * w[0][0]
         if abs(r) <= B and 0 < S0 <= caps[0] and S0 % 24 == 0 and SNlo <= S0 <= SNhi:
             final_check(0, r)
-    elif nd == 2:
-        two_left(0, 0)
     else:
         dfs(0, 0)
     return out

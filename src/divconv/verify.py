@@ -58,9 +58,41 @@ class ItemResult:
         return f"{self.status:<24} {self.item}: {self.detail}"
 
 
+def _item(item, failures=(), discrepancy=None, passed="") -> ItemResult:
+    """The one status rule: FAIL with the joined failures, else
+    DOCUMENTED-DISCREPANCY with discrepancy when it is non-empty, else
+    PASS with passed."""
+    if failures:
+        return ItemResult(item, FAIL, "; ".join(failures))
+    if discrepancy:
+        return ItemResult(item, DISCREPANCY, discrepancy)
+    return ItemResult(item, PASS, passed)
+
+
 def _first_failure(ns, holds):
     """The first n in ns for which holds(n) is false, or None."""
     return next((n for n in ns if not holds(n)), None)
+
+
+def _oracle_item(item, holds, depth, passed) -> ItemResult:
+    """PASS when holds(n) for every 1 <= n <= depth, else FAIL at the
+    first n that breaks it."""
+    bad = _first_failure(range(1, depth + 1), holds)
+    return _item(item, [] if bad is None else [f"mismatch at n={bad}"], passed=passed)
+
+
+def _published_item(item, first_bad, resolved, *, dropped, passed, fails, note=""):
+    """A printed identity is a DOCUMENTED-DISCREPANCY when it fails first
+    at first_bad (`fails` + note), or holds only once the (label, sign)
+    pairs in resolved restore its dropped signs (`dropped` + the signs);
+    else PASS (passed + note)."""
+    if first_bad is not None:
+        disc = f"{fails} first at n={first_bad}{note}"
+    elif resolved:
+        disc = dropped + ", ".join(f"{label} sign resolved to {s}" for label, s in resolved)
+    else:
+        disc = None
+    return _item(item, discrepancy=disc, passed=passed + note)
 
 
 def _resolve_signs(ambiguous, magnitude, first_bad):
@@ -138,70 +170,50 @@ def derived_vs_published(pair, basis, verify_to=200):
     a, b = pair
     f = derive_formula(a, b, basis, verify_to=verify_to)
     mismatches = []
+
+    def compare(label, got, printed, abs_key):
+        if printed is None:
+            absv = fixtures.PUBLISHED_ABS[abs_key]
+            if abs(got) != absv:
+                mismatches.append(f"{label}: derived {got} vs printed +-{absv}")
+        elif got != printed:
+            mismatches.append(f"{label}: derived {got} vs printed {printed}")
+
     pub = fixtures.PUBLISHED_EXPANSIONS[pair]
     for d, v in pub["sigma3"].items():
-        got = 240 * f.x[d]
-        if v is None:
-            absv = fixtures.PUBLISHED_ABS[("expansion", pair, "sigma3", d)]
-            if abs(got) != absv:
-                mismatches.append(f"sigma3(n/{d}): derived {got} vs printed +-{absv}")
-        elif got != v:
-            mismatches.append(f"sigma3(n/{d}): derived {got} vs printed {v}")
+        compare(f"sigma3(n/{d})", 240 * f.x[d], v, ("expansion", pair, "sigma3", d))
     for j, v in pub["cusp"].items():
-        got = f.y[j - 1]
-        if v is None:
-            absv = fixtures.PUBLISHED_ABS[("expansion", pair, "cusp", j)]
-            if abs(got) != absv:
-                mismatches.append(f"Y_{j}: derived {got} vs printed +-{absv}")
-        elif got != v:
-            mismatches.append(f"Y_{j}: derived {got} vs printed {v}")
+        compare(f"Y_{j}", f.y[j - 1], v, ("expansion", pair, "cusp", j))
     pub_w = fixtures.PUBLISHED_W[pair]
     for d, v in pub_w["sigma3"].items():
-        if f.sigma3_coefficient(d) != v:
-            mismatches.append(
-                f"W sigma3(n/{d}): derived {f.sigma3_coefficient(d)} vs printed {v}"
-            )
+        compare(f"W sigma3(n/{d})", f.sigma3_coefficient(d), v, None)
     for (j, scale), v in pub_w["cusp"].items():
         if scale != 1:
             continue  # substituted-generator bookkeeping checked via expansion Y
-        got = f.cusp_coefficient(j - 1)
-        if v is None:
-            absv = fixtures.PUBLISHED_ABS[("w", pair, "cusp", (j, scale))]
-            if abs(got) != absv:
-                mismatches.append(f"W b_{j}: derived {got} vs printed +-{absv}")
-        elif got != v:
-            mismatches.append(f"W b_{j}: derived {got} vs printed {v}")
+        compare(f"W b_{j}", f.cusp_coefficient(j - 1), v, ("w", pair, "cusp", (j, scale)))
     return f, mismatches
 
 
 def check_dimensions() -> list[ItemResult]:
-    out = []
     bad = []
     for N, want in fixtures.PUBLISHED_DIMENSIONS.items():
         prof = profile(N)
         for key, val in want.items():
             if getattr(prof, key) != val:
                 bad.append(f"{key}({N}) = {getattr(prof, key)} != {val}")
-    out.append(
-        ItemResult(
-            "dimensions",
-            FAIL if bad else PASS,
-            "; ".join(bad) if bad else "dim_E4/dim_S4 match at 33, 40, 56, 24, 12",
-        )
-    )
     mism = [
         N
         for N in range(1, 201)
         if classify_level(N).in_class and profile(N).dim_E4 != num_divisors(N)
     ]
-    out.append(
-        ItemResult(
+    return [
+        _item("dimensions", bad, passed="dim_E4/dim_S4 match at 33, 40, 56, 24, 12"),
+        _item(
             "eisenstein-dimension d(N)",
-            FAIL if mism else PASS,
-            f"failures at {mism}" if mism else "dim_E4 = d(N) for all class levels <= 200",
-        )
-    )
-    return out
+            [f"failures at {mism}"] if mism else [],
+            passed="dim_E4 = d(N) for all class levels <= 200",
+        ),
+    ]
 
 
 def check_tables_cuspidality() -> list[ItemResult]:
@@ -222,22 +234,15 @@ def check_tables_cuspidality() -> list[ItemResult]:
                 confirmed.append(f"row {i} (order sum 0 at d={zero_at})")
                 if i not in expected_bad:
                     unexpected.append(f"row {i} not cuspidal and not a known defect")
-        if unexpected:
-            out.append(ItemResult(f"table cuspidality level {N}", FAIL, "; ".join(unexpected)))
-        elif confirmed:
-            out.append(
-                ItemResult(
-                    f"table cuspidality level {N}",
-                    DISCREPANCY,
-                    "published rows are not cusp forms: " + "; ".join(confirmed),
-                )
+        out.append(
+            _item(
+                f"table cuspidality level {N}",
+                unexpected,
+                discrepancy=confirmed
+                and "published rows are not cusp forms: " + "; ".join(confirmed),
+                passed=f"all {len(rows)} rows cuspidal",
             )
-        else:
-            out.append(
-                ItemResult(
-                    f"table cuspidality level {N}", PASS, f"all {len(rows)} rows cuspidal"
-                )
-            )
+        )
     return out
 
 
@@ -269,31 +274,21 @@ def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResul
         orders = sorted({sum(d * r for d, r in e) // 24 for e in found})
         order_note = ""
         if N == 40:
-            want = list(range(1, 15))
-            if [o for o in orders if o <= 14] != want:
+            if [o for o in orders if o <= 14] != list(range(1, 15)):
                 missing.append(f"orders present {orders}, need 1..14")
             else:
                 order_note = "; orders 1..14 all present"
-        if missing:
-            out.append(ItemResult(f"search regeneration level {N}", FAIL, "; ".join(missing)))
-        elif excluded:
-            out.append(
-                ItemResult(
-                    f"search regeneration level {N}",
-                    DISCREPANCY,
-                    f"all cuspidal rows found ({len(found)} candidates); published "
-                    f"rows {{{', '.join(excluded)}}} are not cusp forms and are "
-                    f"rightly excluded" + order_note,
-                )
+        out.append(
+            _item(
+                f"search regeneration level {N}",
+                missing,
+                discrepancy=excluded
+                and f"all cuspidal rows found ({len(found)} candidates); published "
+                f"rows {{{', '.join(excluded)}}} are not cusp forms and are "
+                f"rightly excluded" + order_note,
+                passed=f"all rows found among {len(found)} candidates" + order_note,
             )
-        else:
-            out.append(
-                ItemResult(
-                    f"search regeneration level {N}",
-                    PASS,
-                    f"all rows found among {len(found)} candidates" + order_note,
-                )
-            )
+        )
     return out
 
 
@@ -307,23 +302,24 @@ def check_substitution_claims() -> list[ItemResult]:
             if actual != pub
         ]
         ok = [f"b_{N},{t}=b_{N},{s}(n/{pub})" for t, s, pub, actual in rows if actual == pub]
-        if bad:
-            out.append(
-                ItemResult(f"substitution relations level {N}", DISCREPANCY, "; ".join(bad))
+        out.append(
+            _item(
+                f"substitution relations level {N}",
+                discrepancy="; ".join(bad),
+                passed="; ".join(ok),
             )
-        else:
-            out.append(
-                ItemResult(f"substitution relations level {N}", PASS, "; ".join(ok))
-            )
+        )
     return out
 
 
 def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
+    T = max(208, provider.verify_to + 8)
+    levels = {a * b for a, b in [*fixtures.PUBLISHED_EXPANSIONS, *fixtures.PUBLISHED_W]}
+    bases = {N: load_fixture_basis(N, T) for N in sorted(levels)}
     out = []
     for pair in sorted(fixtures.PUBLISHED_EXPANSIONS):
         a, b = pair
-        N = a * b
-        basis = load_fixture_basis(N, max(208, provider.verify_to + 8))
+        basis = bases[a * b]
         first_bad, resolved = _published_expansion_series_check(pair, basis)
         try:
             _, diff = derived_vs_published(pair, basis, verify_to=provider.verify_to)
@@ -332,59 +328,30 @@ def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
             )
         except DerivationError as e:
             derived_note = f"; derivation on the published basis fails: {e}"
-        if first_bad is None and resolved:
-            res = ", ".join(f"{kind}[{key}] sign resolved to {s}" for (kind, key), s in resolved)
-            out.append(
-                ItemResult(
-                    f"published expansion ({a},{b})",
-                    DISCREPANCY,
-                    f"printed operators dropped; identity holds to 200 with {res}",
-                )
+        out.append(
+            _published_item(
+                f"published expansion ({a},{b})",
+                first_bad,
+                [(f"{kind}[{key}]", s) for (kind, key), s in resolved],
+                dropped="printed operators dropped; identity holds to 200 with ",
+                passed="exact to n=200",
+                fails="printed identity fails",
+                note=derived_note,
             )
-        elif first_bad is None:
-            out.append(
-                ItemResult(
-                    f"published expansion ({a},{b})", PASS, "exact to n=200" + derived_note
-                )
-            )
-        else:
-            out.append(
-                ItemResult(
-                    f"published expansion ({a},{b})",
-                    DISCREPANCY,
-                    f"printed identity fails first at n={first_bad}" + derived_note,
-                )
-            )
+        )
     for pair in sorted(fixtures.PUBLISHED_W):
         a, b = pair
-        N = a * b
-        basis = load_fixture_basis(N, max(208, provider.verify_to + 8))
-        first_bad, resolved = _published_w_check(pair, basis)
-        if first_bad is None and resolved:
-            res = ", ".join(f"b_{j}(n/{s}) sign resolved to {sg}" for (j, s), sg in resolved)
-            out.append(
-                ItemResult(
-                    f"published W formula ({a},{b})",
-                    DISCREPANCY,
-                    f"printed sign dropped; formula matches the direct sum to 200 with {res}",
-                )
+        first_bad, resolved = _published_w_check(pair, bases[a * b])
+        out.append(
+            _published_item(
+                f"published W formula ({a},{b})",
+                first_bad,
+                [(f"b_{j}(n/{s})", sg) for (j, s), sg in resolved],
+                dropped="printed sign dropped; formula matches the direct sum to 200 with ",
+                passed="matches the direct sum for all n <= 200",
+                fails="printed formula disagrees with the direct sum",
             )
-        elif first_bad is None:
-            out.append(
-                ItemResult(
-                    f"published W formula ({a},{b})",
-                    PASS,
-                    "matches the direct sum for all n <= 200",
-                )
-            )
-        else:
-            out.append(
-                ItemResult(
-                    f"published W formula ({a},{b})",
-                    DISCREPANCY,
-                    f"printed formula disagrees with the direct sum first at n={first_bad}",
-                )
-            )
+        )
     return out
 
 
@@ -410,12 +377,10 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
                 bad.append(f"({a},{b}) mismatch at n={n}")
         basis_note = provider.notes.get(N, {}).get("basis", "?")
         out.append(
-            ItemResult(
+            _item(
                 f"oracle equivalence level {N}",
-                FAIL if bad else PASS,
-                "; ".join(bad)
-                if bad
-                else f"all pairs {pairs} match the direct sum to {depth} "
+                bad,
+                passed=f"all pairs {pairs} match the direct sum to {depth} "
                 f"(basis: {basis_note}, sturm {sturm_bound(N)})",
             )
         )
@@ -423,6 +388,7 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
 
 
 def check_diagonal(depth: int = 200) -> ItemResult:
+    failures = []
     for alpha in range(1, 6):
         n = _first_failure(
             range(1, depth + 1),
@@ -430,51 +396,41 @@ def check_diagonal(depth: int = 200) -> ItemResult:
             == (brute_force_W(alpha, alpha, n) if n % alpha == 0 else 0),
         )
         if n is not None:
-            return ItemResult("diagonal closed form", FAIL, f"alpha={alpha}, n={n} mismatch")
-    return ItemResult(
-        "diagonal closed form", PASS, "W_(a,a) matches the direct sum (a <= 5, n <= 200)"
+            failures.append(f"alpha={alpha}, n={n} mismatch")
+            break
+    return _item(
+        "diagonal closed form",
+        failures,
+        passed="W_(a,a) matches the direct sum (a <= 5, n <= 200)",
     )
 
 
 def check_omega_sets() -> list[ItemResult]:
-    out = []
     bad = []
     for level, want in fixtures.PUBLISHED_OMEGA.items():
-        if "quad" in want:
-            got = list(omega4(level).pairs)
-            if got != want["quad"]:
-                bad.append(f"omega4({level}) = {got} != {want['quad']}")
-        if "hex" in want:
-            got = list(omega3(level).pairs)
-            if got != want["hex"]:
-                bad.append(f"omega3({level}) = {got} != {want['hex']}")
-    out.append(
-        ItemResult(
-            "pair sets",
-            FAIL if bad else PASS,
-            "; ".join(bad) if bad else "omega sets for 120, 40, 56, 33 as published",
-        )
-    )
-    return out
+        for form, omega in (("quad", omega4), ("hex", omega3)):
+            if form not in want:
+                continue
+            got = list(omega(level).pairs)
+            if got != want[form]:
+                bad.append(f"{omega.__name__}({level}) = {got} != {want[form]}")
+    return [_item("pair sets", bad, passed="omega sets for 120, 40, 56, 33 as published")]
 
 
 def check_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
     out = []
     w = provider.w
-    ns = range(1, depth + 1)
     jobs = [("quad", a, b) for a, b in omega4(40).pairs + omega4(56).pairs]
     jobs += [("hex", c, d) for c, d in omega3(33).pairs]
     for form, a, b in jobs:
         counter = count_N if form == "quad" else count_R
-        bad = _first_failure(ns, lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n))
         name = ("N" if form == "quad" else "R") + f"_({a},{b})"
         out.append(
-            ItemResult(
+            _oracle_item(
                 f"representation {name}",
-                PASS if bad is None else FAIL,
-                f"matches the lattice oracle to {depth}"
-                if bad is None
-                else f"mismatch at n={bad}",
+                lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n),
+                depth,
+                f"matches the lattice oracle to {depth}",
             )
         )
 
@@ -486,42 +442,29 @@ def check_representations(provider: FormulaProvider, depth: int = 100) -> list[I
         )
         return count_N(1, 1, n, w) == sig_form == rep_oracle("quad", 1, 1, n)
 
-    bad = _first_failure(ns, eight_squares)
     out.append(
-        ItemResult(
+        _oracle_item(
             "representation N_(1,1)",
-            PASS if bad is None else FAIL,
+            eight_squares,
+            depth,
             "equals 16 sigma3(n) - 32 sigma3(n/2) + 256 sigma3(n/4) and the "
-            f"eight-squares oracle to {depth}"
-            if bad is None
-            else f"mismatch at n={bad}",
+            f"eight-squares oracle to {depth}",
         )
     )
     return out
 
 
 def check_revisited_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
-    out = []
     w = provider.w
-    ns = range(1, depth + 1)
-    bad = _first_failure(ns, lambda n: count_N(1, 3, n, w) == rep_oracle("quad", 1, 3, n))
-    out.append(
-        ItemResult(
-            "representation N_(1,3)",
-            PASS if bad is None else FAIL,
-            "matches the lattice oracle" if bad is None else f"mismatch at n={bad}",
+    out = [
+        _oracle_item(
+            f"representation N_({a},{b})",
+            lambda n: count_N(a, b, n, w) == rep_oracle("quad", a, b, n),
+            depth,
+            "matches the lattice oracle" + note,
         )
-    )
-    bad = _first_failure(ns, lambda n: count_N(2, 3, n, w) == rep_oracle("quad", 2, 3, n))
-    out.append(
-        ItemResult(
-            "representation N_(2,3)",
-            PASS if bad is None else FAIL,
-            "matches the lattice oracle (assembled with W_(2,3) terms)"
-            if bad is None
-            else f"mismatch at n={bad}",
-        )
-    )
+        for a, b, note in ((1, 3, ""), (2, 3, " (assembled with W_(2,3) terms)"))
+    ]
     # the published combination replaces W_(2,3) by W_(1,3)
     def published_n23(n):
         total = (
@@ -536,15 +479,16 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
             total += 1024 * w(1, 3, n // 4)
         return total
 
-    bad = _first_failure(ns, lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n))
+    bad = _first_failure(
+        range(1, depth + 1), lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n)
+    )
     out.append(
-        ItemResult(
+        _item(
             "published N_(2,3) combination",
-            DISCREPANCY if bad is not None else PASS,
-            f"published combination (using W_(1,3)) fails the oracle first at n={bad}; "
-            "the general theorem's W_(2,3) assembly is correct"
-            if bad is not None
-            else "published combination matches",
+            discrepancy=bad is not None
+            and f"published combination (using W_(1,3)) fails the oracle first at n={bad}; "
+            "the general theorem's W_(2,3) assembly is correct",
+            passed="published combination matches",
         )
     )
     out.append(
@@ -559,68 +503,52 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
 
 
 def check_level_11(provider: FormulaProvider, depth: int = 200) -> list[ItemResult]:
-    out = []
     basis = load_fixture_basis(11, depth + 8)
     first_bad, _ = _published_expansion_series_check((1, 11), basis, depth)
     first_bad_w, _ = _published_w_check((1, 11), basis, depth)
-    detail = []
+    refuted = []
     if first_bad is not None:
-        detail.append(f"published expansion fails first at n={first_bad}")
+        refuted.append(f"published expansion fails first at n={first_bad}")
     if first_bad_w is not None:
-        detail.append(f"published W_(1,11) disagrees with the direct sum first at n={first_bad_w}")
+        refuted.append(f"published W_(1,11) disagrees with the direct sum first at n={first_bad_w}")
+    name = "level 11 adjudication (weight-2 auxiliary)"
     try:
         f, b11 = provider.formula(1, 11)
-        bad = _first_failure(
-            range(1, depth + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
-        )
-        if bad is None:
-            gens = ", ".join(g.describe() for g in b11.cusp)
-            detail.append(f"replacement weight-4 basis [{gens}] matches the direct sum to {depth}")
-            status = DISCREPANCY if (first_bad is not None or first_bad_w is not None) else PASS
-        else:
-            detail.append(f"replacement basis mismatch at n={bad}")
-            status = FAIL
     except DerivationError as e:
-        detail.append(f"replacement derivation failed: {e}")
-        status = FAIL
-    out.append(
-        ItemResult(
-            "level 11 adjudication (weight-2 auxiliary)", status, "; ".join(detail)
-        )
+        return [_item(name, refuted + [f"replacement derivation failed: {e}"])]
+    bad = _first_failure(
+        range(1, depth + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
     )
-    return out
+    gens = ", ".join(g.describe() for g in b11.cusp)
+    replaced = f"replacement weight-4 basis [{gens}] matches the direct sum to {depth}"
+    return [
+        _item(
+            name,
+            [] if bad is None else refuted + [f"replacement basis mismatch at n={bad}"],
+            discrepancy=refuted and "; ".join(refuted + [replaced]),
+            passed=replaced,
+        )
+    ]
 
 
 def check_classical_identities() -> list[ItemResult]:
-    out = []
-    T = 200
-    L = eisenstein_L(1, T)
+    L = eisenstein_L(1, 200)
     L2 = L * L
-    bad = _first_failure(
-        range(1, T + 1),
-        lambda n: L2.coefficient(n) == 240 * sigma(3, n) - 288 * n * sigma(1, n),
-    )
-    out.append(
-        ItemResult(
-            "weight-2 square identity",
-            PASS if bad is None else FAIL,
-            "L^2 = 1 + sum (240 sigma3(n) - 288 n sigma(n)) q^n to 200"
-            if bad is None
-            else f"mismatch at n={bad}",
-        )
-    )
     bad = _first_failure(range(0, 101), lambda n: r4(n) == r4_by_enumeration(n))
     bad2 = _first_failure(range(0, 101), lambda n: s4(n) == s4_by_enumeration(n))
-    out.append(
-        ItemResult(
+    return [
+        _oracle_item(
+            "weight-2 square identity",
+            lambda n: L2.coefficient(n) == 240 * sigma(3, n) - 288 * n * sigma(1, n),
+            200,
+            "L^2 = 1 + sum (240 sigma3(n) - 288 n sigma(n)) q^n to 200",
+        ),
+        _item(
             "quaternary counts",
-            PASS if bad is None and bad2 is None else FAIL,
-            "r4 and s4 closed forms match lattice enumeration to 100"
-            if bad is None and bad2 is None
-            else f"r4 bad at {bad}, s4 bad at {bad2}",
-        )
-    )
-    return out
+            [] if bad is None and bad2 is None else [f"r4 bad at {bad}, s4 bad at {bad2}"],
+            passed="r4 and s4 closed forms match lattice enumeration to 100",
+        ),
+    ]
 
 
 def check_cache_roundtrip(provider: FormulaProvider, tmpdir: str) -> ItemResult:
@@ -638,10 +566,10 @@ def check_cache_roundtrip(provider: FormulaProvider, tmpdir: str) -> ItemResult:
         and [g.eta.exponents for g in b2.cusp] == [g.eta.exponents for g in basis.cusp]
         and f2 == f
     )
-    return ItemResult(
+    return _item(
         "cache round-trip",
-        PASS if ok else FAIL,
-        "basis and formula survive serialize/deserialize" if ok else "round-trip mismatch",
+        [] if ok else ["round-trip mismatch"],
+        passed="basis and formula survive serialize/deserialize",
     )
 
 

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divconv
 from divconv.cli import main
 
 
@@ -42,6 +47,13 @@ def test_search_cusp_level_12(capsys):
     doc = json.loads(out)
     assert doc["count"] >= 3
     assert any(q["order"] == 1 for q in doc["quotients"])
+
+
+def test_search_cusp_max_order_zero(capsys):
+    code, out, _ = run_cli(capsys, "--machine", "search-cusp", "12", "--max-order", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["count"], doc["max_order"]) == (0, 0)
 
 
 def test_basis_fixture(capsys, tmp_path):
@@ -120,6 +132,36 @@ def test_repnum_hex_machine(capsys):
 
     assert doc["count"] == rep_oracle("hex", 1, 4, 6)
     assert doc["w_invocations"]
+
+
+@pytest.mark.parametrize("a, b", [("0", "1"), ("1", "-2")])
+def test_repnum_rejects_nonpositive_pair(capsys, a, b):
+    code, out, err = run_cli(capsys, "repnum", "--form", "quad", a, b, "5")
+    assert (code, out, err) == (2, "", "a and b must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["dims", "10"], ["--machine", "convsum", "1", "10", "--use-fixture"]]
+)
+def test_closed_pipe_exits_quietly(argv):
+    """A reader that has gone (`divconv ... | head -1`) costs the rest of
+    the output, not a traceback or the exit code."""
+    src = str(Path(divconv.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "divconv.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_usage_error_exit_2():
