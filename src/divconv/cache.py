@@ -74,8 +74,6 @@ def generator_to_payload(g: CuspGenerator) -> dict:
     out = {"kind": g.kind, "eta": eta_to_payload(g.eta)}
     if g.e2_scale is not None:
         out["e2_scale"] = g.e2_scale
-    if g.label:
-        out["label"] = g.label
     return out
 
 
@@ -84,7 +82,6 @@ def generator_from_payload(p: dict) -> CuspGenerator:
         kind=p["kind"],
         eta=eta_from_payload(p["eta"]),
         e2_scale=p.get("e2_scale"),
-        label=p.get("label", ""),
     )
 
 

@@ -17,10 +17,12 @@ from math import gcd
 from .arith import classify_level, divisors
 from .cache import Cache, encode_rational
 from .convolution import (
+    VERIFY_TO,
     DerivationError,
     FormulaIntegrityError,
     FormulaProvider,
     UnsupportedLevelError,
+    basis_precision,
     derive_formula,
     dispatch_W,
 )
@@ -113,7 +115,7 @@ def _fixture_basis(level: int, T: int):
 
 def cmd_basis(args) -> int:
     N = args.level
-    T = 208
+    T = basis_precision(N)
     if args.use_fixture:
         basis = _fixture_basis(N, T)
     elif args.repair:
@@ -179,7 +181,7 @@ def cmd_convsum(args) -> int:
     level = a1 * b1
     verify_to = args.verify
     if args.use_fixture:
-        basis = _fixture_basis(level, max(208, verify_to + 8))
+        basis = _fixture_basis(level, basis_precision(level, verify_to))
         f = derive_formula(a1, b1, basis, verify_to=verify_to)
     else:
         provider = FormulaProvider(bound=args.bound, verify_to=verify_to)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convsum", help="derive the closed form of W_(alpha,beta)")
     c.add_argument("alpha", type=int)
     c.add_argument("beta", type=int)
-    c.add_argument("--verify", type=int, default=200)
+    c.add_argument("--verify", type=int, default=VERIFY_TO)
     c.add_argument("--bound", type=int, default=10)
     c.add_argument("--use-fixture", action="store_true")
     _add_global_flags(c, suppress=True)

@@ -11,11 +11,14 @@ the closed form
                - sum_j Y_j b_j(n) / (1152 ab)
                + (1/24 - n/(4b)) sigma(n/a) + (1/24 - n/(4a)) sigma(n/b).
 
-Every derived formula is verified coefficient-by-coefficient against the
-squared difference well past the Sturm bound before it is returned; the
-dispatcher additionally reduces by gcd, short-circuits the diagonal a = b
-through the classical closed form, and answers n past the basis precision
-with the direct double sum, so a basis is never re-expanded to serve a query.
+basis_precision(N, verify_to) is the one decision on depth: a level's basis
+carries that many q-rows, and every derived formula is sampled and verified
+coefficient-by-coefficient against the squared difference on exactly those
+rows (past twice the Sturm bound; verify_to defaults to VERIFY_TO) before it
+is returned.  The dispatcher reduces by gcd, short-circuits the diagonal
+a = b through the classical closed form, serves n up to the basis precision
+(the formula's verified_to) with the closed form and answers n past it with
+the direct double sum, so a basis is never re-expanded to serve a query.
 """
 
 from __future__ import annotations
@@ -129,38 +132,38 @@ class ConvolutionFormula:
         return -self.y[j] / (1152 * self.alpha * self.beta)
 
 
-def _default_precision(N: int, verify_to: int) -> int:
-    prof = profile(N)
-    base = max(2 * sturm_bound(N), prof.dim_S4 + prof.dim_E4 + 16)
-    return max(base, verify_to)
+VERIFY_TO = 200
+
+
+def basis_precision(N: int, verify_to: int = VERIFY_TO) -> int:
+    """The q-rows a level-N derivation samples and verifies, and so the
+    precision of the basis that serves it: past twice the Sturm bound,
+    16 rows past dim M4, every divisor row, and at least verify_to."""
+    return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, verify_to)
 
 
 def derive_formula(
     alpha: int,
     beta: int,
     basis: ModularBasis,
-    T: int | None = None,
-    verify_to: int | None = None,
+    verify_to: int = VERIFY_TO,
 ) -> ConvolutionFormula:
-    """Solve for (X_delta, Y_j) and verify the identity to verify_to.
+    """Solve for (X_delta, Y_j) and verify the identity on every row up to
+    T = basis_precision(N, verify_to), extending a shorter basis to T.
 
     Sample rows go into one incremental fraction-free elimination: the
     constant row sum X_delta = (alpha-beta)^2, then the q^n rows for n in
     D(N) union {1..m_S}, filled up to nunk + 4 rows with further indices,
     then one row at a time until the rank reaches nunk.  Consistency is
-    judged over exactly those rows; the verification loop checks the rest.
+    judged over exactly those rows; the verification loop checks the rest,
+    so the result and its error text do not depend on the basis length.
     """
     if gcd(alpha, beta) != 1:
         raise ValueError("derive_formula: alpha and beta must be coprime")
     N = alpha * beta
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
-    sb = sturm_bound(N)
-    if verify_to is None:
-        verify_to = max(2 * sb, 200)
-    verify_to = max(verify_to, sb)
-    if T is None:
-        T = _default_precision(N, verify_to)
+    T = basis_precision(N, verify_to)
     basis = basis.at_precision(T)
     divs = divisors(N)
     m_s = basis.dim_cusp
@@ -197,7 +200,7 @@ def derive_formula(
     x = dict(zip(divs, sol[: len(divs)]))
     y = sol[len(divs):]
     first_bad = None
-    for n in range(1, verify_to + 1):
+    for n in range(1, T + 1):
         combo = sum(240 * x[d] * sigma_scaled(3, n, d) for d in divs)
         combo += sum(y[j] * basis.coefficient(j, n) for j in range(m_s))
         if combo != lhs.coefficient(n):
@@ -206,7 +209,7 @@ def derive_formula(
     if first_bad is not None:
         raise VerificationError(
             f"level {N} ({alpha},{beta}): solved identity fails first at n={first_bad} "
-            f"(sturm bound {sb}); the basis columns do not span the form"
+            f"(sturm bound {sturm_bound(N)}); the basis columns do not span the form"
         )
     return ConvolutionFormula(
         alpha=alpha,
@@ -215,7 +218,7 @@ def derive_formula(
         x=x,
         y=list(y),
         basis_ref=basis.checksum,
-        verified_to=verify_to,
+        verified_to=T,
     )
 
 
@@ -258,15 +261,12 @@ class FormulaProvider:
     share it.
     """
 
-    def __init__(self, bound: int = 10, verify_to: int = 200):
+    def __init__(self, bound: int = 10, verify_to: int = VERIFY_TO):
         self.bound = bound
         self.verify_to = verify_to
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
         self.notes: dict = {}
-
-    def _precision_for(self, N: int) -> int:
-        return _default_precision(N, self.verify_to) + 8
 
     def basis_for(self, level: int) -> ModularBasis:
         if level in self._bases:
@@ -277,13 +277,13 @@ class FormulaProvider:
                 f"level {level} = 2^{cls.nu} * {cls.mho} is outside the supported "
                 f"class (needs nu <= 3 and odd squarefree part)"
             )
-        T = self._precision_for(level)
+        T = basis_precision(level, self.verify_to)
         basis = None
         if level in fixtures.BASIS_TABLES:
             fb = load_fixture_basis(level, T)
             probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
             try:
-                f = derive_formula(level // probe, probe, fb, T=T, verify_to=self.verify_to)
+                f = derive_formula(level // probe, probe, fb, self.verify_to)
                 self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
                 self.notes[level] = {"basis": "fixture"}
@@ -311,9 +311,7 @@ class FormulaProvider:
             basis = self.basis_for(level)
             # the fixture probe inside basis_for may have derived this pair
             if key not in self._formulas:
-                self._formulas[key] = derive_formula(
-                    alpha, beta, basis, T=basis.precision, verify_to=self.verify_to
-                )
+                self._formulas[key] = derive_formula(alpha, beta, basis, self.verify_to)
         return self._formulas[key], self._bases[level]
 
     def w(self, alpha: int, beta: int, n: int) -> int:

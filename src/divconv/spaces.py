@@ -97,7 +97,6 @@ class CuspGenerator:
     kind: str
     eta: EtaQuotient
     e2_scale: int | None = None
-    label: str = ""
 
     def series(self, T: int) -> QSeries:
         s = self.eta.series(T)
@@ -110,8 +109,6 @@ class CuspGenerator:
         return order_at_infinity(self.eta)
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
         base = self.eta.label()
         if self.kind == KIND_PRODUCT:
             return f"{base} * (L(q) - {self.e2_scale} L(q^{self.e2_scale}))"

@@ -17,8 +17,10 @@ from fractions import Fraction
 from . import fixtures
 from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
 from .convolution import (
+    VERIFY_TO,
     DerivationError,
     FormulaProvider,
+    basis_precision,
     brute_force_W,
     derive_formula,
     diagonal_W,
@@ -46,6 +48,7 @@ DISCREPANCY = "DOCUMENTED-DISCREPANCY"
 SKIPPED = "SKIPPED"
 
 REGENERATION_LEVELS = (33, 40, 56)
+REPRESENTATION_DEPTH = 100  # below VERIFY_TO: the lattice oracle enumerates
 
 
 @dataclass
@@ -74,10 +77,10 @@ def _first_failure(ns, holds):
     return next((n for n in ns if not holds(n)), None)
 
 
-def _oracle_item(item, holds, depth, passed) -> ItemResult:
-    """PASS when holds(n) for every 1 <= n <= depth, else FAIL at the
+def _oracle_item(item, holds, upto, passed) -> ItemResult:
+    """PASS when holds(n) for every 1 <= n <= upto, else FAIL at the
     first n that breaks it."""
-    bad = _first_failure(range(1, depth + 1), holds)
+    bad = _first_failure(range(1, upto + 1), holds)
     return _item(item, [] if bad is None else [f"mismatch at n={bad}"], passed=passed)
 
 
@@ -109,12 +112,12 @@ def _resolve_signs(ambiguous, magnitude, first_bad):
     return first_bad({k: magnitude(k) for k in ambiguous}), []
 
 
-def _published_expansion_series_check(pair, basis, depth=200):
+def _published_expansion_series_check(pair, basis):
     """Directly test the published expansion coefficients against the
     squared difference; ambiguous signs are resolved by trying both."""
     a, b = pair
     data = fixtures.PUBLISHED_EXPANSIONS[pair]
-    lhs = squared_difference(a, b, depth)
+    lhs = squared_difference(a, b, VERIFY_TO)
     ambiguous = [("sigma3", d) for d, v in data["sigma3"].items() if v is None]
     ambiguous += [("cusp", j) for j, v in data["cusp"].items() if v is None]
 
@@ -124,7 +127,7 @@ def _published_expansion_series_check(pair, basis, depth=200):
         s3 = {d: signed.get(("sigma3", d), v) for d, v in data["sigma3"].items()}
         cusp = {j: signed.get(("cusp", j), v) for j, v in data["cusp"].items()}
         return _first_failure(
-            range(1, depth + 1),
+            range(1, VERIFY_TO + 1),
             lambda n: sum(c * sigma_scaled(3, n, d) for d, c in s3.items())
             + sum(c * basis.coefficient(j - 1, n) for j, c in cusp.items())
             == lhs.coefficient(n),
@@ -135,7 +138,7 @@ def _published_expansion_series_check(pair, basis, depth=200):
     )
 
 
-def _published_w_check(pair, basis, depth=200):
+def _published_w_check(pair, basis):
     a, b = pair
     data = fixtures.PUBLISHED_W[pair]
     ambiguous = [k for k, v in data["cusp"].items() if v is None]
@@ -154,21 +157,21 @@ def _published_w_check(pair, basis, depth=200):
             val += (Fraction(1, 24) - Fraction(n, 4 * a)) * sigma_scaled(1, n, b)
             return val == brute_force_W(a, b, n)
 
-        return _first_failure(range(1, depth + 1), holds)
+        return _first_failure(range(1, VERIFY_TO + 1), holds)
 
     return _resolve_signs(
         ambiguous, lambda k: fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)], first_bad
     )
 
 
-def derived_vs_published(pair, basis, verify_to=200):
+def derived_vs_published(pair, basis):
     """Derive W for pair on basis and list every coefficient that differs
     from print: the expansion's 240 X_delta and Y_j, and the W formula's
     sigma3 and unsubstituted cusp coefficients.  A printed value with an
     ambiguous sign is compared in absolute value.  Raises DerivationError
     when the basis admits no verified derivation."""
     a, b = pair
-    f = derive_formula(a, b, basis, verify_to=verify_to)
+    f = derive_formula(a, b, basis)
     mismatches = []
 
     def compare(label, got, printed, abs_key):
@@ -312,17 +315,16 @@ def check_substitution_claims() -> list[ItemResult]:
     return out
 
 
-def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
-    T = max(208, provider.verify_to + 8)
+def check_published_formulas() -> list[ItemResult]:
     levels = {a * b for a, b in [*fixtures.PUBLISHED_EXPANSIONS, *fixtures.PUBLISHED_W]}
-    bases = {N: load_fixture_basis(N, T) for N in sorted(levels)}
+    bases = {N: load_fixture_basis(N, basis_precision(N)) for N in sorted(levels)}
     out = []
     for pair in sorted(fixtures.PUBLISHED_EXPANSIONS):
         a, b = pair
         basis = bases[a * b]
         first_bad, resolved = _published_expansion_series_check(pair, basis)
         try:
-            _, diff = derived_vs_published(pair, basis, verify_to=provider.verify_to)
+            _, diff = derived_vs_published(pair, basis)
             derived_note = "; derivation verified" + (
                 f" but differs from print ({diff[0]}, ...)" if diff else ", matches print"
             )
@@ -333,8 +335,8 @@ def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
                 f"published expansion ({a},{b})",
                 first_bad,
                 [(f"{kind}[{key}]", s) for (kind, key), s in resolved],
-                dropped="printed operators dropped; identity holds to 200 with ",
-                passed="exact to n=200",
+                dropped=f"printed operators dropped; identity holds to {VERIFY_TO} with ",
+                passed=f"exact to n={VERIFY_TO}",
                 fails="printed identity fails",
                 note=derived_note,
             )
@@ -347,15 +349,15 @@ def check_published_formulas(provider: FormulaProvider) -> list[ItemResult]:
                 f"published W formula ({a},{b})",
                 first_bad,
                 [(f"b_{j}(n/{s})", sg) for (j, s), sg in resolved],
-                dropped="printed sign dropped; formula matches the direct sum to 200 with ",
-                passed="matches the direct sum for all n <= 200",
+                dropped=f"printed sign dropped; formula matches the direct sum to {VERIFY_TO} with ",
+                passed=f"matches the direct sum for all n <= {VERIFY_TO}",
                 fails="printed formula disagrees with the direct sum",
             )
         )
     return out
 
 
-def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> list[ItemResult]:
+def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
     out = []
     for N in fixtures.FIXTURE_LEVELS:
         pairs = [(a, b) for a, b in coprime_pairs(N) if a < b]
@@ -370,7 +372,7 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
                 bad.append(f"({a},{b}) verified only to {f.verified_to}")
                 continue
             n = _first_failure(
-                range(1, depth + 1),
+                range(1, VERIFY_TO + 1),
                 lambda n: evaluate_W(f, basis, n) == brute_force_W(a, b, n),
             )
             if n is not None:
@@ -380,18 +382,18 @@ def check_oracle_equivalence(provider: FormulaProvider, depth: int = 200) -> lis
             _item(
                 f"oracle equivalence level {N}",
                 bad,
-                passed=f"all pairs {pairs} match the direct sum to {depth} "
+                passed=f"all pairs {pairs} match the direct sum to {VERIFY_TO} "
                 f"(basis: {basis_note}, sturm {sturm_bound(N)})",
             )
         )
     return out
 
 
-def check_diagonal(depth: int = 200) -> ItemResult:
+def check_diagonal() -> ItemResult:
     failures = []
     for alpha in range(1, 6):
         n = _first_failure(
-            range(1, depth + 1),
+            range(1, VERIFY_TO + 1),
             lambda n: diagonal_W(alpha, n)
             == (brute_force_W(alpha, alpha, n) if n % alpha == 0 else 0),
         )
@@ -401,7 +403,7 @@ def check_diagonal(depth: int = 200) -> ItemResult:
     return _item(
         "diagonal closed form",
         failures,
-        passed="W_(a,a) matches the direct sum (a <= 5, n <= 200)",
+        passed=f"W_(a,a) matches the direct sum (a <= 5, n <= {VERIFY_TO})",
     )
 
 
@@ -417,7 +419,7 @@ def check_omega_sets() -> list[ItemResult]:
     return [_item("pair sets", bad, passed="omega sets for 120, 40, 56, 33 as published")]
 
 
-def check_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
+def check_representations(provider: FormulaProvider) -> list[ItemResult]:
     out = []
     w = provider.w
     jobs = [("quad", a, b) for a, b in omega4(40).pairs + omega4(56).pairs]
@@ -429,8 +431,8 @@ def check_representations(provider: FormulaProvider, depth: int = 100) -> list[I
             _oracle_item(
                 f"representation {name}",
                 lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n),
-                depth,
-                f"matches the lattice oracle to {depth}",
+                REPRESENTATION_DEPTH,
+                f"matches the lattice oracle to {REPRESENTATION_DEPTH}",
             )
         )
 
@@ -446,21 +448,21 @@ def check_representations(provider: FormulaProvider, depth: int = 100) -> list[I
         _oracle_item(
             "representation N_(1,1)",
             eight_squares,
-            depth,
+            REPRESENTATION_DEPTH,
             "equals 16 sigma3(n) - 32 sigma3(n/2) + 256 sigma3(n/4) and the "
-            f"eight-squares oracle to {depth}",
+            f"eight-squares oracle to {REPRESENTATION_DEPTH}",
         )
     )
     return out
 
 
-def check_revisited_representations(provider: FormulaProvider, depth: int = 100) -> list[ItemResult]:
+def check_revisited_representations(provider: FormulaProvider) -> list[ItemResult]:
     w = provider.w
     out = [
         _oracle_item(
             f"representation N_({a},{b})",
             lambda n: count_N(a, b, n, w) == rep_oracle("quad", a, b, n),
-            depth,
+            REPRESENTATION_DEPTH,
             "matches the lattice oracle" + note,
         )
         for a, b, note in ((1, 3, ""), (2, 3, " (assembled with W_(2,3) terms)"))
@@ -480,7 +482,7 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
         return total
 
     bad = _first_failure(
-        range(1, depth + 1), lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n)
+        range(1, REPRESENTATION_DEPTH + 1), lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n)
     )
     out.append(
         _item(
@@ -502,10 +504,10 @@ def check_revisited_representations(provider: FormulaProvider, depth: int = 100)
     return out
 
 
-def check_level_11(provider: FormulaProvider, depth: int = 200) -> list[ItemResult]:
-    basis = load_fixture_basis(11, depth + 8)
-    first_bad, _ = _published_expansion_series_check((1, 11), basis, depth)
-    first_bad_w, _ = _published_w_check((1, 11), basis, depth)
+def check_level_11(provider: FormulaProvider) -> list[ItemResult]:
+    basis = load_fixture_basis(11, basis_precision(11))
+    first_bad, _ = _published_expansion_series_check((1, 11), basis)
+    first_bad_w, _ = _published_w_check((1, 11), basis)
     refuted = []
     if first_bad is not None:
         refuted.append(f"published expansion fails first at n={first_bad}")
@@ -517,10 +519,10 @@ def check_level_11(provider: FormulaProvider, depth: int = 200) -> list[ItemResu
     except DerivationError as e:
         return [_item(name, refuted + [f"replacement derivation failed: {e}"])]
     bad = _first_failure(
-        range(1, depth + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
+        range(1, VERIFY_TO + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
     )
     gens = ", ".join(g.describe() for g in b11.cusp)
-    replaced = f"replacement weight-4 basis [{gens}] matches the direct sum to {depth}"
+    replaced = f"replacement weight-4 basis [{gens}] matches the direct sum to {VERIFY_TO}"
     return [
         _item(
             name,
@@ -532,7 +534,7 @@ def check_level_11(provider: FormulaProvider, depth: int = 200) -> list[ItemResu
 
 
 def check_classical_identities() -> list[ItemResult]:
-    L = eisenstein_L(1, 200)
+    L = eisenstein_L(1, VERIFY_TO)
     L2 = L * L
     bad = _first_failure(range(0, 101), lambda n: r4(n) == r4_by_enumeration(n))
     bad2 = _first_failure(range(0, 101), lambda n: s4(n) == s4_by_enumeration(n))
@@ -540,8 +542,8 @@ def check_classical_identities() -> list[ItemResult]:
         _oracle_item(
             "weight-2 square identity",
             lambda n: L2.coefficient(n) == 240 * sigma(3, n) - 288 * n * sigma(1, n),
-            200,
-            "L^2 = 1 + sum (240 sigma3(n) - 288 n sigma(n)) q^n to 200",
+            VERIFY_TO,
+            f"L^2 = 1 + sum (240 sigma3(n) - 288 n sigma(n)) q^n to {VERIFY_TO}",
         ),
         _item(
             "quaternary counts",
@@ -581,7 +583,7 @@ def run_all(provider: FormulaProvider, searches: dict[int, set[tuple]]) -> list[
     results += check_tables_cuspidality()
     results += check_search_regeneration(searches)
     results += check_substitution_claims()
-    results += check_published_formulas(provider)
+    results += check_published_formulas()
     results += check_oracle_equivalence(provider)
     results.append(check_diagonal())
     results += check_omega_sets()

@@ -112,6 +112,14 @@ def test_convsum_fixture_33_reports_failure(capsys):
     assert "span" in err
 
 
+def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
+    # --verify sets the least depth; the rows sampled always cover D(33)
+    code, _, err = run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "10")
+    assert code == 3
+    assert err.startswith("derivation failed: level 33 (1,33): no exact solution; ")
+    assert run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "40") == (3, "", err)
+
+
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
     code, _, err = run_cli(capsys, "basis", "21", "--repair", "--bound", "2")
     assert code == 3

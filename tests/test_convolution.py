@@ -1,16 +1,19 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from divconv import fixtures
+from divconv.arith import classify_level
 from divconv.convolution import (
     BasisNotSpanningError,
     FormulaIntegrityError,
     FormulaProvider,
     UnderdeterminedBasisError,
     UnsupportedLevelError,
+    basis_precision,
     brute_force_W,
     derive_formula,
     diagonal_W,
@@ -19,7 +22,7 @@ from divconv.convolution import (
     reduce_by_gcd,
     sturm_bound,
 )
-from divconv.spaces import load_fixture_basis, repair_basis
+from divconv.spaces import load_fixture_basis, profile, repair_basis
 
 
 def test_brute_force_examples():
@@ -62,6 +65,17 @@ def test_sturm_bound():
     assert sturm_bound(40) == 24
     assert sturm_bound(33) == 16
     assert sturm_bound(1) == 1
+
+
+def test_basis_precision_covers_every_row_a_derivation_reads():
+    for N in range(1, 201):
+        if not classify_level(N).in_class:
+            continue
+        T = basis_precision(N)
+        assert T >= N
+        assert T >= 2 * sturm_bound(N)
+        assert T >= profile(N).dim_M4 + 16
+    assert {basis_precision(N) for N in fixtures.FIXTURE_LEVELS} == {200}
 
 
 def test_derive_level10_matches_published():
@@ -107,14 +121,25 @@ def test_fixture_level_33_does_not_span():
     )
 
 
+LEVEL_24_FAILURE = (
+    "level 24: sample matrix rank 15 < 16 unknowns after exhausting n <= 200; "
+    "the basis is degenerate"
+)
+
+
 def test_fixture_level_24_underdetermined():
-    basis = load_fixture_basis(24, 208)
-    with pytest.raises(UnderdeterminedBasisError) as err:
-        derive_formula(1, 24, basis)
-    assert str(err.value) == (
-        "level 24: sample matrix rank 15 < 16 unknowns after exhausting n <= 200; "
-        "the basis is degenerate"
-    )
+    # the text does not depend on the length of the basis passed in
+    for T in (40, 208):
+        with pytest.raises(UnderdeterminedBasisError) as err:
+            derive_formula(1, 24, load_fixture_basis(24, T))
+        assert str(err.value) == LEVEL_24_FAILURE
+
+
+def test_level_24_failure_text_is_the_same_everywhere(provider):
+    provider.formula(3, 8)
+    assert provider.notes[24]["fixture_failure"] == LEVEL_24_FAILURE
+    lines = Path(__file__).with_name("verify_paper_lines.txt").read_text()
+    assert lines.count(f"derivation on the published basis fails: {LEVEL_24_FAILURE}\n") == 2
 
 
 def test_fixture_level_11_fails_verification():
@@ -189,13 +214,13 @@ def test_dispatch_past_precision_keeps_the_basis():
     # basis is neither re-expanded nor replaced
     p = FormulaProvider()
     _, basis = p.formula(7, 8)
-    assert basis.precision == 208
+    assert basis.precision == basis_precision(56)
     assert dispatch_W(7, 8, 20000, p) == brute_force_W(7, 8, 20000)
     assert p.formula(7, 8)[1] is basis
-    assert basis.precision == 208
+    assert basis.precision == basis_precision(56)
 
 
-# both sides of the basis precision (208) at a fixture level (10, 56), a
+# both sides of the basis precision (200) at a fixture level (10, 56), a
 # repaired level (33) and a gcd-reducible pair
 @given(st.sampled_from([(1, 10), (2, 5), (3, 11), (7, 8), (4, 10)]), st.integers(1, 416))
 def test_dispatch_beyond_fixture_precision_matches_direct_sum(provider, pair, n):
