@@ -84,9 +84,7 @@ def cmd_dims(args) -> int:
 def cmd_search_cusp(args) -> int:
     N = args.level
     max_order = max(profile(N).dim_S4, 1) if args.max_order is None else args.max_order
-    found = search_cusp_forms(
-        N, 8, bound=args.bound, max_order=max_order, strict=args.strict, jobs=args.jobs
-    )
+    found = search_cusp_forms(N, 8, bound=args.bound, max_order=max_order, strict=args.strict)
     rows = []
     for q in found:
         rows.append(
@@ -121,7 +119,7 @@ def cmd_basis(args) -> int:
     elif args.repair:
         basis = repair_basis(N, T, bound=args.bound)
     else:
-        basis = search_basis(N, T, bound=args.bound, jobs=args.jobs)
+        basis = search_basis(N, T, bound=args.bound)
     if args.cache_dir:
         Cache(args.cache_dir).store_basis(basis)
     doc = {
@@ -239,10 +237,7 @@ def cmd_repnum(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     provider = FormulaProvider()
-    searches = {
-        N: verify_mod.regeneration_search(N, jobs=args.jobs)
-        for N in verify_mod.REGENERATION_LEVELS
-    }
+    searches = {N: verify_mod.regeneration_search(N) for N in verify_mod.REGENERATION_LEVELS}
     results = verify_mod.run_all(provider, searches)
     doc = {
         "items": [
@@ -278,12 +273,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--cache-dir",
         help="write the basis and formula to this directory (nothing is written without it)",
         **({"default": argparse.SUPPRESS} if suppress else {"default": None}),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        help="parallel workers for the non-strict search",
-        **({"default": argparse.SUPPRESS} if suppress else {"default": 1}),
     )
 
 

@@ -25,10 +25,17 @@ identity
 k2 = sum r_delta, which bounds every S_d above once all are positive.
 
 The search under the published criterion walks exponent vectors
-depth-first.  Per-depth bounds on the achievable suffix of each S_d are
-exact maxima/minima of a weighted sum subject to the remaining
-exponent-sum budget (an assignment bound, much tighter than +-bound * sum
-of weights).
+depth-first, from delta = N down to delta = 1, and keeps each S_d in one
+window floor_d <= S_d <= cap_d.  The floor is 1, or 24*N at d = N (order
+at infinity >= 1); the cap is what the valence identity leaves with every
+other S_d at its floor, and at d = N at most 24*N*max_order.  At each depth
+a branch is pruned unless every S_d can still reach its window: the exact
+minimum and maximum of what the remaining exponents add to S_d, given
+their sum, come from a greedy assignment.  With two exponents left, r at
+delta and the rest at delta = 1, every S_d is linear in r, so the windows
+cut one interval of r, and (i) confines r to one residue class.  Every r
+there is a cusp quotient of order at infinity <= max_order once (ii)
+holds.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -46,12 +53,11 @@ STRICT_COMPOSITION_CEILING the search raises SearchCeilingError at once.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
+from .arith import divisors, euler_phi, factorize, index_mu
 from .linalg import Echelon
 from .qseries import QSeries, eta_quotient_series
 
@@ -166,161 +172,107 @@ def order_at_infinity(e: EtaQuotient) -> int:
 
 
 def _dot_bounds(weights: list[int], B: int, t: int):
-    """(min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t; None if infeasible."""
+    """(min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t; None if infeasible.
+
+    Greedy: every r_j starts at -B, and the t + m*B left go, 2B at a time, to
+    the smallest weights (min) or the largest (max).
+    """
     m = len(weights)
-    if m == 0:
-        return (0, 0) if t == 0 else None
-    if abs(t) > m * B:
+    left = t + m * B
+    if not 0 <= left <= 2 * m * B:
         return None
-    ws = sorted(weights, reverse=True)
-    wa = ws[::-1]
-    best = worst = None
-    for p in range(m):
-        x = t - p * B + (m - 1 - p) * B
-        if -B <= x <= B:
-            hi = B * sum(ws[:p]) + x * ws[p] - B * sum(ws[p + 1 :])
-            lo = B * sum(wa[:p]) + x * wa[p] - B * sum(wa[p + 1 :])
-            best = hi if best is None else max(best, hi)
-            worst = lo if worst is None else min(worst, lo)
-    return (worst, best)
+    full, part = divmod(left, 2 * B)
+    ws = sorted(weights)
+    base = -B * sum(ws)
+
+    def greedy(order):
+        return base + 2 * B * sum(order[:full]) + part * (order[full] if full < m else 0)
+
+    return greedy(ws), greedy(ws[::-1])
 
 
-def _search_ctx(N: int, k2: int, B: int, max_order: int):
+def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int]]:
+    """Exponent maps of the cusp quotients, depth-first; see the module docstring."""
     divs = divisors(N)
     nd = len(divs)
-    proc = sorted(divs, reverse=True)
+    iN = nd - 1
+    proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
-    mu = index_mu(N)
-    coefs = [
-        Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs
-    ]
-    tot = k2 * mu
-    caps = []
-    for i in range(nd):
-        rest = sum(coefs[j] for j in range(nd) if j != i)
-        caps.append(int(Fraction(tot - rest) / coefs[i]))
-    iN = divs.index(N)
+    coefs = [Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs]
+    floors = [1] * nd
+    floors[iN] = 24 * N
+    # what the valence identity leaves once every S_d is at its floor
+    slack = k2 * index_mu(N) - sum(c * f for c, f in zip(coefs, floors))
+    caps = [f + slack // c for c, f in zip(coefs, floors)]
     caps[iN] = min(caps[iN], 24 * N * max_order)
-    off = nd * B
-    bounds = []
-    for i in range(nd + 1):
-        row = []
-        for t in range(-off, off + 1):
-            if abs(t) > (nd - i) * B:
-                row.append(None)
-            else:
-                row.append([_dot_bounds(w[ci][i:], B, t) for ci in range(nd)])
-        bounds.append(row)
+    # bounds[i][t]: per cusp, (min, max) of what exponents i.. add to S_d
+    # when they sum to t
+    bounds = [
+        {
+            t: [_dot_bounds(w[ci][i:], B, t) for ci in range(nd)]
+            for t in range(-(nd - i) * B, (nd - i) * B + 1)
+        }
+        for i in range(nd)
+    ]
     order_at = [sorted(range(nd), key=lambda ci: -w[ci][i]) for i in range(nd)]
-    pf = prime_factors(N)
-    vp = {p: [0] * nd for p in pf}
-    for p in pf:
-        for i, d in enumerate(proc):
-            t = d
-            while t % p == 0:
-                vp[p][i] += 1
-                t //= p
-    return divs, proc, w, caps, iN, off, bounds, order_at, pf, vp
-
-
-def _search_range(N, k2, B, max_order, first_values=None):
-    """DFS over exponent vectors; first_values restricts the top-level branch."""
-    divs, proc, w, caps, iN, off, bounds, order_at, pf, vp = _search_ctx(
-        N, k2, B, max_order
-    )
-    nd = len(divs)
-    SNlo, SNhi = 24 * N, 24 * N * max_order
     out = []
     S = [0] * nd
     path = [0] * nd
 
-    def final_check(i, r):
-        path[i] = r
-        for p in pf:
-            if sum(path[j] * vp[p][j] for j in range(nd)) % 2:
-                return
-        out.append({proc[j]: path[j] for j in range(nd) if path[j]})
+    def final_check(r):
+        path[-1] = r
+        exps = {proc[j]: path[j] for j in range(nd) if path[j]}
+        if _is_square_product(exps):
+            out.append(exps)
 
     def two_left(i, sr):
-        d = proc[i]
+        # r at proc[i] and t - r at proc[i + 1] = 1; each S_d is linear in r,
+        # so its window cuts the interval [lo, hi]
         t = k2 - sr
         lo = max(-B, t - B)
         hi = min(B, t + B)
-        if lo > hi:
-            return
         for ci in range(nd):
             a = w[ci][i] - w[ci][i + 1]
             base = S[ci] + w[ci][i + 1] * t
-            if a == 0:
-                if not (1 <= base <= caps[ci]):
-                    return
-            elif a > 0:
-                lo = max(lo, -((base - 1) // a))
+            if a > 0:
+                lo = max(lo, -((base - floors[ci]) // a))
                 hi = min(hi, (caps[ci] - base) // a)
-            else:
+            elif a < 0:
                 lo = max(lo, -((caps[ci] - base) // -a))
-                hi = min(hi, (base - 1) // -a)
+                hi = min(hi, (base - floors[ci]) // -a)
+            elif not floors[ci] <= base <= caps[ci]:
+                return
             if lo > hi:
                 return
-        cur = S[iN] // N
-        a = (d - 1) % 24
-        b = (-(cur + t)) % 24
-        if a == 0:
-            if b % 24:
-                return
-            sol = (0, 1)
-        else:
-            g = gcd(a, 24)
-            if b % g:
-                return
-            step = 24 // g
-            r0 = next((x for x in range(24) if (a * x) % 24 == b), None)
-            if r0 is None:
-                return
-            sol = (r0 % step, step)
-        r0, step = sol
-        start = lo + ((r0 - lo) % step)
-        for r in range(start, hi + 1, step):
-            SN = S[iN] + w[iN][i] * r + w[iN][i + 1] * (t - r)
-            if not (SNlo <= SN <= SNhi) or SN % (24 * N):
-                continue
-            ok = True
-            for ci in range(nd):
-                v = S[ci] + w[ci][i] * r + w[ci][i + 1] * (t - r)
-                if v <= 0 or v > caps[ci]:
-                    ok = False
-                    break
-            if ok:
-                path[i] = r
-                final_check(i + 1, t - r)
+        # S_N / N = sum delta * r_delta = S[iN] / N + t + (proc[i] - 1) * r
+        # must be divisible by 24
+        a = (proc[i] - 1) % 24
+        b = -(S[iN] // N + t) % 24
+        g = gcd(a, 24)
+        if b % g:
+            return
+        step = 24 // g
+        r0 = b // g * pow(a // g, -1, step) % step
+        for r in range(lo + (r0 - lo) % step, hi + 1, step):
+            path[i] = r
+            final_check(t - r)
 
     def dfs(i, sr):
         if i == nd - 2:
             two_left(i, sr)
             return
-        values = first_values if (i == 0 and first_values is not None) else range(-B, B + 1)
         bnds = bounds[i + 1]
         oi = order_at[i]
-        for r in values:
-            t = k2 - sr - r
-            if abs(t) > off:
-                continue
-            brow = bnds[t + off]
+        for r in range(-B, B + 1):
+            brow = bnds.get(k2 - sr - r)
             if brow is None:
                 continue
-            ok = True
             for ci in oi:
-                bb = brow[ci]
+                lo, hi = brow[ci]
                 v = S[ci] + r * w[ci][i]
-                if v + bb[1] <= 0 or v + bb[0] > caps[ci]:
-                    ok = False
+                if v + hi < floors[ci] or v + lo > caps[ci]:
                     break
-            if ok:
-                bb = brow[iN]
-                v = S[iN] + r * w[iN][i]
-                if v + bb[0] > SNhi or v + bb[1] < SNlo:
-                    ok = False
-            if ok:
+            else:
                 for ci in range(nd):
                     S[ci] += r * w[ci][i]
                 path[i] = r
@@ -329,18 +281,11 @@ def _search_range(N, k2, B, max_order, first_values=None):
                     S[ci] -= r * w[ci][i]
 
     if nd == 1:
-        r = k2
-        S0 = r * w[0][0]
-        if abs(r) <= B and 0 < S0 <= caps[0] and S0 % 24 == 0 and SNlo <= S0 <= SNhi:
-            final_check(0, r)
+        if k2 <= B and floors[0] <= k2 <= caps[0] and k2 % 24 == 0:
+            final_check(k2)
     else:
         dfs(0, 0)
     return out
-
-
-def _search_worker(args):
-    N, k2, B, max_order, first = args
-    return _search_range(N, k2, B, max_order, first_values=[first])
 
 
 # --- strict search in cusp-order space ---------------------------------------
@@ -525,16 +470,14 @@ def search_cusp_forms(
     bound: int = 10,
     max_order: int | None = None,
     strict: bool = False,
-    jobs: int = 1,
 ) -> list[EtaQuotient]:
     """All cusp eta quotients at level N with |r_delta| <= bound.
 
     weight_times_two = sum r_delta (8 for weight 4, 4 for weight 2); results
     are restricted to order at infinity <= max_order (default: the valence
     cap) and returned sorted lexicographically by exponent vector over
-    ascending divisors, so output is reproducible regardless of jobs.
-    strict=True also requires the companion congruence and runs the
-    cusp-order search, which jobs does not parallelise.
+    ascending divisors, so output is reproducible.  strict=True also
+    requires the companion congruence and runs the cusp-order search.
     """
     if bound < 1 or N < 1:
         raise ValueError("search_cusp_forms: N and bound must be >= 1")
@@ -542,19 +485,7 @@ def search_cusp_forms(
         max_order = (weight_times_two * index_mu(N)) // 12
     if max_order < 1:
         return []
-    if strict:
-        vecs = _search_strict(N, weight_times_two, bound, max_order)
-    elif jobs > 1 and len(divisors(N)) > 2:
-        tasks = [
-            (N, weight_times_two, bound, max_order, r)
-            for r in range(-bound, bound + 1)
-        ]
-        vecs = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_search_worker, tasks):
-                vecs.extend(part)
-    else:
-        vecs = _search_range(N, weight_times_two, bound, max_order)
-    quotients = [EtaQuotient.make(N, e) for e in vecs]
+    search = _search_strict if strict else _search_range
+    quotients = [EtaQuotient.make(N, e) for e in search(N, weight_times_two, bound, max_order)]
     quotients.sort(key=lambda q: q.vector())
     return quotients

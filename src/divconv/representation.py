@@ -162,18 +162,18 @@ def count_R(c: int, d: int, n: int, w: WProvider) -> int:
     return total
 
 
-DEFAULT_ORACLE_CEILING = 200
+ORACLE_CEILING = 200
 
 
-def rep_oracle(form: str, a: int, b: int, n: int, ceiling: int = DEFAULT_ORACLE_CEILING) -> int:
+def rep_oracle(form: str, a: int, b: int, n: int) -> int:
     """Ground-truth count via convolution of quaternary tables.
 
     sum over a*l + b*m = n, l, m >= 0 of r4(l) r4(m) (quad) or s4(l) s4(m)
     (hex).  The quaternary tables come from the closed forms, which the
     test suite pins to direct lattice enumeration.
     """
-    if n > ceiling:
-        raise ValueError(f"rep_oracle: n={n} beyond ceiling {ceiling}")
+    if n > ORACLE_CEILING:
+        raise ValueError(f"rep_oracle: n={n} beyond ceiling {ORACLE_CEILING}")
     if n < 0:
         raise ValueError("rep_oracle: n must be >= 0")
     table = r4 if form == "quad" else s4 if form == "hex" else None

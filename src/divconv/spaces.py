@@ -262,13 +262,13 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
     return basis
 
 
-def search_basis(N: int, T: int, bound: int = 10, jobs: int = 1) -> ModularBasis:
+def search_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
     """Basis from the exhaustive search under the membership criterion as
     published (no companion congruence); selection by Case 1 / Case 2."""
     m = profile(N).dim_S4
     cands = [
         CuspGenerator(kind=KIND_ETA, eta=q)
-        for q in search_cusp_forms(N, 8, bound, max_order=max(m, 1), jobs=jobs)
+        for q in search_cusp_forms(N, 8, bound, max_order=max(m, 1))
     ]
     return select_cusp_basis(N, cands, T)
 

@@ -249,12 +249,12 @@ def check_tables_cuspidality() -> list[ItemResult]:
     return out
 
 
-def regeneration_search(N: int, jobs: int = 1) -> set[tuple]:
+def regeneration_search(N: int) -> set[tuple]:
     """Exponent vectors of the exhaustive bound-10 weight-4 cusp search at
     N, orders up to dim S4: the sets the published tables are checked
     against."""
     m = profile(N).dim_S4
-    return {q.exponents for q in search_cusp_forms(N, 8, 10, max_order=m, jobs=jobs)}
+    return {q.exponents for q in search_cusp_forms(N, 8, 10, max_order=m)}
 
 
 def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResult]:

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
@@ -140,10 +141,43 @@ def test_search_deterministic_order():
     assert vecs == sorted(vecs)
 
 
-def test_search_jobs_parallel_matches_serial():
-    serial = search_cusp_forms(12, 8, 8, max_order=3)
-    parallel = search_cusp_forms(12, 8, 8, max_order=3, jobs=2)
-    assert serial == parallel
+def _exhaustive_oracle(N, k2, bound, max_order):
+    # every exponent vector with |r_delta| <= bound and sum r_delta = k2,
+    # filtered by the published criterion (condition (i) first, for speed)
+    divs = divisors(N)
+    found = set()
+    for head in product(range(-bound, bound + 1), repeat=len(divs) - 1):
+        last = k2 - sum(head)
+        if abs(last) > bound:
+            continue
+        exps = dict(zip(divs, head + (last,)))
+        if sum(d * r for d, r in exps.items()) % 24:
+            continue
+        q = EtaQuotient.make(N, exps)
+        if ligozat_check(q).is_cusp and order_at_infinity(q) <= max_order:
+            found.add(q.exponents)
+    return found
+
+
+@pytest.mark.parametrize(
+    "N, k2, bound, max_order, hits",
+    [
+        (6, 8, 6, 1, 9),
+        (10, 8, 6, 3, 6),
+        (14, 8, 5, 4, 5),
+        (15, 8, 5, 4, 11),
+        (12, 8, 4, 3, 93),
+        (12, 8, 4, 1, 38),
+        (18, 8, 3, 6, 43),
+        (20, 8, 3, 6, 21),
+        (24, 8, 2, 8, 53),
+        (12, 4, 3, 2, 8),
+    ],
+)
+def test_search_equals_brute_force(N, k2, bound, max_order, hits):
+    found = [q.exponents for q in search_cusp_forms(N, k2, bound, max_order=max_order)]
+    assert len(found) == len(set(found)) == hits
+    assert set(found) == _exhaustive_oracle(N, k2, bound, max_order)
 
 
 def test_strict_search_subset():
