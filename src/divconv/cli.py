@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: dims, search-cusp, basis, convsum, repnum, verify-paper.
-Exit codes: 0 success, 2 usage error, 3 unsupported level (or a strict
+Exit codes: 0 success, 2 usage error, 3 unsupported level (or a
 search above its ceiling), 4 internal invariant breach.  --machine switches
 to deterministic JSON with exact rationals encoded as "p/q" strings.
 """

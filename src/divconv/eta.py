@@ -24,18 +24,21 @@ identity
 
 k2 = sum r_delta, which bounds every S_d above once all are positive.
 
-The search under the published criterion walks exponent vectors
-depth-first, from delta = N down to delta = 1, and keeps each S_d in one
-window floor_d <= S_d <= cap_d.  The floor is 1, or 24*N at d = N (order
-at infinity >= 1); the cap is what the valence identity leaves with every
-other S_d at its floor, and at d = N at most 24*N*max_order.  At each depth
-a branch is pruned unless every S_d can still reach its window: the exact
-minimum and maximum of what the remaining exponents add to S_d, given
-their sum, come from a greedy assignment.  With two exponents left, r at
-delta and the rest at delta = 1, every S_d is linear in r, so the windows
-cut one interval of r, and (i) confines r to one residue class.  Every r
-there is a cusp quotient of order at infinity <= max_order once (ii)
-holds.
+The search under the published criterion assigns exponents depth-first,
+from delta = N down, and keeps each S_d in one window floor_d <= S_d <=
+cap_d.  The floor is 1, or 24*N at d = N (order at infinity >= 1); the cap
+is what the valence identity leaves with every other S_d at its floor, and
+at d = N at most 24*N*max_order.  At each depth a branch is pruned unless
+every S_d can still reach its window: the exact minimum and maximum of what
+the remaining exponents add to S_d, given their sum, come from a greedy
+assignment.  The last three exponents, at the three smallest divisors (all
+of them when N has fewer), are not searched but looked up: a table built
+before the walk holds every such tail with |r| <= bound, keyed by (sum r,
+sum delta*r mod 24, the parity mask of sum v_p(delta)*r_delta over the
+primes p | N).  A prefix admits only the tails whose key completes
+sum r = k2, (i) and (ii), and of those exactly the ones that put every S_d
+in its window; each is a cusp quotient of order at infinity <= max_order.
+Bounds above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -55,9 +58,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from math import comb, gcd, lcm
+from operator import xor
 
-from .arith import divisors, euler_phi, factorize, index_mu
+from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
 from .linalg import Echelon
 from .qseries import QSeries, eta_quotient_series
 
@@ -170,6 +176,16 @@ def order_at_infinity(e: EtaQuotient) -> int:
 
 # --- exhaustive search -----------------------------------------------------
 
+# Largest bound the exhaustive search accepts.  Its tail table holds
+# (2*bound + 1)^3 tails of #divisors sums each: at bound 16 that table adds
+# 16 MB at level 40 and 27 MB at level 120, and the level-40 search takes
+# 35 s; at bound 20 the table adds 33 and 53 MB, at bound 40 260 and 417 MB.
+SEARCH_BOUND_CEILING = 16
+
+
+class SearchCeilingError(ValueError):
+    """A search above its ceiling: the bound, or the cusp-order compositions."""
+
 
 def _dot_bounds(weights: list[int], B: int, t: int):
     """(min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t; None if infeasible.
@@ -192,11 +208,23 @@ def _dot_bounds(weights: list[int], B: int, t: int):
 
 
 def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int]]:
-    """Exponent maps of the cusp quotients, depth-first; see the module docstring."""
+    """Exponent maps of the cusp quotients; see the module docstring.
+
+    The DFS assigns all but the last min(3, #divisors) exponents; those come
+    from `tails`, which maps each key (sum r, sum delta*r mod 24, parity
+    mask) to the tails with |r| <= B that have it, each with what it adds
+    to every S_d.
+    """
+    if B > SEARCH_BOUND_CEILING:
+        raise SearchCeilingError(
+            f"search at level {N}, bound {B}: the bound exceeds the ceiling "
+            f"of {SEARCH_BOUND_CEILING}"
+        )
     divs = divisors(N)
     nd = len(divs)
     iN = nd - 1
     proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
+    head = nd - min(3, nd)  # exponents the DFS assigns; the table holds the rest
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
     coefs = [Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs]
     floors = [1] * nd
@@ -205,6 +233,20 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
     slack = k2 * index_mu(N) - sum(c * f for c, f in zip(coefs, floors))
     caps = [f + slack // c for c, f in zip(coefs, floors)]
     caps[iN] = min(caps[iN], 24 * N * max_order)
+    # masks[j]: the primes p | N with v_p(proc[j]) odd, one bit each; an odd
+    # r at proc[j] flips them in the parity of prod delta^r
+    bit = {p: 1 << b for b, p in enumerate(prime_factors(N))}
+    masks = [sum(bit[p] for p, k in factorize(d) if k % 2) for d in proc]
+    tails: dict[tuple[int, int, int], list] = {}
+    for rs in product(range(-B, B + 1), repeat=nd - head):
+        tail = list(zip(range(head, nd), rs))
+        key = (
+            sum(rs),
+            sum(proc[j] * r for j, r in tail) % 24,
+            reduce(xor, (masks[j] for j, r in tail if r & 1), 0),
+        )
+        add = tuple(sum(w[ci][j] * r for j, r in tail) for ci in range(nd))
+        tails.setdefault(key, []).append((add, rs))
     # bounds[i][t]: per cusp, (min, max) of what exponents i.. add to S_d
     # when they sum to t
     bounds = [
@@ -212,54 +254,32 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
             t: [_dot_bounds(w[ci][i:], B, t) for ci in range(nd)]
             for t in range(-(nd - i) * B, (nd - i) * B + 1)
         }
-        for i in range(nd)
+        for i in range(head + 1)
     ]
-    order_at = [sorted(range(nd), key=lambda ci: -w[ci][i]) for i in range(nd)]
+    order_at = [sorted(range(nd), key=lambda ci: -w[ci][i]) for i in range(head)]
     out = []
     S = [0] * nd
-    path = [0] * nd
+    path = [0] * head
 
-    def final_check(r):
-        path[-1] = r
-        exps = {proc[j]: path[j] for j in range(nd) if path[j]}
-        if _is_square_product(exps):
-            out.append(exps)
-
-    def two_left(i, sr):
-        # r at proc[i] and t - r at proc[i + 1] = 1; each S_d is linear in r,
-        # so its window cuts the interval [lo, hi]
-        t = k2 - sr
-        lo = max(-B, t - B)
-        hi = min(B, t + B)
-        for ci in range(nd):
-            a = w[ci][i] - w[ci][i + 1]
-            base = S[ci] + w[ci][i + 1] * t
-            if a > 0:
-                lo = max(lo, -((base - floors[ci]) // a))
-                hi = min(hi, (caps[ci] - base) // a)
-            elif a < 0:
-                lo = max(lo, -((caps[ci] - base) // -a))
-                hi = min(hi, (base - floors[ci]) // -a)
-            elif not floors[ci] <= base <= caps[ci]:
-                return
-            if lo > hi:
-                return
-        # S_N / N = sum delta * r_delta = S[iN] / N + t + (proc[i] - 1) * r
-        # must be divisible by 24
-        a = (proc[i] - 1) % 24
-        b = -(S[iN] // N + t) % 24
-        g = gcd(a, 24)
-        if b % g:
+    def lookup(sr, pm):
+        # S_N / N = sum delta * r_delta over the exponents assigned so far
+        group = tails.get((k2 - sr, -(S[iN] // N) % 24, pm))
+        if group is None:
             return
-        step = 24 // g
-        r0 = b // g * pow(a // g, -1, step) % step
-        for r in range(lo + (r0 - lo) % step, hi + 1, step):
-            path[i] = r
-            final_check(t - r)
+        lo = [f - v for f, v in zip(floors, S)]
+        hi = [c - v for c, v in zip(caps, S)]
+        for add, rs in group:
+            for a, l, h in zip(add, lo, hi):
+                if not l <= a <= h:
+                    break
+            else:
+                exps = {proc[j]: r for j, r in enumerate(path) if r}
+                exps.update((proc[j], r) for j, r in zip(range(head, nd), rs) if r)
+                out.append(exps)
 
-    def dfs(i, sr):
-        if i == nd - 2:
-            two_left(i, sr)
+    def dfs(i, sr, pm):
+        if i == head:
+            lookup(sr, pm)
             return
         bnds = bounds[i + 1]
         oi = order_at[i]
@@ -276,15 +296,14 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
                 for ci in range(nd):
                     S[ci] += r * w[ci][i]
                 path[i] = r
-                dfs(i + 1, sr + r)
+                dfs(i + 1, sr + r, pm ^ masks[i] if r & 1 else pm)
                 for ci in range(nd):
                     S[ci] -= r * w[ci][i]
 
-    if nd == 1:
-        if k2 <= B and floors[0] <= k2 <= caps[0] and k2 % 24 == 0:
-            final_check(k2)
-    else:
-        dfs(0, 0)
+    dfs(0, 0, 0)
+    # dfs refers to itself, so without this the table and the other cells it
+    # closes over would stay allocated until the cyclic collector runs
+    del dfs
     return out
 
 
@@ -296,10 +315,6 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
 # and the weight-2 searches that repair runs at levels 102, 110 and 114
 # (up to 15,380,937); level 66 at weight 4 (62,891,499) is above it.
 STRICT_COMPOSITION_CEILING = 20_000_000
-
-
-class SearchCeilingError(ValueError):
-    """A strict search whose cusp-order space exceeds the ceiling."""
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

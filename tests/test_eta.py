@@ -5,10 +5,13 @@ from itertools import product
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from divconv import cli, fixtures
-from divconv.arith import classify_level, divisors
+from divconv.arith import classify_level, divisors, index_mu
 from divconv.eta import (
+    SEARCH_BOUND_CEILING,
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
     SearchCeilingError,
@@ -180,6 +183,29 @@ def test_search_equals_brute_force(N, k2, bound, max_order, hits):
     assert set(found) == _exhaustive_oracle(N, k2, bound, max_order)
 
 
+# levels whose oracle (at most 7^5 vectors at bound 3) stays well under 1 s
+_SMALL_LEVELS = [N for N in range(1, 101) if len(divisors(N)) <= 6]
+
+
+@given(
+    N=st.sampled_from(_SMALL_LEVELS),
+    k2=st.sampled_from([4, 8]),
+    bound=st.integers(1, 3),
+    max_order=st.none() | st.integers(1, 12),
+)
+# one, two and three divisors: no exponent is assigned before the tail
+@example(N=1, k2=8, bound=3, max_order=None)
+@example(N=11, k2=4, bound=2, max_order=None)
+@example(N=9, k2=4, bound=3, max_order=None)
+@example(N=25, k2=8, bound=3, max_order=None)
+def test_search_matches_oracle_on_random_levels(N, k2, bound, max_order):
+    if max_order is None:
+        max_order = k2 * index_mu(N) // 12  # the search's default
+    found = [q.exponents for q in search_cusp_forms(N, k2, bound, max_order=max_order)]
+    assert len(found) == len(set(found))
+    assert set(found) == _exhaustive_oracle(N, k2, bound, max_order)
+
+
 def test_strict_search_subset():
     loose = {q.exponents for q in search_cusp_forms(14, 8, 10, max_order=4)}
     strict = {q.exponents for q in search_cusp_forms(14, 8, 10, max_order=4, strict=True)}
@@ -232,6 +258,22 @@ def test_strict_search_ceiling_raises_at_once():
     msg = str(e.value)
     assert "level 66" in msg and "weight 4" in msg
     assert "62891499" in msg and str(STRICT_COMPOSITION_CEILING) in msg
+
+
+def test_search_bound_ceiling_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(SearchCeilingError) as e:
+        search_cusp_forms(120, 8, SEARCH_BOUND_CEILING + 1, max_order=1)
+    assert time.perf_counter() - start < 1  # before any table is built
+    msg = str(e.value)
+    assert "level 120" in msg and f"bound {SEARCH_BOUND_CEILING + 1}" in msg
+    assert f"ceiling of {SEARCH_BOUND_CEILING}" in msg
+
+
+def test_search_cusp_above_bound_ceiling_exits_3(capsys):
+    bound = str(SEARCH_BOUND_CEILING + 1)
+    assert cli.main(["search-cusp", "40", "--bound", bound]) == 3
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_strict_search_needs_even_weight():
