@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 # Entries kept by factorize's cache: far above the distinct arguments of any
 # benchmark workload (a few hundred), while one large direct sum, which
@@ -54,19 +54,6 @@ def sigma(k: int, n: int) -> int:
         else:
             pk = p**k
             total *= (pk ** (e + 1) - 1) // (pk - 1)
-    return total
-
-
-def sigma_by_enumeration(k: int, n: int) -> int:
-    """Divisor-enumeration oracle for sigma; kept independent of factorize."""
-    if n <= 0:
-        return 0
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**k
-            if d != n // d:
-                total += (n // d) ** k
     return total
 
 

@@ -105,12 +105,6 @@ class EtaQuotient:
         new_level = level if level is not None else self.level * t
         return EtaQuotient.make(new_level, {d * t: r for d, r in self.exponents})
 
-    def at_level(self, level: int) -> "EtaQuotient":
-        """Same quotient viewed at a multiple of its level."""
-        if level % self.level != 0:
-            raise ValueError(f"{level} is not a multiple of level {self.level}")
-        return EtaQuotient.make(level, self.exponent_map)
-
     def label(self) -> str:
         parts = []
         for d, r in self.exponents:

@@ -2,15 +2,18 @@
 
 N_(a,b)(n) counts solutions of a(x1^2+..+x4^2) + b(x5^2+..+x8^2) = n and
 R_(c,d)(n) the analogue for the hexagonal quaternary form
-x^2+xy+y^2 + z^2+zw+w^2.  Both reduce to the quaternary counts
+x^2+xy+y^2 + z^2+zw+w^2.  Each quaternary form has a pair (p, c) in FORMS,
+(4, 8) for four squares and (3, 12) for the hexagonal form; its count is
+c sigma(n) - cp sigma(n/p) for n >= 1 and 1 at n = 0 (r4, s4).  One theorem
+gives both octonary counts for coprime (a, b):
 
-    r4(n) = 8 sigma(n) - 32 sigma(n/4)        (r4(0) = 1)
-    s4(n) = 12 sigma(n) - 36 sigma(n/3)       (s4(0) = 1)
+    c sigma(n/a) - cp sigma(n/pa) + c sigma(n/b) - cp sigma(n/pb)
+      + c^2 W_(a,b)(n) - c^2 p (W_(pa,b)(n) + W_(a,pb)(n)) + c^2 p^2 W_(a,b)(n/p)
 
-and five convolution-sum invocations supplied by an injected w_provider
-(alpha, beta, n) -> W_(alpha,beta)(n), so this module never derives bases
-itself.  The admissible coefficient pairs are the coprime factorizations
-of level/4 (quad) resp. level/3 (hex).
+where sigma(x) and W(x) are 0 unless x is a positive integer.  The W values
+come from an injected w_provider (alpha, beta, n) -> W_(alpha,beta)(n), so
+this module never derives bases itself.  The admissible pairs at a level
+are the coprime factorizations of level/p.
 """
 
 from __future__ import annotations
@@ -23,41 +26,37 @@ from .arith import classify_level, coprime_pairs, sigma_scaled
 
 WProvider = Callable[[int, int, int], int]
 
+# (p, c) of each quaternary form
+FORMS = {"quad": (4, 8), "hex": (3, 12)}
+
+
+def _quaternary(name: str, form: str, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"{name}: n must be >= 0")
+    if n == 0:
+        return 1
+    p, c = FORMS[form]
+    return c * sigma_scaled(1, n, 1) - c * p * sigma_scaled(1, n, p)
+
 
 def r4(n: int) -> int:
     """Four-square representation count."""
-    if n < 0:
-        raise ValueError("r4: n must be >= 0")
-    if n == 0:
-        return 1
-    return 8 * sigma_scaled(1, n, 1) - 32 * sigma_scaled(1, n, 4)
+    return _quaternary("r4", "quad", n)
 
 
 def s4(n: int) -> int:
     """Count for x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2."""
-    if n < 0:
-        raise ValueError("s4: n must be >= 0")
-    if n == 0:
-        return 1
-    return 12 * sigma_scaled(1, n, 1) - 36 * sigma_scaled(1, n, 3)
+    return _quaternary("s4", "hex", n)
 
 
 def r4_by_enumeration(n: int) -> int:
     """Direct 4-variable lattice count; the oracle for r4."""
-    counts = _square_counts(n)
-    return _convolve4(counts, n)[n]
+    return _self_convolve(_self_convolve(_square_counts(n)))[n]
 
 
 def s4_by_enumeration(n: int) -> int:
     """Direct lattice count for the hexagonal quaternary form."""
-    counts = _hex_counts(n)
-    out = [0] * (n + 1)
-    for i, ci in enumerate(counts):
-        if ci:
-            for j in range(n + 1 - i):
-                if counts[j]:
-                    out[i + j] += ci * counts[j]
-    return out[n]
+    return _self_convolve(_hex_counts(n))[n]
 
 
 def _square_counts(limit: int) -> list[int]:
@@ -69,20 +68,15 @@ def _square_counts(limit: int) -> list[int]:
     return out
 
 
-def _convolve4(theta: list[int], limit: int) -> list[int]:
-    two = [0] * (limit + 1)
-    for i, ci in enumerate(theta):
+def _self_convolve(counts: list[int]) -> list[int]:
+    limit = len(counts) - 1
+    out = [0] * (limit + 1)
+    for i, ci in enumerate(counts):
         if ci:
             for j in range(limit + 1 - i):
-                if theta[j]:
-                    two[i + j] += ci * theta[j]
-    four = [0] * (limit + 1)
-    for i, ci in enumerate(two):
-        if ci:
-            for j in range(limit + 1 - i):
-                if two[j]:
-                    four[i + j] += ci * two[j]
-    return four
+                if counts[j]:
+                    out[i + j] += ci * counts[j]
+    return out
 
 
 def _hex_counts(limit: int) -> list[int]:
@@ -104,62 +98,54 @@ class PairSet:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _omega(form: str, level: int) -> PairSet:
+    p = FORMS[form][0]
+    if not classify_level(level).in_class or level % p != 0:
+        raise ValueError(
+            f"omega{p}: level must be in the class and divisible by {p}, got {level}"
+        )
+    return PairSet(level=level, modality=form, pairs=tuple(coprime_pairs(level // p)))
+
+
 def omega4(level: int) -> PairSet:
     """Coprime pairs (a, b) with a*b = level/4."""
-    cls = classify_level(level)
-    if level % 4 != 0 or not cls.in_class:
-        raise ValueError(
-            f"omega4: level must be in the class and divisible by 4, got {level}"
-        )
-    return PairSet(level=level, modality="quad", pairs=tuple(coprime_pairs(level // 4)))
+    return _omega("quad", level)
 
 
 def omega3(level: int) -> PairSet:
     """Coprime pairs (c, d) with c*d = level/3."""
-    cls = classify_level(level)
-    if level % 3 != 0 or not cls.in_class:
-        raise ValueError(
-            f"omega3: level must be in the class and divisible by 3, got {level}"
-        )
-    return PairSet(level=level, modality="hex", pairs=tuple(coprime_pairs(level // 3)))
+    return _omega("hex", level)
+
+
+def _count(name: str, pair: str, form: str, a: int, b: int, n: int, w: WProvider) -> int:
+    if a < 1 or b < 1:
+        raise ValueError(f"{name}: {pair} must be positive, got ({a}, {b})")
+    if gcd(a, b) != 1:
+        raise ValueError(f"{name}: {pair} must be coprime")
+    if n < 1:
+        raise ValueError(f"{name}: n must be >= 1")
+    p, c = FORMS[form]
+    total = (
+        c * sigma_scaled(1, n, a)
+        - c * p * sigma_scaled(1, n, p * a)
+        + c * sigma_scaled(1, n, b)
+        - c * p * sigma_scaled(1, n, p * b)
+        + c * c * w(a, b, n)
+        - c * c * p * (w(p * a, b, n) + w(a, p * b, n))
+    )
+    if n % p == 0:
+        total += c * c * p * p * w(a, b, n // p)
+    return total
 
 
 def count_N(a: int, b: int, n: int, w: WProvider) -> int:
     """Representation count for a(4 squares) + b(4 squares)."""
-    if gcd(a, b) != 1:
-        raise ValueError("count_N: (a, b) must be coprime")
-    if n < 1:
-        raise ValueError("count_N: n must be >= 1")
-    total = (
-        8 * sigma_scaled(1, n, a)
-        - 32 * sigma_scaled(1, n, 4 * a)
-        + 8 * sigma_scaled(1, n, b)
-        - 32 * sigma_scaled(1, n, 4 * b)
-        + 64 * w(a, b, n)
-        - 256 * (w(4 * a, b, n) + w(a, 4 * b, n))
-    )
-    if n % 4 == 0:
-        total += 1024 * w(a, b, n // 4)
-    return total
+    return _count("count_N", "(a, b)", "quad", a, b, n, w)
 
 
 def count_R(c: int, d: int, n: int, w: WProvider) -> int:
     """Representation count for c(hex form) + d(hex form)."""
-    if gcd(c, d) != 1:
-        raise ValueError("count_R: (c, d) must be coprime")
-    if n < 1:
-        raise ValueError("count_R: n must be >= 1")
-    total = (
-        12 * sigma_scaled(1, n, c)
-        - 36 * sigma_scaled(1, n, 3 * c)
-        + 12 * sigma_scaled(1, n, d)
-        - 36 * sigma_scaled(1, n, 3 * d)
-        + 144 * w(c, d, n)
-        - 432 * (w(3 * c, d, n) + w(c, 3 * d, n))
-    )
-    if n % 3 == 0:
-        total += 1296 * w(c, d, n // 3)
-    return total
+    return _count("count_R", "(c, d)", "hex", c, d, n, w)
 
 
 ORACLE_CEILING = 200
@@ -176,6 +162,8 @@ def rep_oracle(form: str, a: int, b: int, n: int) -> int:
         raise ValueError(f"rep_oracle: n={n} beyond ceiling {ORACLE_CEILING}")
     if n < 0:
         raise ValueError("rep_oracle: n must be >= 0")
+    if a < 1 or b < 1:
+        raise ValueError(f"rep_oracle: (a, b) must be positive, got ({a}, {b})")
     table = r4 if form == "quad" else s4 if form == "hex" else None
     if table is None:
         raise ValueError(f"rep_oracle: unknown form {form!r}")

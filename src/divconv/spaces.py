@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from math import gcd
+from math import gcd, prod
 
 from . import fixtures
 from .arith import divisors, euler_phi, index_mu, prime_factors
@@ -49,22 +49,15 @@ def profile(N: int) -> SpaceProfile:
         raise ValueError("profile: N must be >= 1")
     mu = index_mu(N)
     ps = prime_factors(N)
-    if N % 4 == 0:
-        eps2 = 0
-    else:
-        eps2 = 1
-        for p in ps:
-            if p == 2:
-                continue  # factor 1 + chi_{-1}(2) with chi_{-1}(2) = 0
-            eps2 *= 1 + (1 if p % 4 == 1 else -1)
-    if N % 9 == 0:
-        eps3 = 0
-    else:
-        eps3 = 1
-        for p in ps:
-            if p == 3:
-                continue  # factor 1 + chi_{-3}(3) with chi_{-3}(3) = 0
-            eps3 *= 1 + (1 if p % 3 == 1 else -1)
+
+    def elliptic(q: int, m: int) -> int:
+        # prod over p | N of 1 + (-m/p): 0 when q^2 | N, the factor at q is
+        # 1, and every other factor is 2 or 0 by p mod m
+        if N % (q * q) == 0:
+            return 0
+        return prod(2 if p % m == 1 else 0 for p in ps if p != q)
+
+    eps2, eps3 = elliptic(2, 4), elliptic(3, 3)
     cusps = sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
     genus12 = 12 + mu - 3 * eps2 - 4 * eps3 - 6 * cusps
     if genus12 % 12 != 0:
@@ -276,12 +269,12 @@ def search_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
 def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
     """Certified weight-4 cusp generators at level N.
 
-    Three certified families: (a) strict-condition cusp quotients from
+    Two certified families: (a) strict-condition cusp quotients from
     proper sublevels M | N, pushed up by every substitution q -> q^t with
-    t | N/M; (b) weight-2 strict cusp quotients (likewise pushed up)
-    multiplied by L(q) - t*L(q^t) for t | N, t > 1; (c) strict quotients at
-    N itself.  Families (a)/(b) are cheap and usually suffice; (c) runs the
-    full search at N.
+    t | N/M; (b) weight-2 strict cusp quotients from every level M > 1
+    dividing N (likewise pushed up) multiplied by L(q) - t*L(q^t) for t | N,
+    t > 1.  Both are cheap and usually suffice; `repair_basis` adds the
+    strict quotients at N itself only when they do not span.
     """
     m = max(profile(N).dim_S4, 1)
     out: list[CuspGenerator] = []
@@ -293,25 +286,21 @@ def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
             seen.add(key)
             out.append(gen)
 
-    for M in divisors(N):
-        if M == 1 or M == N:
-            continue
-        for q in search_cusp_forms(M, 8, bound, max_order=m, strict=True):
-            for t in divisors(N // M):
-                cand = q.substitute(t, level=N) if t > 1 else q.at_level(N)
-                if order_at_infinity(cand) <= m:
-                    add(CuspGenerator(kind=KIND_ETA, eta=cand))
-    for M in divisors(N):
-        if M == 1:
-            continue
-        for q in search_cusp_forms(M, 4, bound, max_order=m, strict=True):
-            for s in divisors(N // M):
-                base = q.substitute(s, level=N) if s > 1 else q.at_level(N)
-                if order_at_infinity(base) > m:
-                    continue
-                for t in divisors(N):
-                    if t > 1:
-                        add(CuspGenerator(kind=KIND_PRODUCT, eta=base, e2_scale=t))
+    def pushed_up(k2: int, levels: list[int]):
+        # strict quotients of weight k2/2 at each level M, pushed up to N by
+        # every q -> q^t with t | N/M
+        for M in levels:
+            for q in search_cusp_forms(M, k2, bound, max_order=m, strict=True):
+                for t in divisors(N // M):
+                    up = q.substitute(t, level=N)
+                    if order_at_infinity(up) <= m:
+                        yield up
+
+    for q in pushed_up(8, divisors(N)[1:-1]):
+        add(CuspGenerator(kind=KIND_ETA, eta=q))
+    for q in pushed_up(4, divisors(N)[1:]):
+        for t in divisors(N)[1:]:
+            add(CuspGenerator(kind=KIND_PRODUCT, eta=q, e2_scale=t))
     return out
 
 

@@ -467,22 +467,14 @@ def check_revisited_representations(provider: FormulaProvider) -> list[ItemResul
         )
         for a, b, note in ((1, 3, ""), (2, 3, " (assembled with W_(2,3) terms)"))
     ]
-    # the published combination replaces W_(2,3) by W_(1,3)
-    def published_n23(n):
-        total = (
-            8 * sigma_scaled(1, n, 2)
-            - 32 * sigma_scaled(1, n, 8)
-            + 8 * sigma_scaled(1, n, 3)
-            - 32 * sigma_scaled(1, n, 12)
-            + 64 * w(1, 3, n)
-            - 256 * (w(3, 8, n) + w(1, 12, n))
-        )
-        if n % 4 == 0:
-            total += 1024 * w(1, 3, n // 4)
-        return total
+    # the published combination is the theorem with every W_(2,y) replaced
+    # by W_(1,y)
+    def published_w(x, y, m):
+        return w(1 if x == 2 else x, y, m)
 
     bad = _first_failure(
-        range(1, REPRESENTATION_DEPTH + 1), lambda n: published_n23(n) == rep_oracle("quad", 2, 3, n)
+        range(1, REPRESENTATION_DEPTH + 1),
+        lambda n: count_N(2, 3, n, published_w) == rep_oracle("quad", 2, 3, n),
     )
     out.append(
         _item(

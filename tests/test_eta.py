@@ -318,5 +318,6 @@ def test_substitute_and_at_level():
     q = EtaQuotient.make(6, {1: 2, 2: 2, 3: 2, 6: 2})
     up = q.substitute(2, level=24)
     assert up.exponent_map == {2: 2, 4: 2, 6: 2, 12: 2}
-    same = q.at_level(24)
+    # t = 1 views the quotient at a multiple of its level
+    same = q.substitute(1, level=24)
     assert same.level == 24 and same.exponent_map == q.exponent_map

@@ -1,8 +1,10 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from divconv.arith import divisors
+from divconv.arith import divisors, sigma_scaled
 from divconv.convolution import brute_force_W
 from divconv.representation import (
     count_N,
@@ -104,23 +106,77 @@ def test_count_R_vs_oracle_brute_provider(level):
             assert count_R(c, d, n, w) == rep_oracle("hex", c, d, n), (c, d, n)
 
 
-def test_count_uses_injected_provider():
+def _spy_calls(count, a, b, n):
     calls = []
 
-    def spy(a, b, n):
-        calls.append((a, b, n))
-        return brute_force_W(a, b, n)
+    def spy(x, y, m):
+        calls.append((x, y, m))
+        return brute_force_W(x, y, m)
 
-    count_N(1, 10, 40, spy)
-    assert (1, 10, 40) in calls
-    assert (4, 10, 40) in calls
-    assert (1, 40, 40) in calls
-    assert (1, 10, 10) in calls  # the n/4 term
+    count(a, b, n, spy)
+    return calls
+
+
+def test_count_uses_injected_provider():
+    # `--machine repnum` reports w_invocations in exactly this order; the
+    # last call is the n/p term
+    assert _spy_calls(count_N, 1, 10, 40) == [(1, 10, 40), (4, 10, 40), (1, 40, 40), (1, 10, 10)]
+    assert _spy_calls(count_N, 1, 10, 41) == [(1, 10, 41), (4, 10, 41), (1, 40, 41)]
+    assert _spy_calls(count_R, 1, 11, 36) == [(1, 11, 36), (3, 11, 36), (1, 33, 36), (1, 11, 12)]
+    assert _spy_calls(count_R, 1, 11, 37) == [(1, 11, 37), (3, 11, 37), (1, 33, 37)]
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 60))
+def test_counts_vs_oracle_random_pairs(a, b, n):
+    assume(gcd(a, b) == 1)
+    assert count_N(a, b, n, brute_force_W) == rep_oracle("quad", a, b, n)
+    assert count_R(a, b, n, brute_force_W) == rep_oracle("hex", a, b, n)
+
+
+def _printed_n23(n):
+    # the N_(2,3) combination as printed, with W_(1,3) and W_(1,12) where
+    # the theorem has W_(2,3) and W_(2,12)
+    w = brute_force_W
+    total = (
+        8 * sigma_scaled(1, n, 2)
+        - 32 * sigma_scaled(1, n, 8)
+        + 8 * sigma_scaled(1, n, 3)
+        - 32 * sigma_scaled(1, n, 12)
+        + 64 * w(1, 3, n)
+        - 256 * (w(3, 8, n) + w(1, 12, n))
+    )
+    if n % 4 == 0:
+        total += 1024 * w(1, 3, n // 4)
+    return total
+
+
+def test_printed_n23_is_theorem_with_w2y_replaced():
+    def every_w2y(x, y, m):
+        return brute_force_W(1 if x == 2 else x, y, m)
+
+    def only_w23(x, y, m):
+        return brute_force_W(1 if (x, y) == (2, 3) else x, y, m)
+
+    for n in range(1, 101):
+        assert count_N(2, 3, n, every_w2y) == _printed_n23(n), n
+    # replacing W_(2,3) alone is a different combination
+    assert count_N(2, 3, 13, only_w23) != _printed_n23(13)
 
 
 def test_count_guards():
     w = brute_force_W
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^count_N: \(a, b\) must be coprime$"):
         count_N(2, 4, 5, w)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^count_R: \(c, d\) must be coprime$"):
         count_R(3, 9, 5, w)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (-1, 1), (1, -5)])
+def test_pairs_must_be_positive(a, b):
+    w = brute_force_W
+    with pytest.raises(ValueError, match="^count_N: "):
+        count_N(a, b, 5, w)
+    with pytest.raises(ValueError, match="^count_R: "):
+        count_R(a, b, 5, w)
+    with pytest.raises(ValueError, match="^rep_oracle: "):
+        rep_oracle("quad", a, b, 5)
