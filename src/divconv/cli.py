@@ -142,18 +142,19 @@ def cmd_basis(args) -> int:
 
 
 def _formula_doc(f, basis):
+    sigma3, cusp = f.w_terms
     return {
         "alpha": f.alpha,
         "beta": f.beta,
         "level": f.level,
         "verified_to": f.verified_to,
         "basis": basis.checksum,
-        "sigma3_terms": {str(d): encode_rational(f.sigma3_coefficient(d)) for d in sorted(f.x)},
+        "sigma3_terms": {str(d): encode_rational(c) for d, c in sigma3.items()},
         "sigma_tail": [
             f"(1/24 - n/{4 * f.beta}) sigma(n/{f.alpha})",
             f"(1/24 - n/{4 * f.alpha}) sigma(n/{f.beta})",
         ],
-        "cusp_terms": {str(j + 1): encode_rational(f.cusp_coefficient(j)) for j in range(len(f.y))},
+        "cusp_terms": {str(j): encode_rational(c) for (j, _), c in cusp.items()},
         "generators": [g.describe() for g in basis.cusp],
     }
 
@@ -193,13 +194,12 @@ def cmd_convsum(args) -> int:
         cache.store_formula(f)
     doc = _formula_doc(f, basis)
     lines.append(f"W_({a1},{b1})(n), level {level}, verified against the direct sum to n={f.verified_to}:")
-    for d in sorted(f.x):
-        lines.append(f"  {encode_rational(f.sigma3_coefficient(d)):>24}  * sigma3(n/{d})")
-    lines.append(f"  (1/24 - n/{4 * b1}) sigma(n/{a1}) + (1/24 - n/{4 * a1}) sigma(n/{b1})")
-    for j in range(len(f.y)):
-        c = f.cusp_coefficient(j)
-        if c != 0:
-            lines.append(f"  {encode_rational(c):>24}  * b_{j + 1}(n)   [{basis.cusp[j].describe()}]")
+    for d, c in doc["sigma3_terms"].items():
+        lines.append(f"  {c:>24}  * sigma3(n/{d})")
+    lines.append("  " + " + ".join(doc["sigma_tail"]))
+    for (j, c), g in zip(doc["cusp_terms"].items(), doc["generators"]):
+        if c != "0":
+            lines.append(f"  {c:>24}  * b_{j}(n)   [{g}]")
     _emit(args, doc, lines)
     return EXIT_OK
 

@@ -2,29 +2,31 @@
 
 For coprime (a, b) with a*b in the supported class, the squared Eisenstein
 difference (a L(q^a) - b L(q^b))^2 is expanded in the weight-4 basis
-{M(q^delta)} + cusp generators; the solved coefficients (X_delta, Y_j) give
-the closed form
+{M(q^delta)} + cusp generators b_j; the solved coefficients (X_delta, Y_j)
+give the closed form
 
-  W_(a,b)(n) = -5/(24ab) * sum_{delta != a,b} X_delta sigma3(n/delta)
-               + 5/(24ab) * (a^2 - X_a) sigma3(n/a)
-               + 5/(24ab) * (b^2 - X_b) sigma3(n/b)
+  W_(a,b)(n) = sum_delta 5 ([delta in {a, b}] delta^2 - X_delta) sigma3(n/delta) / (24ab)
                - sum_j Y_j b_j(n) / (1152 ab)
                + (1/24 - n/(4b)) sigma(n/a) + (1/24 - n/(4a)) sigma(n/b).
+
+expansion_at evaluates an expansion and closed_form_W this W shape, for
+derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients alike.
 
 basis_precision(N, verify_to) is the one decision on depth: a level's basis
 carries that many q-rows, and every derived formula is sampled and verified
 coefficient-by-coefficient against the squared difference on exactly those
 rows (past twice the Sturm bound; verify_to defaults to VERIFY_TO) before it
 is returned.  The dispatcher reduces by gcd, short-circuits the diagonal
-a = b through the classical closed form, serves n up to the basis precision
-(the formula's verified_to) with the closed form and answers n past it with
-the direct double sum, so a basis is never re-expanded to serve a query.
+a = b through the classical closed form, serves n up to the formula's
+verified_to with the closed form and answers n past it with the direct
+double sum, so a basis is never re-expanded to serve a query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import ceil, gcd
 
@@ -62,7 +64,7 @@ class VerificationError(DerivationError):
 
 
 class FormulaIntegrityError(ArithmeticError):
-    """evaluate_W produced a non-integer or negative value."""
+    """A closed form produced a non-integer or negative W value."""
 
 
 def brute_force_W(alpha: int, beta: int, n: int) -> int:
@@ -90,17 +92,45 @@ def reduce_by_gcd(alpha: int, beta: int, n: int):
     return alpha // g, beta // g, n // g
 
 
+def expansion_at(sigma3: dict, cusp: dict, basis, n: int):
+    """sum sigma3[delta] sigma3(n/delta) + sum cusp[j, s] b_j(n/s), j 1-based,
+    skipping zero sigma3 and b_j values.  With sigma3[delta] = 240 X_delta
+    and cusp[j, 1] = Y_j it is the q^n coefficient (n >= 1) of the
+    expansion sum X_delta M(q^delta) + sum Y_j b_j."""
+    val = 0
+    for d, c in sigma3.items():
+        s3 = sigma_scaled(3, n, d)
+        if s3:
+            val += c * s3
+    for (j, s), c in cusp.items():
+        if n % s == 0:
+            bj = basis.coefficient(j - 1, n // s)
+            if bj:
+                val += c * bj
+    return val
+
+
+def closed_form_W(alpha: int, beta: int, sigma3: dict, cusp: dict, basis, n: int) -> Fraction:
+    """expansion_at(sigma3, cusp, basis, n) + (1/24 - n/(4 beta)) sigma(n/alpha)
+    + (1/24 - n/(4 alpha)) sigma(n/beta): the one W closed form."""
+    val = expansion_at(sigma3, cusp, basis, n)
+    val += (Fraction(1, 24) - Fraction(n, 4 * beta)) * sigma_scaled(1, n, alpha)
+    return val + (Fraction(1, 24) - Fraction(n, 4 * alpha)) * sigma_scaled(1, n, beta)
+
+
+def _natural_W(alpha: int, beta: int, sigma3: dict, cusp: dict, basis, n: int) -> int:
+    """closed_form_W under the one integrity rule: a W value is a natural number."""
+    val = closed_form_W(alpha, beta, sigma3, cusp, basis, n)
+    if val.denominator != 1 or val < 0:
+        raise FormulaIntegrityError(f"W_({alpha},{beta})({n}) evaluated to {val}, not a natural number")
+    return int(val)
+
+
 def diagonal_W(alpha: int, n: int) -> int:
     """W_(a,a)(n) = (5/12) sigma3(n/a) + (1/12 - n/(2a)) sigma(n/a)."""
     if alpha < 1 or n < 1:
         raise ValueError("diagonal_W: alpha, n must be >= 1")
-    if n % alpha != 0:
-        return 0
-    m = n // alpha
-    val = Fraction(5, 12) * sigma(3, m) + (Fraction(1, 12) - Fraction(m, 2)) * sigma(1, m)
-    if val.denominator != 1 or val < 0:
-        raise FormulaIntegrityError(f"diagonal value {val} is not a natural number")
-    return int(val)
+    return _natural_W(alpha, alpha, {alpha: Fraction(5, 12)}, {}, None, n)
 
 
 def sturm_bound(N: int, k: int = 4) -> int:
@@ -118,18 +148,16 @@ class ConvolutionFormula:
     basis_ref: str
     verified_to: int
 
-    def sigma3_coefficient(self, delta: int) -> Fraction:
-        """Coefficient of sigma3(n/delta) in the final W formula."""
+    @cached_property
+    def w_terms(self) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
+        """closed_form_W's sigma3 and cusp coefficients, built once."""
         ab = self.alpha * self.beta
-        if delta == self.alpha:
-            return Fraction(5, 24 * ab) * (self.alpha**2 - self.x[delta])
-        if delta == self.beta:
-            return Fraction(5, 24 * ab) * (self.beta**2 - self.x[delta])
-        return Fraction(-5, 24 * ab) * self.x[delta]
-
-    def cusp_coefficient(self, j: int) -> Fraction:
-        """Coefficient of b_j(n) (0-based j) in the final W formula."""
-        return -self.y[j] / (1152 * self.alpha * self.beta)
+        sigma3 = {
+            d: Fraction(5, 24 * ab) * ((d * d if d in (self.alpha, self.beta) else 0) - x)
+            for d, x in sorted(self.x.items())
+        }
+        cusp = {(j + 1, 1): -y / (1152 * ab) for j, y in enumerate(self.y)}
+        return sigma3, cusp
 
 
 VERIFY_TO = 200
@@ -199,13 +227,13 @@ def derive_formula(
         ) from e
     x = dict(zip(divs, sol[: len(divs)]))
     y = sol[len(divs):]
-    first_bad = None
-    for n in range(1, T + 1):
-        combo = sum(240 * x[d] * sigma_scaled(3, n, d) for d in divs)
-        combo += sum(y[j] * basis.coefficient(j, n) for j in range(m_s))
-        if combo != lhs.coefficient(n):
-            first_bad = n
-            break
+    # an exact check apart from the elimination, so a solver fault shows
+    s3 = {d: 240 * x[d] for d in divs}
+    cusp = {(j + 1, 1): c for j, c in enumerate(y)}
+    first_bad = next(
+        (n for n in range(1, T + 1) if expansion_at(s3, cusp, basis, n) != lhs.coefficient(n)),
+        None,
+    )
     if first_bad is not None:
         raise VerificationError(
             f"level {N} ({alpha},{beta}): solved identity fails first at n={first_bad} "
@@ -223,32 +251,14 @@ def derive_formula(
 
 
 def evaluate_W(f: ConvolutionFormula, basis: ModularBasis, n: int) -> int:
-    """Exact evaluation of the closed form; errors on non-natural output."""
-    if n < 1:
-        raise ValueError("evaluate_W: n must be >= 1")
+    """Exact closed form for 1 <= n <= f.verified_to; errors on non-natural output."""
+    if not 1 <= n <= f.verified_to:
+        raise ValueError(
+            f"evaluate_W: n={n} outside the verified range 1..{f.verified_to}; use dispatch_W"
+        )
     if basis.checksum != f.basis_ref:
         raise ValueError("evaluate_W: basis does not match the formula's basis_ref")
-    if n > basis.precision:
-        raise ValueError(
-            f"evaluate_W: n={n} beyond basis precision {basis.precision}; use dispatch_W"
-        )
-    ab = f.alpha * f.beta
-    val = Fraction(0)
-    for d in divisors(f.level):
-        s3 = sigma_scaled(3, n, d)
-        if s3:
-            val += f.sigma3_coefficient(d) * s3
-    for j in range(len(f.y)):
-        bj = basis.coefficient(j, n)
-        if bj:
-            val -= f.y[j] * Fraction(bj) / (1152 * ab)
-    val += (Fraction(1, 24) - Fraction(n, 4 * f.beta)) * sigma_scaled(1, n, f.alpha)
-    val += (Fraction(1, 24) - Fraction(n, 4 * f.alpha)) * sigma_scaled(1, n, f.beta)
-    if val.denominator != 1 or val < 0:
-        raise FormulaIntegrityError(
-            f"W_({f.alpha},{f.beta})({n}) evaluated to {val}, not a natural number"
-        )
-    return int(val)
+    return _natural_W(f.alpha, f.beta, *f.w_terms, basis, n)
 
 
 class FormulaProvider:
@@ -320,7 +330,7 @@ class FormulaProvider:
 
 def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     """Full W evaluation: gcd reduction, diagonal closed form, then the
-    provider's derived formula up to its basis precision and the direct sum
+    provider's derived formula up to its verified_to and the direct sum
     past it.  The formula is resolved first, so an unsupported level raises
     for every n."""
     if alpha < 1 or beta < 1 or n < 1:
@@ -332,6 +342,6 @@ def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     if a == b:
         return diagonal_W(a, m)
     f, basis = provider.formula(a, b)
-    if m > basis.precision:
+    if m > f.verified_to:
         return brute_force_W(a, b, m)
     return evaluate_W(f, basis, m)

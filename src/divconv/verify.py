@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import fixtures
 from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
@@ -22,9 +21,11 @@ from .convolution import (
     FormulaProvider,
     basis_precision,
     brute_force_W,
+    closed_form_W,
     derive_formula,
     diagonal_W,
     evaluate_W,
+    expansion_at,
     sturm_bound,
 )
 from .eta import EtaQuotient, ligozat_check, search_cusp_forms
@@ -125,12 +126,10 @@ def _published_expansion_series_check(pair, basis):
         if data["constant"] != (a - b) ** 2:
             return 0
         s3 = {d: signed.get(("sigma3", d), v) for d, v in data["sigma3"].items()}
-        cusp = {j: signed.get(("cusp", j), v) for j, v in data["cusp"].items()}
+        cusp = {(j, 1): signed.get(("cusp", j), v) for j, v in data["cusp"].items()}
         return _first_failure(
             range(1, VERIFY_TO + 1),
-            lambda n: sum(c * sigma_scaled(3, n, d) for d, c in s3.items())
-            + sum(c * basis.coefficient(j - 1, n) for j, c in cusp.items())
-            == lhs.coefficient(n),
+            lambda n: expansion_at(s3, cusp, basis, n) == lhs.coefficient(n),
         )
 
     return _resolve_signs(
@@ -145,19 +144,11 @@ def _published_w_check(pair, basis):
 
     def first_bad(signed):
         cusp = {k: signed.get(k, v) for k, v in data["cusp"].items()}
-
-        def holds(n):
-            val = sum(c * sigma_scaled(3, n, d) for d, c in data["sigma3"].items())
-            val += sum(
-                c * basis.coefficient(j - 1, n // scl)
-                for (j, scl), c in cusp.items()
-                if n % scl == 0
-            )
-            val += (Fraction(1, 24) - Fraction(n, 4 * b)) * sigma_scaled(1, n, a)
-            val += (Fraction(1, 24) - Fraction(n, 4 * a)) * sigma_scaled(1, n, b)
-            return val == brute_force_W(a, b, n)
-
-        return _first_failure(range(1, VERIFY_TO + 1), holds)
+        return _first_failure(
+            range(1, VERIFY_TO + 1),
+            lambda n: closed_form_W(a, b, data["sigma3"], cusp, basis, n)
+            == brute_force_W(a, b, n),
+        )
 
     return _resolve_signs(
         ambiguous, lambda k: fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)], first_bad
@@ -188,12 +179,13 @@ def derived_vs_published(pair, basis):
     for j, v in pub["cusp"].items():
         compare(f"Y_{j}", f.y[j - 1], v, ("expansion", pair, "cusp", j))
     pub_w = fixtures.PUBLISHED_W[pair]
+    sigma3, cusp = f.w_terms
     for d, v in pub_w["sigma3"].items():
-        compare(f"W sigma3(n/{d})", f.sigma3_coefficient(d), v, None)
+        compare(f"W sigma3(n/{d})", sigma3[d], v, None)
     for (j, scale), v in pub_w["cusp"].items():
         if scale != 1:
             continue  # substituted-generator bookkeeping checked via expansion Y
-        compare(f"W b_{j}", f.cusp_coefficient(j - 1), v, ("w", pair, "cusp", (j, scale)))
+        compare(f"W b_{j}", cusp[j, scale], v, ("w", pair, "cusp", (j, scale)))
     return f, mismatches
 
 
@@ -390,19 +382,13 @@ def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
 
 
 def check_diagonal() -> ItemResult:
-    failures = []
-    for alpha in range(1, 6):
-        n = _first_failure(
-            range(1, VERIFY_TO + 1),
-            lambda n: diagonal_W(alpha, n)
-            == (brute_force_W(alpha, alpha, n) if n % alpha == 0 else 0),
-        )
-        if n is not None:
-            failures.append(f"alpha={alpha}, n={n} mismatch")
-            break
+    bad = _first_failure(
+        itertools.product(range(1, 6), range(1, VERIFY_TO + 1)),
+        lambda an: diagonal_W(an[0], an[1]) == brute_force_W(an[0], an[0], an[1]),
+    )
     return _item(
         "diagonal closed form",
-        failures,
+        [] if bad is None else [f"alpha={bad[0]}, n={bad[1]} mismatch"],
         passed=f"W_(a,a) matches the direct sum (a <= 5, n <= {VERIFY_TO})",
     )
 
@@ -480,7 +466,8 @@ def check_revisited_representations(provider: FormulaProvider) -> list[ItemResul
         _item(
             "published N_(2,3) combination",
             discrepancy=bad is not None
-            and f"published combination (using W_(1,3)) fails the oracle first at n={bad}; "
+            and "published combination (using W_(1,3) for W_(2,3) and W_(1,12) for "
+            f"W_(2,12)) fails the oracle first at n={bad}; "
             "the general theorem's W_(2,3) assembly is correct",
             passed="published combination matches",
         )

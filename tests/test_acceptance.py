@@ -170,7 +170,7 @@ def test_criterion_3_level_56_coefficients():
         if pair == (1, 56):
             if f.y[12] != 0:
                 all_mism.append(f"(1,56): Y_13 = {f.y[12]}, expected 0 (printed omission)")
-            if f.cusp_coefficient(15) != Fraction(7, 10):
+            if f.w_terms[1][16, 1] != Fraction(7, 10):
                 all_mism.append("(1,56): b_16 coefficient should resolve to +7/10")
     elapsed = time.time() - t0
     ok = not all_mism and elapsed < 120

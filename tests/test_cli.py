@@ -92,6 +92,19 @@ def test_convsum_fixture_level_10(capsys, tmp_path):
     assert (tmp_path / "formula-10.json").exists()
 
 
+RESOLVE_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "resolve.json"
+
+
+def test_convsum_machine_matches_resolve_golden(capsys):
+    # every pair the resolve benchmark runs, byte for byte; the golden file
+    # is read, never rewritten
+    golden = json.loads(RESOLVE_GOLDEN.read_text())
+    for key, want in golden.items():
+        a, b = key.split(",")
+        code, out, _ = run_cli(capsys, "--machine", "convsum", a, b)
+        assert (code, out) == (want["exit"], want["stdout"]), key
+
+
 def test_convsum_gcd_reduction_note(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "--cache-dir", str(tmp_path), "convsum", "2", "20", "--use-fixture"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from divconv.convolution import (
     UnsupportedLevelError,
     basis_precision,
     brute_force_W,
+    closed_form_W,
     derive_formula,
     diagonal_W,
     dispatch_W,
@@ -88,10 +90,41 @@ def test_derive_level10_matches_published():
         assert f.y[j - 1] == v
     pub_w = fixtures.PUBLISHED_W[(1, 10)]
     for d, v in pub_w["sigma3"].items():
-        assert f.sigma3_coefficient(d) == v
-    assert f.cusp_coefficient(0) == Fraction(-31, 1560)
-    assert f.cusp_coefficient(1) == Fraction(-5, 52)
-    assert f.cusp_coefficient(2) == Fraction(1, 12)
+        assert f.w_terms[0][d] == v
+    assert f.w_terms[1][1, 1] == Fraction(-31, 1560)
+    assert f.w_terms[1][2, 1] == Fraction(-5, 52)
+    assert f.w_terms[1][3, 1] == Fraction(1, 12)
+
+
+def test_closed_form_serves_exactly_verified_to():
+    # the basis carries rows past the 200 the derivation verified
+    basis = repair_basis(12, 240)
+    f = derive_formula(1, 12, basis)
+    assert f.verified_to == 200 < basis.precision
+    assert evaluate_W(f, basis, 200) == brute_force_W(1, 12, 200)
+    with pytest.raises(ValueError, match="verified range"):
+        evaluate_W(f, basis, 230)
+
+
+def test_dispatch_routes_past_verified_to_to_direct_sum(provider, monkeypatch):
+    from dataclasses import replace
+
+    from divconv import convolution
+
+    f, basis = provider.formula(1, 12)
+    short = replace(f, verified_to=100)
+    served = []
+
+    def recording(g, b, n):
+        served.append(n)
+        return evaluate_W(g, b, n)
+
+    p = FormulaProvider()
+    monkeypatch.setattr(p, "formula", lambda a, b: (short, basis))
+    monkeypatch.setattr(convolution, "evaluate_W", recording)
+    for n in (100, 101, 150):
+        assert dispatch_W(1, 12, n, p) == brute_force_W(1, 12, n)
+    assert served == [100]
 
 
 def test_derive_verifies_past_sturm(provider):
@@ -220,11 +253,34 @@ def test_dispatch_past_precision_keeps_the_basis():
     assert basis.precision == basis_precision(56)
 
 
-# both sides of the basis precision (200) at a fixture level (10, 56), a
-# repaired level (33) and a gcd-reducible pair
-@given(st.sampled_from([(1, 10), (2, 5), (3, 11), (7, 8), (4, 10)]), st.integers(1, 416))
+# both sides of the basis precision (200) at a fixture level (10, 56),
+# repaired levels (33, 24), a repair-only level (42) and a gcd-reducible pair
+@given(
+    st.sampled_from([(1, 10), (2, 5), (3, 11), (7, 8), (4, 10), (3, 8), (6, 7)]),
+    st.integers(1, 416),
+)
 def test_dispatch_beyond_fixture_precision_matches_direct_sum(provider, pair, n):
     assert dispatch_W(*pair, n, provider) == brute_force_W(*pair, n)
+
+
+# the pairs whose printed W formula verify-paper passes: the printed
+# coefficients on the fixture basis, the derived formula and the direct sum
+PRINTED_W_PASS = [(1, 10), (2, 5), (1, 12), (3, 4), (1, 15), (3, 5), (7, 8)]
+
+
+@cache
+def _printed_basis(N):
+    return load_fixture_basis(N, basis_precision(N))
+
+
+@given(st.sampled_from(PRINTED_W_PASS), st.integers(1, 200))
+def test_printed_derived_and_direct_W_agree(provider, pair, n):
+    a, b = pair
+    printed = fixtures.PUBLISHED_W[pair]
+    f, basis = provider.formula(a, b)
+    want = brute_force_W(a, b, n)
+    assert closed_form_W(a, b, printed["sigma3"], printed["cusp"], _printed_basis(a * b), n) == want
+    assert evaluate_W(f, basis, n) == want
 
 
 def test_dispatch_gcd_reduction(provider):
