@@ -193,7 +193,10 @@ def cmd_convsum(args) -> int:
         cache.store_basis(basis)
         cache.store_formula(f)
     doc = _formula_doc(f, basis)
-    lines.append(f"W_({a1},{b1})(n), level {level}, verified against the direct sum to n={f.verified_to}:")
+    lines.append(
+        f"W_({a1},{b1})(n), level {level}, expansion of ({a1} L(q^{a1}) - {b1} L(q^{b1}))^2 "
+        f"verified to n={f.verified_to}:"
+    )
     for d, c in doc["sigma3_terms"].items():
         lines.append(f"  {c:>24}  * sigma3(n/{d})")
     lines.append("  " + " + ".join(doc["sigma_tail"]))

@@ -16,10 +16,13 @@ basis_precision(N, verify_to) is the one decision on depth: a level's basis
 carries that many q-rows, and every derived formula is sampled and verified
 coefficient-by-coefficient against the squared difference on exactly those
 rows (past twice the Sturm bound; verify_to defaults to VERIFY_TO) before it
-is returned.  The dispatcher reduces by gcd, short-circuits the diagonal
-a = b through the classical closed form, serves n up to the formula's
-verified_to with the closed form and answers n past it with the direct
-double sum, so a basis is never re-expanded to serve a query.
+is returned.  That check runs in integers: expansion_at takes the solution
+times the lcm of its denominators and is compared with the squared
+difference times the same lcm.  The dispatcher reduces by gcd,
+short-circuits the diagonal a = b through the classical closed form, serves
+n up to the formula's verified_to with the closed form and answers n past
+it with the direct double sum, so a basis is never re-expanded to serve a
+query.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import islice
 from math import ceil, gcd
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
-from .linalg import Echelon, InconsistentSystem
+from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import squared_difference
 from .spaces import (
     BasisIncompleteError,
@@ -227,11 +230,14 @@ def derive_formula(
         ) from e
     x = dict(zip(divs, sol[: len(divs)]))
     y = sol[len(divs):]
-    # an exact check apart from the elimination, so a solver fault shows
-    s3 = {d: 240 * x[d] for d in divs}
-    cusp = {(j + 1, 1): c for j, c in enumerate(y)}
+    # an exact check apart from the elimination, so a solver fault shows; it
+    # runs in integers: both sides times the lcm den of the solution's
+    # denominators
+    scaled, den = over_common_denominator(sol)
+    s3 = {d: 240 * c for d, c in zip(divs, scaled)}
+    cusp = {(j + 1, 1): c for j, c in enumerate(scaled[len(divs):])}
     first_bad = next(
-        (n for n in range(1, T + 1) if expansion_at(s3, cusp, basis, n) != lhs.coefficient(n)),
+        (n for n in range(1, T + 1) if expansion_at(s3, cusp, basis, n) != den * lhs.coefficient(n)),
         None,
     )
     if first_bad is not None:

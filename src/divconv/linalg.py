@@ -25,13 +25,14 @@ class InconsistentSystem(ValueError):
     pass
 
 
-def _integer_row(row) -> list[int]:
-    # scaling a whole row [coeffs | rhs] changes neither rank nor solution
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """(numerators, den) for int or Fraction values: den is the lcm of their
+    denominators and numerators[i] = values[i] * den, exactly."""
     den = 1
-    for x in row:
+    for x in values:
         if isinstance(x, Fraction):
             den = lcm(den, x.denominator)
-    return [int(x * den) for x in row]
+    return [int(x * den) for x in values], den
 
 
 class Echelon:
@@ -51,7 +52,8 @@ class Echelon:
 
     def add(self, coeffs, rhs=0) -> bool:
         """Reduce the row [coeffs | rhs]; True when it raised the rank."""
-        row = _integer_row([*coeffs, rhs])
+        # scaling a whole row [coeffs | rhs] changes neither rank nor solution
+        row, _ = over_common_denominator([*coeffs, rhs])
         prev = 1
         for pivot_row, c in zip(self._rows, self._pivots):
             pivot = pivot_row[c]

@@ -6,6 +6,13 @@ operand precisions.  Coefficients are Python ints or Fractions; integer
 series stay integer so the hot paths (eta products, Eisenstein series)
 avoid Fraction overhead.
 
+A product is one big-integer multiplication (Kronecker substitution; see
+Harvey, J. Symb. Comput. 44, 2009): each operand is scaled to integers over
+the lcm of its denominators and packed into one int, a slot of fixed width
+per coefficient; the two ints are multiplied once and the low t + 1 slots
+of the result, read as signed digits and divided by the two denominators,
+are the product's coefficients.
+
 Provides the weight-2 and weight-4 Eisenstein series
 
     L(q) = 1 - 24 sum sigma(n) q^n,      M(q) = 1 + 240 sum sigma_3(n) q^n,
@@ -20,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .arith import sigma
+from .linalg import over_common_denominator
 
 Coeff = Union[int, Fraction]
 
@@ -82,17 +90,25 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (t + 1)
-        for i in range(t + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(t + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return QSeries(out)
+        a, da = over_common_denominator(self.coeffs[: t + 1])
+        b, db = over_common_denominator(other.coeffs[: t + 1])
+        # Kronecker substitution: evaluate both polynomials at q = 2^bits, make
+        # one big-integer product and read the q^0..q^t coefficients back as
+        # balanced digits.  Each of them is a sum of at most t + 1 products
+        # a_i b_j, so its absolute value stays below 2^(bits-1): one slot each.
+        bits = (max(map(abs, a)) * max(map(abs, b)) * (t + 1)).bit_length() + 1
+        packed_a = packed_b = 0
+        for x, y in zip(reversed(a), reversed(b)):
+            packed_a = (packed_a << bits) + x
+            packed_b = (packed_b << bits) + y
+        # adding half a slot to every digit makes all t + 1 digits non-negative
+        width = bits * (t + 1)
+        half = 1 << (bits - 1)
+        bias = int(("1" + "0" * (bits - 1)) * (t + 1), 2)
+        digits = format((packed_a * packed_b + bias) & ((1 << width) - 1), f"0{width}b")
+        out = [int(digits[width - bits * (k + 1) : width - bits * k], 2) - half for k in range(t + 1)]
+        den = da * db
+        return QSeries(out if den == 1 else (Fraction(c, den) for c in out))
 
     def scale(self, c: Coeff) -> "QSeries":
         return QSeries(c * x for x in self.coeffs)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -14,6 +15,7 @@ from divconv.convolution import (
     FormulaProvider,
     UnderdeterminedBasisError,
     UnsupportedLevelError,
+    VerificationError,
     basis_precision,
     brute_force_W,
     closed_form_W,
@@ -24,6 +26,7 @@ from divconv.convolution import (
     reduce_by_gcd,
     sturm_bound,
 )
+from divconv.qseries import QSeries
 from divconv.spaces import load_fixture_basis, profile, repair_basis
 
 
@@ -107,8 +110,6 @@ def test_closed_form_serves_exactly_verified_to():
 
 
 def test_dispatch_routes_past_verified_to_to_direct_sum(provider, monkeypatch):
-    from dataclasses import replace
-
     from divconv import convolution
 
     f, basis = provider.formula(1, 12)
@@ -182,6 +183,23 @@ def test_fixture_level_11_fails_verification():
     assert str(err.value) == (
         "level 11 (1,11): no exact solution; the basis does not span the "
         "squared Eisenstein difference"
+    )
+
+
+def test_verification_names_the_first_failing_row():
+    # one cusp coefficient perturbed at a row past every sampled row: the
+    # elimination cannot see it, so only the verification loop can, and its
+    # first failure is that row.  The level-10 solution has denominator 13,
+    # so a check that scaled one side only would fail at n=1.
+    basis = load_fixture_basis(10, 208)
+    coeffs = list(basis.cusp_series[0].coeffs)
+    coeffs[150] += 1
+    planted = replace(basis, cusp_series=[QSeries(coeffs), *basis.cusp_series[1:]])
+    with pytest.raises(VerificationError) as err:
+        derive_formula(1, 10, planted)
+    assert str(err.value) == (
+        "level 10 (1,10): solved identity fails first at n=150 (sturm bound 6); "
+        "the basis columns do not span the form"
     )
 
 

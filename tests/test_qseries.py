@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divconv.arith import divisors, sigma
@@ -35,6 +35,54 @@ def test_add_scale_examples():
     assert (L + (-L)) == zero(30)
     assert eisenstein_M(1, 20).scale(0) == zero(20)
     assert L.scale(2).coefficient(1) == -48
+
+
+def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
+    """The O(T^2) double loop QSeries.__mul__ replaced; kept as its oracle."""
+    t = min(a.precision, b.precision)
+    out = [0] * (t + 1)
+    for i in range(t + 1):
+        ai = a.coeffs[i]
+        if ai == 0:
+            continue
+        for j in range(t + 1 - i):
+            bj = b.coeffs[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return QSeries(out)
+
+
+big_int = st.integers(-(10**30), 10**30)
+coefficient = st.one_of(
+    big_int,
+    st.sampled_from([0, 1, -1]),
+    st.fractions(-(10**6), 10**6, max_denominator=10**4),
+)
+# zero-heavy operands, for sparse products
+sparse_coefficient = st.one_of(st.just(0), big_int)
+kronecker_operand = st.builds(
+    QSeries,
+    st.one_of(
+        st.lists(coefficient, min_size=1, max_size=40),
+        st.lists(sparse_coefficient, min_size=1, max_size=40),
+    ),
+)
+
+
+# every coefficient at the same extreme makes the q^t coefficient exactly
+# (t + 1) max|a| max|b|, the most a slot must hold
+@example(QSeries([10**30] * 9), QSeries([-(10**30)] * 9))
+@example(QSeries([10**30] * 9), QSeries([10**30] * 12))
+@example(QSeries([0] * 7), QSeries([10**30] * 7))
+@example(QSeries([0] * 5), QSeries([0] * 8))
+@example(QSeries([Fraction(1, 3)] * 6), QSeries([Fraction(-7, 2), 5] * 3))
+@given(kronecker_operand, kronecker_operand)
+def test_kronecker_product_matches_schoolbook(a, b):
+    product = a * b
+    assert product == schoolbook_mul(a, b)
+    assert product.precision == min(a.precision, b.precision)
+    if all(isinstance(c, int) for c in a.coeffs + b.coeffs):
+        assert all(isinstance(c, int) for c in product.coeffs)
 
 
 def test_mul_examples():
