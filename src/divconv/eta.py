@@ -133,8 +133,9 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     cond_ii = _is_square_product(exps)
     ssum = sum(exps.values())
     cond_iii = ssum > 0 and ssum % 4 == 0
+    # sum_delta gcd(d, delta)^2 r_delta / delta over the common denominator N
     orders = {
-        d: sum(Fraction(gcd(d, delta) ** 2 * r, delta) for delta, r in exps.items())
+        d: Fraction(sum(gcd(d, delta) ** 2 * r * (N // delta) for delta, r in exps.items()), N)
         for d in divisors(N)
     }
     modular = cond_i and cond_ii and cond_iii and all(v >= 0 for v in orders.values())

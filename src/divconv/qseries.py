@@ -18,12 +18,22 @@ Provides the weight-2 and weight-4 Eisenstein series
     L(q) = 1 - 24 sum sigma(n) q^n,      M(q) = 1 + 240 sum sigma_3(n) q^n,
 
 the squared difference (a*L(q^a) - b*L(q^b))^2, and eta-quotient
-expansions.
+expansions.  An eta quotient prod eta(delta*z)^{r_delta} is q^s times
+prod (1 - q^{delta n})^{r_delta}, and only the T - s + 1 rows that survive
+the shift by s are computed.  Each factor goes in as sparse series (Koehler,
+Eta Products and Theta Series Identities, 2011, ch. 1): |r| // 3 copies of
+Jacobi's cube sum (-1)^j (2j+1) q^{delta j(j+1)/2} and |r| % 3 of Euler's
+pentagonal sum (-1)^k q^{delta k(3k-1)/2}.  The first two multipliers make
+one sparse-by-sparse product; each later multiplication adds every term's
+shifted, scaled copy of the whole list in one step, and each division runs
+the scalar recurrence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 from .arith import sigma
@@ -121,8 +131,14 @@ class QSeries:
         return QSeries([0] * min(s, t + 1) + list(self.coeffs[: max(t + 1 - s, 0)]))
 
 
+def _check_precision(T: int) -> None:
+    if T < 0:
+        raise ValueError(f"precision T must be >= 0, got T={T}")
+
+
 def eisenstein_L(t: int, T: int) -> QSeries:
     """L(q^t) = 1 - 24 sum sigma(n) q^{tn}, truncated at T."""
+    _check_precision(T)
     if t < 1:
         raise ValueError("eisenstein_L: t must be >= 1")
     out = [0] * (T + 1)
@@ -134,6 +150,7 @@ def eisenstein_L(t: int, T: int) -> QSeries:
 
 def eisenstein_M(t: int, T: int) -> QSeries:
     """M(q^t) = 1 + 240 sum sigma_3(n) q^{tn}, truncated at T."""
+    _check_precision(T)
     if t < 1:
         raise ValueError("eisenstein_M: t must be >= 1")
     out = [0] * (T + 1)
@@ -158,48 +175,48 @@ def squared_difference(alpha: int, beta: int, T: int) -> QSeries:
     return d * d
 
 
-def _pentagonal_terms(m: int, T: int) -> list[tuple[int, int]]:
-    """Sparse expansion of prod (1 - q^{mn}): [(exponent, +-1), ...] up to T."""
+def _eta_terms(m: int, T: int, cube: bool) -> list[tuple[int, int]]:
+    """Sparse prod (1 - q^{mn}), or its cube, up to q^T: [(exponent, coefficient), ...].
+
+    Euler: prod (1 - q^n) = sum_k (-1)^k q^{k(3k-1)/2} over all integers k.
+    Jacobi: prod (1 - q^n)^3 = sum_{j >= 0} (-1)^j (2j+1) q^{j(j+1)/2}.
+    Both lists come out in increasing exponent, starting with (0, 1).
+    """
     terms = [(0, 1)]
     k = 1
-    while True:
-        e1 = m * k * (3 * k - 1) // 2
-        e2 = m * k * (3 * k + 1) // 2
-        if e1 > T and e2 > T:
-            break
-        s = 1 if k % 2 == 0 else -1
-        if e1 <= T:
-            terms.append((e1, s))
-        if e2 <= T:
-            terms.append((e2, s))
+    if cube:
+        while (e := m * k * (k + 1) // 2) <= T:
+            terms.append((e, (-1) ** k * (2 * k + 1)))
+            k += 1
+        return terms
+    while (e := m * k * (3 * k - 1) // 2) <= T:
+        terms.append((e, (-1) ** k))
+        if e + m * k <= T:  # k(3k+1)/2, the partner of -k
+            terms.append((e + m * k, (-1) ** k))
         k += 1
-    terms.sort()
     return terms
 
 
-def _mul_sparse(dense: list, sparse: list[tuple[int, int]], T: int) -> list:
-    out = [0] * (T + 1)
-    for e, s in sparse:
-        if s == 1:
-            for n in range(e, T + 1):
-                out[n] += dense[n - e]
-        else:
-            for n in range(e, T + 1):
-                out[n] -= dense[n - e]
+def _mul_sparse(dense: list, sparse: list[tuple[int, int]]) -> list:
+    # every term adds its coefficient times the list, shifted by its exponent,
+    # in one slice assignment; the first term is (0, 1)
+    out = list(dense)
+    for e, c in sparse[1:]:
+        src = dense if abs(c) == 1 else map(mul, dense, repeat(abs(c)))
+        out[e:] = map(add if c > 0 else sub, out[e:], src)
     return out
 
 
-def _div_sparse(dense: list, sparse: list[tuple[int, int]], T: int) -> list:
-    # divisor has constant term 1; c_n = b_n - sum_{e>0} s*c_{n-e}
-    out = [0] * (T + 1)
-    tail = [(e, s) for e, s in sparse if e > 0]
-    for n in range(T + 1):
-        acc = dense[n]
-        for e, s in tail:
+def _div_sparse(dense: list, sparse: list[tuple[int, int]]) -> list:
+    # divisor has constant term 1; out_n = dense_n - sum_{e>0} c_e * out_{n-e}
+    out = []
+    tail = sparse[1:]
+    for n, acc in enumerate(dense):
+        for e, c in tail:
             if e > n:
                 break
-            acc -= s * out[n - e]
-        out[n] = acc
+            acc -= c * out[n - e]
+        out.append(acc)
     return out
 
 
@@ -208,18 +225,37 @@ def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:
 
     The leading power is s = (sum delta*r_delta)/24, which must be a
     non-negative integer (holomorphy at infinity plus the mod-24 condition).
+    Each prod (1 - q^{delta n})^{r_delta} goes in as |r| // 3 Jacobi cubes
+    and |r| % 3 Euler products, over only the T - s + 1 rows that survive
+    the shift by s.
     """
+    _check_precision(T)
     s24 = sum(d * r for d, r in exponents.items())
     if s24 % 24 != 0:
         raise ValueError(f"eta quotient has non-integral leading exponent {s24}/24")
     s = s24 // 24
     if s < 0:
         raise ValueError(f"eta quotient has a pole at infinity (leading exponent {s})")
-    out = [1] + [0] * T
+    if s > T:
+        return QSeries([0] * (T + 1))
+    t = T - s
+    muls, divs = [], []
     for d, r in sorted(exponents.items()):
-        if r == 0:
-            continue
-        sparse = _pentagonal_terms(d, T)
-        for _ in range(abs(r)):
-            out = _mul_sparse(out, sparse, T) if r > 0 else _div_sparse(out, sparse, T)
-    return QSeries(out).shift(s)
+        cubes, singles = divmod(abs(r), 3)
+        for cube, times in ((True, cubes), (False, singles)):
+            if times:
+                (muls if r > 0 else divs).extend([_eta_terms(d, t, cube)] * times)
+    # the first two multipliers go in as one sparse-by-sparse product
+    out = [0] * (t + 1)
+    first = muls.pop(0) if muls else [(0, 1)]
+    second = muls.pop(0) if muls else [(0, 1)]
+    for e1, c1 in first:
+        for e2, c2 in second:
+            if e1 + e2 > t:
+                break
+            out[e1 + e2] += c1 * c2
+    for sparse in muls:
+        out = _mul_sparse(out, sparse)
+    for sparse in divs:
+        out = _div_sparse(out, sparse)
+    return QSeries([0] * s + out)

@@ -309,6 +309,28 @@ def test_ligozat_orders_are_exact_rationals():
     assert rep.orders[33] == 72
 
 
+@st.composite
+def level_quotients(draw):
+    N = draw(st.sampled_from([24, 40, 56]))
+    return EtaQuotient.make(N, {d: draw(st.integers(-12, 12)) for d in divisors(N)})
+
+
+@example(EtaQuotient.make(24, {}))
+@example(EtaQuotient.make(56, {1: 12, 56: -12}))
+@given(level_quotients())
+def test_ligozat_orders_match_fraction_sum(e):
+    rep = ligozat_check(e)
+    orders = {
+        d: sum(Fraction(gcd(d, delta) ** 2 * r, delta) for delta, r in e.exponents)
+        for d in divisors(e.level)
+    }
+    assert rep.orders == orders
+    assert all(isinstance(v, Fraction) for v in rep.orders.values())
+    conditions = rep.cond_i and rep.cond_ii and rep.cond_iii
+    assert rep.is_modular == (conditions and all(v >= 0 for v in orders.values()))
+    assert rep.is_cusp == (conditions and all(v > 0 for v in orders.values()))
+
+
 def test_eta_quotient_level_guard():
     with pytest.raises(ValueError):
         EtaQuotient.make(10, {3: 4})

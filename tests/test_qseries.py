@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from divconv.arith import divisors, sigma
@@ -193,13 +193,122 @@ def test_eta_quotient_series():
     assert s2.coefficient(0) == 0 and s2.coefficient(1) == 1
     row1_40 = eta_quotient_series({1: 4, 5: 4}, 60)
     assert all(isinstance(c, int) for c in row1_40.coeffs)
-    with pytest.raises(ValueError):
-        eta_quotient_series({1: 1}, 10)  # 1/24 not integral
+    with pytest.raises(ValueError, match="non-integral leading exponent 1/24"):
+        eta_quotient_series({1: 1}, 10)
+    with pytest.raises(ValueError, match="pole at infinity"):
+        eta_quotient_series({1: -24}, 10)
 
 
 def test_eta_discriminant_coefficients():
     delta = eta_quotient_series({1: 24}, 6)
     assert delta.coeffs[1:] == (1, -24, 252, -1472, 4830, -6048)
+
+
+def test_eta_cube_is_jacobi_series():
+    # eta(8z)^3 = q prod (1 - q^{8n})^3 = sum_j (-1)^j (2j+1) q^{(2j+1)^2}: Jacobi's
+    # identity for eta(z)^3 = q^{1/8} (1 - 3q + 5q^3 - 7q^6 + ...) with q -> q^8
+    T = 400
+    expected = [0] * (T + 1)
+    for j in range(10):
+        expected[(2 * j + 1) ** 2] = (-1) ** j * (2 * j + 1)
+    assert eta_quotient_series({8: 3}, T).coeffs == tuple(expected)
+
+
+def _pentagonal_terms(m: int, T: int) -> list[tuple[int, int]]:
+    """Sparse expansion of prod (1 - q^{mn}): [(exponent, +-1), ...] up to T."""
+    terms = [(0, 1)]
+    k = 1
+    while True:
+        e1 = m * k * (3 * k - 1) // 2
+        e2 = m * k * (3 * k + 1) // 2
+        if e1 > T and e2 > T:
+            break
+        s = 1 if k % 2 == 0 else -1
+        if e1 <= T:
+            terms.append((e1, s))
+        if e2 <= T:
+            terms.append((e2, s))
+        k += 1
+    terms.sort()
+    return terms
+
+
+def _mul_sparse(dense: list, sparse: list[tuple[int, int]], T: int) -> list:
+    out = [0] * (T + 1)
+    for e, s in sparse:
+        if s == 1:
+            for n in range(e, T + 1):
+                out[n] += dense[n - e]
+        else:
+            for n in range(e, T + 1):
+                out[n] -= dense[n - e]
+    return out
+
+
+def _div_sparse(dense: list, sparse: list[tuple[int, int]], T: int) -> list:
+    # divisor has constant term 1; c_n = b_n - sum_{e>0} s*c_{n-e}
+    out = [0] * (T + 1)
+    tail = [(e, s) for e, s in sparse if e > 0]
+    for n in range(T + 1):
+        acc = dense[n]
+        for e, s in tail:
+            if e > n:
+                break
+            acc -= s * out[n - e]
+        out[n] = acc
+    return out
+
+
+def pentagonal_eta_series(exponents: dict[int, int], T: int) -> QSeries:
+    """The expansion eta_quotient_series replaced; kept as its oracle.
+
+    Each of the |r_delta| factors prod (1 - q^{delta n}) goes in alone, as
+    Euler's pentagonal series, multiplied or divided by a scalar loop over
+    all T + 1 rows; the result is then shifted by s.
+    """
+    s24 = sum(d * r for d, r in exponents.items())
+    assert s24 % 24 == 0 and s24 >= 0
+    out = [1] + [0] * T
+    for d, r in sorted(exponents.items()):
+        if r == 0:
+            continue
+        sparse = _pentagonal_terms(d, T)
+        for _ in range(abs(r)):
+            out = _mul_sparse(out, sparse, T) if r > 0 else _div_sparse(out, sparse, T)
+    return QSeries(out).shift(s24 // 24)
+
+
+@st.composite
+def eta_exponents(draw):
+    """A holomorphic eta quotient at a level in {12, 24, 40, 42, 56}, |r| <= 10."""
+    N = draw(st.sampled_from([12, 24, 40, 42, 56]))
+    r = {d: draw(st.integers(-10, 10)) for d in divisors(N)[1:]}
+    # r_1 is the value in [-10, 10], if any, that makes sum delta*r_delta == 0 (mod 24)
+    r1 = -sum(d * x for d, x in r.items()) % 24
+    r1 = r1 - 24 if r1 > 10 else r1
+    assume(r1 >= -10)
+    r[1] = r1
+    if sum(d * x for d, x in r.items()) < 0:
+        r = {d: -x for d, x in r.items()}
+    return r
+
+
+# s = 3 at T = 2, 3, 4 and s = 45 at T = 44, 45 (s > T, s = T, s < T); s = 0
+# at T = 0 and, dividing by eta(z)^10, at T = 230; eta(8z)^3 and the discriminant
+@example({1: 24, 2: 24}, 2)
+@example({1: 24, 2: 24}, 3)
+@example({1: 24, 2: 24}, 4)
+@example({56: 10, 28: 10, 14: 10, 8: 10, 4: 4, 2: 2}, 44)
+@example({56: 10, 28: 10, 14: 10, 8: 10, 4: 4, 2: 2}, 45)
+@example({1: 10, 2: -5}, 0)
+@example({1: -10, 2: 5}, 230)
+@example({8: 3}, 230)
+@example({1: 24}, 230)
+@given(eta_exponents(), st.integers(0, 230))
+def test_eta_quotient_series_matches_pentagonal_oracle(exponents, T):
+    series = eta_quotient_series(exponents, T)
+    assert series.coeffs == pentagonal_eta_series(exponents, T).coeffs
+    assert series.precision == T
 
 
 def test_eta_exponent_additivity():
@@ -219,3 +328,22 @@ def test_eta_exponent_additivity():
 def test_series_exactness_stays_rational():
     s = eisenstein_M(1, 12).scale(Fraction(1, 7))
     assert s.coefficient(1) == Fraction(240, 7)
+
+
+PRECISION_CALLS = {
+    "eisenstein_L": lambda T: eisenstein_L(1, T),
+    "eisenstein_M": lambda T: eisenstein_M(2, T),
+    "eisenstein_weight2": lambda T: eisenstein_weight2(11, T),
+    "squared_difference": lambda T: squared_difference(1, 2, T),
+    "eta_quotient_series": lambda T: eta_quotient_series({1: 24}, T),
+    "eta_quotient_series_empty": lambda T: eta_quotient_series({}, T),
+}
+
+
+@pytest.mark.parametrize("call", PRECISION_CALLS.values(), ids=PRECISION_CALLS)
+def test_negative_precision_is_rejected(call):
+    with pytest.raises(ValueError, match="precision T must be >= 0, got T=-1"):
+        call(-1)
+    with pytest.raises(ValueError, match="got T=-2"):
+        call(-2)
+    assert call(0).precision == 0
