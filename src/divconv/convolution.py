@@ -170,6 +170,8 @@ def basis_precision(N: int, verify_to: int = VERIFY_TO) -> int:
     """The q-rows a level-N derivation samples and verifies, and so the
     precision of the basis that serves it: past twice the Sturm bound,
     16 rows past dim M4, every divisor row, and at least verify_to."""
+    if verify_to < 1:
+        raise ValueError(f"verification depth must be >= 1, got {verify_to}")
     return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, verify_to)
 
 

@@ -77,6 +77,8 @@ class EtaQuotient:
 
     def __post_init__(self):
         for d, _ in self.exponents:
+            if d < 1:
+                raise ValueError(f"exponent key {d} must be >= 1")
             if self.level % d != 0:
                 raise ValueError(f"exponent key {d} does not divide level {self.level}")
 

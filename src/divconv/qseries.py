@@ -1,17 +1,16 @@
-"""Truncated q-series over exact rationals.
+"""Truncated integer q-series.
 
-A QSeries tracks coefficients of q^0 .. q^T for a declared precision T and
-never invents values beyond it: products and sums carry the minimum of the
-operand precisions.  Coefficients are Python ints or Fractions; integer
-series stay integer so the hot paths (eta products, Eisenstein series)
-avoid Fraction overhead.
+A QSeries tracks the integer coefficients of q^0 .. q^T for a declared
+precision T and never invents values beyond it: products and sums carry the
+minimum of the operand precisions.  Every series the method expands is
+integral (L(q^t), M(q^t), the squared difference and every eta quotient);
+only the solved X_delta and Y_j are rational, and they never enter a QSeries.
 
 A product is one big-integer multiplication (Kronecker substitution; see
-Harvey, J. Symb. Comput. 44, 2009): each operand is scaled to integers over
-the lcm of its denominators and packed into one int, a slot of fixed width
-per coefficient; the two ints are multiplied once and the low t + 1 slots
-of the result, read as signed digits and divided by the two denominators,
-are the product's coefficients.
+Harvey, J. Symb. Comput. 44, 2009): each operand is packed into one int, a
+slot of fixed width per coefficient; the two ints are multiplied once and
+the low t + 1 slots of the result, read as signed digits, are the product's
+coefficients.
 
 Provides the weight-2 and weight-4 Eisenstein series
 
@@ -31,23 +30,19 @@ the scalar recurrence.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterable, Union
+from typing import Iterable
 
 from .arith import sigma
-from .linalg import over_common_denominator
-
-Coeff = Union[int, Fraction]
 
 
 class QSeries:
-    """Immutable dense truncated power series in q."""
+    """Immutable dense truncated power series in q with int coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff]):
+    def __init__(self, coeffs: Iterable[int]):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("QSeries needs at least the q^0 coefficient")
@@ -60,48 +55,33 @@ class QSeries:
     def precision(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Coeff:
+    def coefficient(self, n: int) -> int:
         if n < 0:
             return 0
         if n > self.precision:
             raise ValueError(f"coefficient q^{n} beyond tracked precision {self.precision}")
         return self.coeffs[n]
 
-    def __getitem__(self, n: int) -> Coeff:
-        return self.coefficient(n)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.precision, other.precision)
-        return self.coeffs[: t + 1] == other.coeffs[: t + 1] and self.precision == other.precision
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QSeries[T={self.precision}]({head}{', ...' if self.precision > 5 else ''})"
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        t = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        return QSeries(a[i] + b[i] for i in range(t + 1))
+        return QSeries(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        t = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        return QSeries(a[i] - b[i] for i in range(t + 1))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(-c for c in self.coeffs)
+        return QSeries(map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.precision, other.precision)
-        a, da = over_common_denominator(self.coeffs[: t + 1])
-        b, db = over_common_denominator(other.coeffs[: t + 1])
+        a, b = self.coeffs[: t + 1], other.coeffs[: t + 1]
         # Kronecker substitution: evaluate both polynomials at q = 2^bits, make
         # one big-integer product and read the q^0..q^t coefficients back as
         # balanced digits.  Each of them is a sum of at most t + 1 products
@@ -117,18 +97,10 @@ class QSeries:
         bias = int(("1" + "0" * (bits - 1)) * (t + 1), 2)
         digits = format((packed_a * packed_b + bias) & ((1 << width) - 1), f"0{width}b")
         out = [int(digits[width - bits * (k + 1) : width - bits * k], 2) - half for k in range(t + 1)]
-        den = da * db
-        return QSeries(out if den == 1 else (Fraction(c, den) for c in out))
+        return QSeries(out)
 
-    def scale(self, c: Coeff) -> "QSeries":
+    def scale(self, c: int) -> "QSeries":
         return QSeries(c * x for x in self.coeffs)
-
-    def shift(self, s: int) -> "QSeries":
-        """Multiply by q^s (s >= 0), dropping coefficients past the precision."""
-        if s < 0:
-            raise ValueError("shift: s must be >= 0")
-        t = self.precision
-        return QSeries([0] * min(s, t + 1) + list(self.coeffs[: max(t + 1 - s, 0)]))
 
 
 def _check_precision(T: int) -> None:
@@ -136,35 +108,40 @@ def _check_precision(T: int) -> None:
         raise ValueError(f"precision T must be >= 0, got T={T}")
 
 
-def eisenstein_L(t: int, T: int) -> QSeries:
-    """L(q^t) = 1 - 24 sum sigma(n) q^{tn}, truncated at T."""
+def _sigma_series(name: str, k: int, c: int, t: int, T: int) -> QSeries:
+    """1 + c * sum sigma_k(n) q^{tn}, truncated at T."""
     _check_precision(T)
     if t < 1:
-        raise ValueError("eisenstein_L: t must be >= 1")
+        raise ValueError(f"{name}: t must be >= 1")
     out = [0] * (T + 1)
     out[0] = 1
     for n in range(1, T // t + 1):
-        out[t * n] = -24 * sigma(1, n)
+        out[t * n] = c * sigma(k, n)
     return QSeries(out)
+
+
+def eisenstein_L(t: int, T: int) -> QSeries:
+    """L(q^t) = 1 - 24 sum sigma(n) q^{tn}, truncated at T."""
+    return _sigma_series("eisenstein_L", 1, -24, t, T)
 
 
 def eisenstein_M(t: int, T: int) -> QSeries:
     """M(q^t) = 1 + 240 sum sigma_3(n) q^{tn}, truncated at T."""
-    _check_precision(T)
-    if t < 1:
-        raise ValueError("eisenstein_M: t must be >= 1")
-    out = [0] * (T + 1)
-    out[0] = 1
-    for n in range(1, T // t + 1):
-        out[t * n] = 240 * sigma(3, n)
-    return QSeries(out)
+    return _sigma_series("eisenstein_M", 3, 240, t, T)
 
 
 def eisenstein_weight2(t: int, T: int) -> QSeries:
-    """L(q) - t*L(q^t): the weight-2 holomorphic combination for t >= 2."""
+    """L(q) - t*L(q^t): the weight-2 holomorphic combination for t >= 2.
+
+    L(q^t) has L(q)'s q^n coefficient at q^{tn}, so one L(q) gives both.
+    """
     if t < 2:
         raise ValueError("eisenstein_weight2: t must be >= 2")
-    return eisenstein_L(1, T) - eisenstein_L(t, T).scale(t)
+    L = eisenstein_L(1, T).coeffs
+    out = list(L)
+    for n in range(T // t + 1):
+        out[t * n] -= t * L[n]
+    return QSeries(out)
 
 
 def squared_difference(alpha: int, beta: int, T: int) -> QSeries:
@@ -230,6 +207,8 @@ def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:
     the shift by s.
     """
     _check_precision(T)
+    if min(exponents, default=1) < 1:
+        raise ValueError(f"eta quotient key delta={min(exponents)} must be >= 1")
     s24 = sum(d * r for d, r in exponents.items())
     if s24 % 24 != 0:
         raise ValueError(f"eta quotient has non-integral leading exponent {s24}/24")

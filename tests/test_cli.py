@@ -133,6 +133,12 @@ def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
     assert run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "40") == (3, "", err)
 
 
+@pytest.mark.parametrize("depth", ["-5", "0"])
+def test_convsum_rejects_verify_below_one(capsys, depth):
+    code, out, err = run_cli(capsys, "convsum", "1", "2", "--verify", depth)
+    assert (code, out, err) == (2, "", f"error: verification depth must be >= 1, got {depth}\n")
+
+
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
     code, _, err = run_cli(capsys, "basis", "21", "--repair", "--bound", "2")
     assert code == 3

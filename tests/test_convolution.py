@@ -4,12 +4,13 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divconv import fixtures
-from divconv.arith import classify_level
+from divconv.arith import classify_level, coprime_pairs
 from divconv.convolution import (
+    VERIFY_TO,
     BasisNotSpanningError,
     FormulaIntegrityError,
     FormulaProvider,
@@ -352,3 +353,43 @@ def test_evaluate_requires_matching_basis(provider):
 def test_formula_provider_coprime_guard(provider):
     with pytest.raises(ValueError):
         provider.formula(2, 4)
+
+
+# The class levels below 60 (nu <= 3, odd part squarefree) split into those
+# whose weight-4 cusp space gets a spanning basis and those that do not.
+RESOLVING_LEVELS = [
+    2, 3, 4, 5, 6, 8, 10, 11, 12, 14, 15, 20, 22, 24, 26, 28, 30, 33, 34, 35, 40, 42, 44,
+    46, 52, 56,
+]  # fmt: skip
+UNSUPPORTED_LEVELS = [7, 13, 17, 19, 21, 23, 29, 31, 37, 38, 39, 41, 43, 47, 51, 53, 55, 57, 58, 59]
+CLASS_PAIRS = [p for N in RESOLVING_LEVELS for p in coprime_pairs(N) if p[0] < p[1]]
+
+
+def test_class_levels_below_60_that_resolve(provider):
+    resolved, unsupported = [], []
+    for N in range(2, 60):
+        if not classify_level(N).in_class:
+            continue
+        try:
+            provider.basis_for(N)
+            resolved.append(N)
+        except UnsupportedLevelError:
+            unsupported.append(N)
+    assert (resolved, unsupported) == (RESOLVING_LEVELS, UNSUPPORTED_LEVELS)
+
+
+# every resolvable coprime pair below 60, either way round and times
+# g = 1..3; twelve consecutive n from a start up to twice verified_to after
+# the gcd reduction, so both the closed form and the direct-sum branch of
+# dispatch_W answer, and every residue class of a small sigma3 index appears
+@pytest.mark.parametrize("pair", CLASS_PAIRS, ids=lambda p: f"{p[0]},{p[1]}")
+@settings(max_examples=8)
+@given(data=st.data())
+def test_dispatch_matches_direct_sum_over_the_class(provider, pair, data):
+    g = data.draw(st.integers(1, 3), label="g")
+    a, b = pair[0] * g, pair[1] * g
+    if data.draw(st.booleans(), label="swap"):
+        a, b = b, a
+    start = data.draw(st.integers(1, 2 * VERIFY_TO * g), label="start")
+    for n in range(start, start + 12):
+        assert dispatch_W(a, b, n, provider) == brute_force_W(a, b, n), n

@@ -55,6 +55,13 @@ def test_ligozat_zero_map():
     assert not rep.cond_iii and not rep.is_modular
 
 
+# 24 % -24 == 0, so the divisibility check alone would admit a negative key
+@pytest.mark.parametrize("exponents", [{0: 1}, {-24: -1}, {-1: 2, 1: 2}])
+def test_eta_quotient_key_below_one_is_rejected(exponents):
+    with pytest.raises(ValueError, match="exponent key -?[0-9]+ must be >= 1"):
+        EtaQuotient.make(24, exponents)
+
+
 def test_ligozat_weight2_level11():
     rep = ligozat_check(EtaQuotient.make(11, {1: 2, 11: 2}))
     assert rep.weight == 2 and rep.is_cusp

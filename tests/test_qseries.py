@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -32,7 +30,7 @@ small_series = st.builds(
 
 def test_add_scale_examples():
     L = eisenstein_L(1, 30)
-    assert (L + (-L)) == zero(30)
+    assert (L + L.scale(-1)) == zero(30)
     assert eisenstein_M(1, 20).scale(0) == zero(20)
     assert L.scale(2).coefficient(1) == -48
 
@@ -53,11 +51,7 @@ def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 big_int = st.integers(-(10**30), 10**30)
-coefficient = st.one_of(
-    big_int,
-    st.sampled_from([0, 1, -1]),
-    st.fractions(-(10**6), 10**6, max_denominator=10**4),
-)
+coefficient = st.one_of(big_int, st.sampled_from([0, 1, -1]))
 # zero-heavy operands, for sparse products
 sparse_coefficient = st.one_of(st.just(0), big_int)
 kronecker_operand = st.builds(
@@ -75,14 +69,12 @@ kronecker_operand = st.builds(
 @example(QSeries([10**30] * 9), QSeries([10**30] * 12))
 @example(QSeries([0] * 7), QSeries([10**30] * 7))
 @example(QSeries([0] * 5), QSeries([0] * 8))
-@example(QSeries([Fraction(1, 3)] * 6), QSeries([Fraction(-7, 2), 5] * 3))
 @given(kronecker_operand, kronecker_operand)
 def test_kronecker_product_matches_schoolbook(a, b):
     product = a * b
     assert product == schoolbook_mul(a, b)
     assert product.precision == min(a.precision, b.precision)
-    if all(isinstance(c, int) for c in a.coeffs + b.coeffs):
-        assert all(isinstance(c, int) for c in product.coeffs)
+    assert all(isinstance(c, int) for c in product.coeffs)
 
 
 def test_mul_examples():
@@ -153,6 +145,11 @@ def test_weight2_combination():
     assert e.coefficient(11) == -24 * sigma(1, 11) + 11 * 24 * sigma(1, 1)
 
 
+@given(st.integers(2, 60), st.integers(0, 120))
+def test_weight2_matches_two_expansions(t, T):
+    assert eisenstein_weight2(t, T) == eisenstein_L(1, T) - eisenstein_L(t, T).scale(t)
+
+
 def test_squared_difference_constants():
     assert squared_difference(1, 1, 8) == zero(8)
     assert squared_difference(1, 33, 8).coefficient(0) == 1024
@@ -197,6 +194,13 @@ def test_eta_quotient_series():
         eta_quotient_series({1: 1}, 10)
     with pytest.raises(ValueError, match="pole at infinity"):
         eta_quotient_series({1: -24}, 10)
+
+
+# a key delta <= 0 with a nonzero exponent would make the term lists endless
+@pytest.mark.parametrize("exponents", [{0: 1}, {0: 0, 1: 24}, {-24: -1}, {1: 48, -24: 1}])
+def test_eta_key_below_one_is_rejected(exponents):
+    with pytest.raises(ValueError, match="eta quotient key delta=-?[0-9]+ must be >= 1"):
+        eta_quotient_series(exponents, 10)
 
 
 def test_eta_discriminant_coefficients():
@@ -264,7 +268,7 @@ def pentagonal_eta_series(exponents: dict[int, int], T: int) -> QSeries:
 
     Each of the |r_delta| factors prod (1 - q^{delta n}) goes in alone, as
     Euler's pentagonal series, multiplied or divided by a scalar loop over
-    all T + 1 rows; the result is then shifted by s.
+    all T + 1 rows; the result is then shifted by s, dropping the rows past T.
     """
     s24 = sum(d * r for d, r in exponents.items())
     assert s24 % 24 == 0 and s24 >= 0
@@ -275,7 +279,7 @@ def pentagonal_eta_series(exponents: dict[int, int], T: int) -> QSeries:
         sparse = _pentagonal_terms(d, T)
         for _ in range(abs(r)):
             out = _mul_sparse(out, sparse, T) if r > 0 else _div_sparse(out, sparse, T)
-    return QSeries(out).shift(s24 // 24)
+    return QSeries(([0] * (s24 // 24) + out)[: T + 1])
 
 
 @st.composite
@@ -323,11 +327,6 @@ def test_eta_exponent_additivity():
         assert eta_quotient_series(merged, T) == (
             eta_quotient_series(e1, T) * eta_quotient_series(e2, T)
         )
-
-
-def test_series_exactness_stays_rational():
-    s = eisenstein_M(1, 12).scale(Fraction(1, 7))
-    assert s.coefficient(1) == Fraction(240, 7)
 
 
 PRECISION_CALLS = {
