@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from math import gcd
 
 from .arith import classify_level, divisors
@@ -60,18 +61,7 @@ def _emit(args, machine_doc, human_lines):
 
 def cmd_dims(args) -> int:
     prof = profile(args.level)
-    doc = {
-        "level": prof.level,
-        "index_mu": prof.index_mu,
-        "eps2": prof.eps2,
-        "eps3": prof.eps3,
-        "cusp_count": prof.cusp_count,
-        "genus": prof.genus,
-        "dim_E4": prof.dim_E4,
-        "dim_S4": prof.dim_S4,
-        "dim_M4": prof.dim_M4,
-        "in_class": classify_level(args.level).in_class,
-    }
+    doc = {**asdict(prof), "in_class": classify_level(args.level).in_class}
     lines = [
         f"level {prof.level}: index mu={prof.index_mu} eps2={prof.eps2} "
         f"eps3={prof.eps3} cusps={prof.cusp_count} genus={prof.genus}",
@@ -164,6 +154,8 @@ def cmd_convsum(args) -> int:
     if a < 1 or b < 1:
         print("alpha and beta must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    # built first so --verify and --bound are checked on every path
+    provider = FormulaProvider(bound=args.bound, verify_to=args.verify)
     g = gcd(a, b)
     if a == b:
         lines = [
@@ -178,12 +170,10 @@ def cmd_convsum(args) -> int:
         a1, b1 = a, b
         lines = []
     level = a1 * b1
-    verify_to = args.verify
     if args.use_fixture:
-        basis = _fixture_basis(level, basis_precision(level, verify_to))
-        f = derive_formula(a1, b1, basis, verify_to=verify_to)
+        basis = _fixture_basis(level, basis_precision(level, args.verify))
+        f = derive_formula(a1, b1, basis, verify_to=args.verify)
     else:
-        provider = FormulaProvider(bound=args.bound, verify_to=verify_to)
         f, basis = provider.formula(a1, b1)
         note = provider.notes.get(level, {})
         if note.get("basis") == "repaired" and "fixture_failure" in note:

@@ -9,20 +9,22 @@ give the closed form
                - sum_j Y_j b_j(n) / (1152 ab)
                + (1/24 - n/(4b)) sigma(n/a) + (1/24 - n/(4a)) sigma(n/b).
 
-expansion_at evaluates an expansion and closed_form_W this W shape, for
-derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients alike.
+expansion_at evaluates given coefficients and closed_form_W this W shape,
+for derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients
+alike.
 
 basis_precision(N, verify_to) is the one decision on depth: a level's basis
 carries that many q-rows, and every derived formula is sampled and verified
 coefficient-by-coefficient against the squared difference on exactly those
 rows (past twice the Sturm bound; verify_to defaults to VERIFY_TO) before it
-is returned.  That check runs in integers: expansion_at takes the solution
-times the lcm of its denominators and is compared with the squared
-difference times the same lcm.  The dispatcher reduces by gcd,
-short-circuits the diagonal a = b through the classical closed form, serves
-n up to the formula's verified_to with the closed form and answers n past
-it with the direct double sum, so a basis is never re-expanded to serve a
-query.
+is returned.  derive_formula builds the system's columns (M(q^delta), then
+the b_j) once over those rows; the elimination samples its rows, and the
+check is the same system's residual in integers: the solution times the
+lcm of its denominators against the squared difference times that lcm.  The
+dispatcher reduces by gcd, short-circuits the diagonal a = b through the
+classical closed form, serves n up to the formula's verified_to with the
+closed form and answers n past it with the direct double sum, so a basis is
+never re-expanded to serve a query.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from math import ceil, gcd
+from operator import mul
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
 from .linalg import Echelon, InconsistentSystem, over_common_denominator
-from .qseries import squared_difference
+from .qseries import eisenstein_M, squared_difference
 from .spaces import (
     BasisIncompleteError,
     ModularBasis,
@@ -184,12 +186,15 @@ def derive_formula(
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
     T = basis_precision(N, verify_to), extending a shorter basis to T.
 
-    Sample rows go into one incremental fraction-free elimination: the
-    constant row sum X_delta = (alpha-beta)^2, then the q^n rows for n in
-    D(N) union {1..m_S}, filled up to nunk + 4 rows with further indices,
-    then one row at a time until the rank reaches nunk.  Consistency is
-    judged over exactly those rows; the verification loop checks the rest,
-    so the result and its error text do not depend on the basis length.
+    The system's columns are built once over rows 0..T: M(q^delta) for each
+    delta | N, then each cusp generator b_j.  Sample rows of that matrix go
+    into one incremental fraction-free elimination: row 0 (the constant row,
+    sum X_delta = (alpha-beta)^2), then the q^n rows for n in D(N) union
+    {1..m_S}, filled up to nunk + 4 rows with further indices, then one row
+    at a time until the rank reaches nunk.  Consistency is judged over
+    exactly those rows; the residual of the same matrix on rows 1..T checks
+    the rest, so the result and its error text do not depend on the basis
+    length.
     """
     if gcd(alpha, beta) != 1:
         raise ValueError("derive_formula: alpha and beta must be coprime")
@@ -199,30 +204,25 @@ def derive_formula(
     T = basis_precision(N, verify_to)
     basis = basis.at_precision(T)
     divs = divisors(N)
-    m_s = basis.dim_cusp
-    nunk = len(divs) + m_s
-    lhs = squared_difference(alpha, beta, T)
+    nunk = len(divs) + basis.dim_cusp
+    # row n of the system: the q^n coefficients of every column, n = 0..T
+    cols = [eisenstein_M(d, T).coeffs for d in divs] + [s.coeffs for s in basis.cusp_series]
+    rows = list(zip(*cols))
+    lhs = squared_difference(alpha, beta, T).coeffs
 
-    def coeff_row(n: int) -> list:
-        row = [240 * sigma_scaled(3, n, d) for d in divs]
-        row.extend(basis.coefficient(j, n) for j in range(m_s))
-        return row
-
+    sampled = sorted(set(divs) | set(range(1, basis.dim_cusp + 1)))
+    order = [0, *sampled, *(n for n in range(1, T + 1) if n not in sampled)]
+    first_batch = max(1 + len(sampled), nunk + 4)
     ech = Echelon(nunk)
-    ech.add([1] * len(divs) + [0] * m_s, (alpha - beta) ** 2)
-    sampled = sorted(set(divs) | set(range(1, m_s + 1)))
-    fresh = (n for n in range(1, T + 1) if n not in sampled)
-    # the first batch fills the sample matrix up to nunk + 4 rows
-    for n in sampled + list(islice(fresh, max(nunk + 3 - len(sampled), 0))):
-        ech.add(coeff_row(n), lhs.coefficient(n))
-    while ech.rank < nunk:
-        n = next(fresh, None)
-        if n is None:
-            raise UnderdeterminedBasisError(
-                f"level {N}: sample matrix rank {ech.rank} < {nunk} unknowns after "
-                f"exhausting n <= {T}; the basis is degenerate"
-            )
-        ech.add(coeff_row(n), lhs.coefficient(n))
+    for i, n in enumerate(order):
+        if i >= first_batch and ech.rank == nunk:
+            break
+        ech.add(rows[n], lhs[n])
+    if ech.rank < nunk:
+        raise UnderdeterminedBasisError(
+            f"level {N}: sample matrix rank {ech.rank} < {nunk} unknowns after "
+            f"exhausting n <= {T}; the basis is degenerate"
+        )
     try:
         sol = ech.solution()
     except InconsistentSystem as e:
@@ -230,16 +230,12 @@ def derive_formula(
             f"level {N} ({alpha},{beta}): no exact solution; the basis does "
             f"not span the squared Eisenstein difference"
         ) from e
-    x = dict(zip(divs, sol[: len(divs)]))
-    y = sol[len(divs):]
-    # an exact check apart from the elimination, so a solver fault shows; it
-    # runs in integers: both sides times the lcm den of the solution's
-    # denominators
+    # an exact check apart from the elimination, so a solver fault shows: the
+    # residual of the whole system on rows 1..T, in integers (both sides
+    # times the lcm den of the solution's denominators)
     scaled, den = over_common_denominator(sol)
-    s3 = {d: 240 * c for d, c in zip(divs, scaled)}
-    cusp = {(j + 1, 1): c for j, c in enumerate(scaled[len(divs):])}
     first_bad = next(
-        (n for n in range(1, T + 1) if expansion_at(s3, cusp, basis, n) != den * lhs.coefficient(n)),
+        (n for n in range(1, T + 1) if sum(map(mul, scaled, rows[n])) != den * lhs[n]),
         None,
     )
     if first_bad is not None:
@@ -251,8 +247,8 @@ def derive_formula(
         alpha=alpha,
         beta=beta,
         level=N,
-        x=x,
-        y=list(y),
+        x=dict(zip(divs, sol[: len(divs)])),
+        y=sol[len(divs):],
         basis_ref=basis.checksum,
         verified_to=T,
     )
@@ -280,6 +276,9 @@ class FormulaProvider:
     """
 
     def __init__(self, bound: int = 10, verify_to: int = VERIFY_TO):
+        if bound < 1:
+            raise ValueError(f"search bound must be >= 1, got {bound}")
+        basis_precision(1, verify_to)  # rejects a depth below 1 before any level resolves
         self.bound = bound
         self.verify_to = verify_to
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}

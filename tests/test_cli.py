@@ -30,9 +30,11 @@ def test_dims_machine_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "--machine", "dims", "56")
     code2, out2, _ = run_cli(capsys, "--machine", "dims", "56")
     assert code == code2 == 0
-    assert out1 == out2
-    doc = json.loads(out1)
-    assert doc["dim_S4"] == 20 and doc["dim_E4"] == 8
+    assert out1 == out2 == (
+        '{\n "cusp_count": 8,\n "dim_E4": 8,\n "dim_M4": 28,\n "dim_S4": 20,\n'
+        ' "eps2": 0,\n "eps3": 0,\n "genus": 5,\n "in_class": true,\n'
+        ' "index_mu": 96,\n "level": 56\n}\n'
+    )
 
 
 def test_search_cusp_level_1_empty(capsys):
@@ -133,10 +135,26 @@ def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
     assert run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "40") == (3, "", err)
 
 
-@pytest.mark.parametrize("depth", ["-5", "0"])
-def test_convsum_rejects_verify_below_one(capsys, depth):
-    code, out, err = run_cli(capsys, "convsum", "1", "2", "--verify", depth)
-    assert (code, out, err) == (2, "", f"error: verification depth must be >= 1, got {depth}\n")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("convsum 1 2 --verify -5", id="-5"),
+        pytest.param("convsum 1 2 --verify 0", id="0"),
+        # the diagonal, fixture and repair paths check the same values
+        "convsum 2 2 --verify -5",
+        "convsum 4 4 --verify 0",
+        "convsum 1 10 --bound 0",
+        "convsum 1 10 --use-fixture --bound 0",
+        "convsum 2 2 --bound 0",
+        "convsum 1 14 --bound 0",
+        "repnum --form quad 1 10 5 --bound 0",
+        "repnum --form quad 1 14 5 --bound 0",
+    ],
+)
+def test_convsum_rejects_verify_below_one(capsys, argv):
+    flag, value = argv.split()[-2:]
+    what = "verification depth" if flag == "--verify" else "search bound"
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {what} must be >= 1, got {value}\n")
 
 
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
