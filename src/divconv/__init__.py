@@ -60,7 +60,6 @@ from .representation import (
     s4,
 )
 from .spaces import (
-    BasisIncompleteError,
     CuspGenerator,
     ModularBasis,
     SpaceProfile,

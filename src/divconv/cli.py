@@ -2,8 +2,11 @@
 
 Subcommands: dims, search-cusp, basis, convsum, repnum, verify-paper.
 Exit codes: 0 success, 2 usage error, 3 unsupported level (or a
-search above its ceiling), 4 internal invariant breach.  --machine switches
-to deterministic JSON with exact rationals encoded as "p/q" strings.
+search above its ceiling), 4 internal invariant breach; main prints each
+failure as one stderr line (error:, unsupported level:, search too large:,
+derivation failed:, internal invariant breach:), and --bound below 1 exits 2
+on every subcommand that takes it.  --machine switches to deterministic
+JSON with exact rationals encoded as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -27,16 +30,9 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import SearchCeilingError, order_at_infinity, search_cusp_forms
+from .eta import SearchCeilingError, check_search_bound, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
-from .spaces import (
-    BasisIncompleteError,
-    load_fixture_basis,
-    profile,
-    repair_basis,
-    search_basis,
-)
-from . import fixtures
+from .spaces import load_fixture_basis, profile, repair_basis, search_basis
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -95,17 +91,12 @@ def cmd_search_cusp(args) -> int:
     return EXIT_OK
 
 
-def _fixture_basis(level: int, T: int):
-    if level not in fixtures.BASIS_TABLES:
-        raise UnsupportedLevelError(f"no fixture basis for level {level}")
-    return load_fixture_basis(level, T)
-
-
 def cmd_basis(args) -> int:
     N = args.level
     T = basis_precision(N)
+    check_search_bound(args.bound)
     if args.use_fixture:
-        basis = _fixture_basis(N, T)
+        basis = load_fixture_basis(N, T)
     elif args.repair:
         basis = repair_basis(N, T, bound=args.bound)
     else:
@@ -152,8 +143,7 @@ def _formula_doc(f, basis):
 def cmd_convsum(args) -> int:
     a, b = args.alpha, args.beta
     if a < 1 or b < 1:
-        print("alpha and beta must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"alpha and beta must be >= 1, got ({a}, {b})")
     # built first so --verify and --bound are checked on every path
     provider = FormulaProvider(bound=args.bound, verify_to=args.verify)
     g = gcd(a, b)
@@ -171,7 +161,7 @@ def cmd_convsum(args) -> int:
         lines = []
     level = a1 * b1
     if args.use_fixture:
-        basis = _fixture_basis(level, basis_precision(level, args.verify))
+        basis = load_fixture_basis(level, basis_precision(level, args.verify))
         f = derive_formula(a1, b1, basis, verify_to=args.verify)
     else:
         f, basis = provider.formula(a1, b1)
@@ -199,12 +189,6 @@ def cmd_convsum(args) -> int:
 
 def cmd_repnum(args) -> int:
     a, b, n = args.a, args.b, args.n
-    if a < 1 or b < 1:
-        print("a and b must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if gcd(a, b) != 1:
-        print("(a, b) must be coprime", file=sys.stderr)
-        return EXIT_USAGE
     provider = FormulaProvider(bound=args.bound)
     calls: list[tuple[int, int, int]] = []
 
@@ -332,7 +316,7 @@ def main(argv=None) -> int:
     except FormulaIntegrityError as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (UnsupportedLevelError, BasisIncompleteError) as e:
+    except UnsupportedLevelError as e:
         print(f"unsupported level: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except SearchCeilingError as e:

@@ -36,20 +36,17 @@ from math import ceil, gcd
 from operator import mul
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
+from .eta import check_search_bound
 from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
-    BasisIncompleteError,
     ModularBasis,
+    UnsupportedLevelError,
     load_fixture_basis,
     profile,
     repair_basis,
 )
 from . import fixtures
-
-
-class UnsupportedLevelError(ValueError):
-    """Level outside the supported class with no usable basis."""
 
 
 class DerivationError(ValueError):
@@ -276,8 +273,7 @@ class FormulaProvider:
     """
 
     def __init__(self, bound: int = 10, verify_to: int = VERIFY_TO):
-        if bound < 1:
-            raise ValueError(f"search bound must be >= 1, got {bound}")
+        check_search_bound(bound)
         basis_precision(1, verify_to)  # rejects a depth below 1 before any level resolves
         self.bound = bound
         self.verify_to = verify_to
@@ -307,12 +303,7 @@ class FormulaProvider:
             except DerivationError as e:
                 self.notes[level] = {"basis": "repaired", "fixture_failure": str(e)}
         if basis is None:
-            try:
-                basis = repair_basis(level, T, bound=self.bound)
-            except BasisIncompleteError as e:
-                raise UnsupportedLevelError(
-                    f"level {level}: no spanning weight-4 cusp basis found ({e})"
-                ) from e
+            basis = repair_basis(level, T, bound=self.bound)
             self.notes.setdefault(level, {"basis": "repaired"})
         self._bases[level] = basis
         return basis

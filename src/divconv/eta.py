@@ -184,6 +184,12 @@ class SearchCeilingError(ValueError):
     """A search above its ceiling: the bound, or the cusp-order compositions."""
 
 
+def check_search_bound(bound: int) -> None:
+    """The one rule on a search bound |r_delta| <= bound, for every caller that takes one."""
+    if bound < 1:
+        raise ValueError(f"search bound must be >= 1, got {bound}")
+
+
 def _dot_bounds(weights: list[int], B: int, t: int):
     """(min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t; None if infeasible.
 
@@ -491,8 +497,9 @@ def search_cusp_forms(
     ascending divisors, so output is reproducible.  strict=True also
     requires the companion congruence and runs the cusp-order search.
     """
-    if bound < 1 or N < 1:
-        raise ValueError("search_cusp_forms: N and bound must be >= 1")
+    check_search_bound(bound)
+    if N < 1:
+        raise ValueError(f"search_cusp_forms: N must be >= 1, got {N}")
     if max_order is None:
         max_order = (weight_times_two * index_mu(N)) // 12
     if max_order < 1:

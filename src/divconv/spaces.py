@@ -26,8 +26,9 @@ from .linalg import Echelon
 from .qseries import QSeries, eisenstein_weight2
 
 
-class BasisIncompleteError(ValueError):
-    """Not enough independent cusp generators to reach dim S4."""
+class UnsupportedLevelError(ValueError):
+    """No usable basis at the level: it lies outside the supported class, it
+    has no fixture basis, or no dim S4 independent cusp generators were found."""
 
 
 @dataclass(frozen=True)
@@ -188,18 +189,12 @@ def select_cusp_basis(
     per order (candidates are sorted by (order, exponent vector)); the
     sample matrix is then triangular with nonzero diagonal.  Case 2: greedy
     extension with an exact rank test after each addition, skipping any
-    candidate that does not raise the rank.
+    candidate that does not raise the rank; UnsupportedLevelError when the
+    rank stays below m.
     """
     m = profile(N).dim_S4
     if m == 0:
         return build_basis(N, [], T)
-    if len(candidates) < m:
-        have = sorted({g.order() for g in candidates})
-        missing = [o for o in range(1, m + 1) if o not in have]
-        raise BasisIncompleteError(
-            f"level {N}: {len(candidates)} candidates for dim S4 = {m}; "
-            f"orders missing among candidates: {missing}"
-        )
     kind_rank = {KIND_ETA: 0, KIND_DECLARED: 1, KIND_PRODUCT: 2}
     ordered = sorted(
         candidates,
@@ -227,9 +222,9 @@ def select_cusp_basis(
     if len(chosen) < m:
         have = sorted({g.order() for g in chosen})
         missing = [o for o in range(1, m + 1) if o not in have]
-        raise BasisIncompleteError(
-            f"level {N}: only {len(chosen)} independent generators of {m} needed; "
-            f"orders not represented: {missing}"
+        raise UnsupportedLevelError(
+            f"level {N}: no spanning weight-4 cusp basis: only {len(chosen)} independent "
+            f"generators of {m} needed; orders not represented: {missing}"
         )
     return build_basis(N, chosen, T)
 
@@ -241,7 +236,9 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
     on the returned basis; callers decide whether to proceed or repair.
     """
     if N not in fixtures.BASIS_TABLES:
-        raise ValueError(f"no fixture basis for level {N} (have {sorted(fixtures.BASIS_TABLES)})")
+        raise UnsupportedLevelError(
+            f"no fixture basis for level {N} (have {sorted(fixtures.BASIS_TABLES)})"
+        )
     declared = fixtures.DECLARED_WEIGHT2.get(N, ())
     gens = []
     for i, exps in enumerate(fixtures.BASIS_TABLES[N], start=1):
@@ -310,7 +307,7 @@ def repair_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
     cands = repair_candidates(N, bound)
     try:
         basis = select_cusp_basis(N, cands, T)
-    except BasisIncompleteError:
+    except UnsupportedLevelError:
         m = max(profile(N).dim_S4, 1)
         extra = [
             CuspGenerator(kind=KIND_ETA, eta=q)

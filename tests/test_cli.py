@@ -149,6 +149,12 @@ def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
         "convsum 1 14 --bound 0",
         "repnum --form quad 1 10 5 --bound 0",
         "repnum --form quad 1 14 5 --bound 0",
+        # basis checks --bound before it chooses a mode, so the fixture
+        # path that never searches refuses it too
+        "basis 10 --use-fixture --bound 0",
+        "basis 10 --bound 0",
+        "basis 10 --repair --bound 0",
+        "search-cusp 40 --bound 0",
     ],
 )
 def test_convsum_rejects_verify_below_one(capsys, argv):
@@ -158,9 +164,31 @@ def test_convsum_rejects_verify_below_one(capsys, argv):
 
 
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
-    code, _, err = run_cli(capsys, "basis", "21", "--repair", "--bound", "2")
-    assert code == 3
-    assert err.startswith("unsupported level: level 21:")
+    assert run_cli(capsys, "basis", "21", "--repair", "--bound", "2") == (
+        3,
+        "",
+        "unsupported level: level 21: no spanning weight-4 cusp basis: only 0 independent "
+        "generators of 6 needed; orders not represented: [1, 2, 3, 4, 5, 6]\n",
+    )
+
+
+# one command per failure kind, each with its exit code and stderr prefix
+FAILURE_KINDS = {
+    "convsum 0 5": (2, "error: "),
+    "repnum --form quad 2 4 6": (2, "error: "),
+    "convsum 1 7 --use-fixture": (3, "unsupported level: "),
+    "convsum 1 9": (3, "unsupported level: "),
+    "convsum 1 21": (3, "unsupported level: "),
+    "search-cusp 40 --bound 17": (3, "search too large: "),
+    "convsum 1 33 --use-fixture": (3, "derivation failed: "),
+}
+
+
+def test_every_failure_is_one_stderr_line_from_main(capsys):
+    for argv, (want, prefix) in FAILURE_KINDS.items():
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (want, ""), argv
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), argv
 
 
 def test_repnum_quad(capsys):
@@ -179,10 +207,17 @@ def test_repnum_hex_machine(capsys):
     assert doc["w_invocations"]
 
 
-@pytest.mark.parametrize("a, b", [("0", "1"), ("1", "-2")])
-def test_repnum_rejects_nonpositive_pair(capsys, a, b):
+@pytest.mark.parametrize(
+    "a, b, why",
+    [
+        pytest.param("0", "1", "must be positive, got (0, 1)", id="0-1"),
+        pytest.param("1", "-2", "must be positive, got (1, -2)", id="1--2"),
+        pytest.param("2", "4", "must be coprime", id="2-4"),
+    ],
+)
+def test_repnum_rejects_nonpositive_pair(capsys, a, b, why):
     code, out, err = run_cli(capsys, "repnum", "--form", "quad", a, b, "5")
-    assert (code, out, err) == (2, "", "a and b must be >= 1\n")
+    assert (code, out, err) == (2, "", f"error: count_N: (a, b) {why}\n")
 
 
 @pytest.mark.parametrize(
