@@ -10,7 +10,6 @@ reports DOCUMENTED-DISCREPANCY with the exact point of failure.
 from __future__ import annotations
 
 import itertools
-import tempfile
 from dataclasses import dataclass
 
 from . import fixtures
@@ -405,22 +404,23 @@ def check_omega_sets() -> list[ItemResult]:
     return [_item("pair sets", bad, passed="omega sets for 120, 40, 56, 33 as published")]
 
 
+def _lattice_item(form, a, b, w, note) -> ItemResult:
+    """PASS when count_N (form "quad") or count_R (form "hex") of (a, b)
+    on w matches rep_oracle for every n <= REPRESENTATION_DEPTH."""
+    counter = count_N if form == "quad" else count_R
+    return _oracle_item(
+        f"representation {'N' if form == 'quad' else 'R'}_({a},{b})",
+        lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n),
+        REPRESENTATION_DEPTH,
+        "matches the lattice oracle" + note,
+    )
+
+
 def check_representations(provider: FormulaProvider) -> list[ItemResult]:
-    out = []
     w = provider.w
     jobs = [("quad", a, b) for a, b in omega4(40).pairs + omega4(56).pairs]
     jobs += [("hex", c, d) for c, d in omega3(33).pairs]
-    for form, a, b in jobs:
-        counter = count_N if form == "quad" else count_R
-        name = ("N" if form == "quad" else "R") + f"_({a},{b})"
-        out.append(
-            _oracle_item(
-                f"representation {name}",
-                lambda n: counter(a, b, n, w) == rep_oracle(form, a, b, n),
-                REPRESENTATION_DEPTH,
-                f"matches the lattice oracle to {REPRESENTATION_DEPTH}",
-            )
-        )
+    out = [_lattice_item(form, a, b, w, f" to {REPRESENTATION_DEPTH}") for form, a, b in jobs]
 
     def eight_squares(n):
         sig_form = (
@@ -445,12 +445,7 @@ def check_representations(provider: FormulaProvider) -> list[ItemResult]:
 def check_revisited_representations(provider: FormulaProvider) -> list[ItemResult]:
     w = provider.w
     out = [
-        _oracle_item(
-            f"representation N_({a},{b})",
-            lambda n: count_N(a, b, n, w) == rep_oracle("quad", a, b, n),
-            REPRESENTATION_DEPTH,
-            "matches the lattice oracle" + note,
-        )
+        _lattice_item("quad", a, b, w, note)
         for a, b, note in ((1, 3, ""), (2, 3, " (assembled with W_(2,3) terms)"))
     ]
     # the published combination is the theorem with every W_(2,y) replaced
@@ -532,28 +527,6 @@ def check_classical_identities() -> list[ItemResult]:
     ]
 
 
-def check_cache_roundtrip(provider: FormulaProvider, tmpdir: str) -> ItemResult:
-    from .cache import Cache
-
-    cache = Cache(tmpdir)
-    f, basis = provider.formula(1, 10)
-    cache.store_basis(basis)
-    cache.store_formula(f)
-    b2 = cache.load_basis(10, basis.precision)
-    f2 = cache.load_formula(1, 10)
-    ok = (
-        b2 is not None
-        and b2.checksum == basis.checksum
-        and [g.eta.exponents for g in b2.cusp] == [g.eta.exponents for g in basis.cusp]
-        and f2 == f
-    )
-    return _item(
-        "cache round-trip",
-        [] if ok else ["round-trip mismatch"],
-        passed="basis and formula survive serialize/deserialize",
-    )
-
-
 def run_all(provider: FormulaProvider, searches: dict[int, set[tuple]]) -> list[ItemResult]:
     """Every verify-paper item, in report order; searches maps each of
     REGENERATION_LEVELS to its regeneration_search output."""
@@ -570,6 +543,4 @@ def run_all(provider: FormulaProvider, searches: dict[int, set[tuple]]) -> list[
     results += check_revisited_representations(provider)
     results += check_level_11(provider)
     results += check_classical_identities()
-    with tempfile.TemporaryDirectory() as td:
-        results.append(check_cache_roundtrip(provider, td))
     return results

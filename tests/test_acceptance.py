@@ -391,14 +391,14 @@ NOT_PASS_ITEMS = {
 }
 
 
-# the 71 verify-paper item lines; after a deliberate output change,
+# the 70 verify-paper item lines; after a deliberate output change,
 # regenerate with `divconv verify-paper | grep -v '^== ' > tests/verify_paper_lines.txt`
 VERIFY_PAPER_LINES = Path(__file__).with_name("verify_paper_lines.txt")
 
 
 def test_verify_paper_statuses(provider, searches):
     """Pins the status of every verify-paper item: the documented
-    discrepancies and the skipped item by name, PASS for the other 42;
+    discrepancies and the skipped item by name, PASS for the other 41;
     and every item's full line."""
     items = verify_mod.run_all(provider, _found(searches))
     not_pass = {}
@@ -406,6 +406,6 @@ def test_verify_paper_statuses(provider, searches):
         if r.status != PASS:
             not_pass.setdefault(r.status, []).append(r.item)
     assert not_pass == NOT_PASS_ITEMS
-    assert len(items) == 71
+    assert len(items) == 70
     want = VERIFY_PAPER_LINES.read_text().splitlines()
     assert [r.line() for r in items] == want

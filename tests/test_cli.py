@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divconv
+from divconv.cache import CacheEntry
 from divconv.cli import main
 
 
@@ -256,31 +257,8 @@ def test_unknown_command_exit_2():
     assert e.value.code == 2
 
 
-def test_cache_roundtrip(tmp_path, provider):
-    from divconv.cache import Cache
-
-    cache = Cache(str(tmp_path))
-    f, basis = provider.formula(1, 10)
-    cache.store_basis(basis)
-    cache.store_formula(f)
-    f2 = cache.load_formula(1, 10)
-    assert f2 == f
-    b2 = cache.load_basis(10, basis.precision)
-    assert b2.checksum == basis.checksum
-    assert cache.load_formula(3, 11) is None
-
-
-def test_cache_roundtrip_keeps_defects(tmp_path):
-    from divconv.cache import Cache
-    from divconv.spaces import load_fixture_basis
-
-    basis = load_fixture_basis(24, 40)
-    cache = Cache(str(tmp_path))
-    cache.store_basis(basis)
-    assert cache.load_basis(24, 40).defects == basis.defects
-
-
 def test_cache_rejects_tampering(tmp_path, provider):
+    # the one read left: store_formula merges into the level's formula file
     from divconv.cache import Cache
 
     cache = Cache(str(tmp_path))
@@ -290,8 +268,54 @@ def test_cache_rejects_tampering(tmp_path, provider):
     doc = json.loads(path.read_text())
     doc["payload"]["entries"][0]["verified_to"] = 10**6
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        cache.load_formula(1, 10)
+    tampered = path.read_bytes()
+    with pytest.raises(ValueError, match="fails its checksum"):
+        cache.store_formula(f)
+    assert path.read_bytes() == tampered
+
+
+# the last holds a valid checksum over a payload this package never writes
+_FORGED_ENTRIES = json.dumps(vars(CacheEntry.wrap("formula", 10, {"entries": [1]})))
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [
+        ("{}", "is malformed"),
+        ("[1]", "is malformed"),
+        (_FORGED_ENTRIES, "holds malformed formula entries"),
+    ],
+    ids=["object", "list", "forged-entries"],
+)
+def test_convsum_refuses_malformed_cache_entry(capsys, tmp_path, content, problem):
+    (tmp_path / "formula-10.json").write_text(content)
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "convsum", "1", "10")
+    assert (code, out) == (2, "")
+    assert err == f"error: cache entry {tmp_path / 'formula-10.json'} {problem}\n"
+
+
+def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path):
+    target = tmp_path / "not-a-directory"
+    target.write_text("")
+    code, out, err = run_cli(capsys, "--cache-dir", str(target), "convsum", "1", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write cache entry {target / 'basis-10.json'}: ")
+    assert err.count("\n") == 1 and str(target) in err
+
+
+def test_cache_files_are_deterministic(tmp_path, provider):
+    from divconv.cache import Cache
+
+    f, basis = provider.formula(1, 10)
+    for run in ("a", "b"):
+        cache = Cache(str(tmp_path / run))
+        cache.store_basis(basis)
+        cache.store_formula(f)
+    for name in ("basis-10.json", "formula-10.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # no field, such as a timestamp, that differs between identical runs
+        doc = json.loads((tmp_path / "a" / name).read_text())
+        assert sorted(doc) == ["checksum", "kind", "level", "payload"]
 
 
 def test_convsum_without_cache_dir_writes_nothing(capsys, monkeypatch, tmp_path):
