@@ -81,7 +81,7 @@ def formula_to_payload(f: ConvolutionFormula) -> dict:
         "beta": f.beta,
         "x": [[d, encode_rational(v)] for d, v in sorted(f.x.items())],
         "y": [encode_rational(v) for v in f.y],
-        "basis_ref": f.basis_ref,
+        "basis_ref": f.basis.checksum,
         "verified_to": f.verified_to,
     }
 

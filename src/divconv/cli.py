@@ -30,9 +30,9 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import SearchCeilingError, check_search_bound, order_at_infinity, search_cusp_forms
+from .eta import SEARCH_BOUND, SearchCeilingError, check_search_bound, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
-from .spaces import load_fixture_basis, profile, repair_basis, search_basis
+from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def cmd_dims(args) -> int:
 
 def cmd_search_cusp(args) -> int:
     N = args.level
-    max_order = max(profile(N).dim_S4, 1) if args.max_order is None else args.max_order
+    max_order = search_max_order(N) if args.max_order is None else args.max_order
     found = search_cusp_forms(N, 8, bound=args.bound, max_order=max_order, strict=args.strict)
     rows = []
     for q in found:
@@ -122,21 +122,21 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _formula_doc(f, basis):
+def _formula_doc(f):
     sigma3, cusp = f.w_terms
     return {
         "alpha": f.alpha,
         "beta": f.beta,
         "level": f.level,
         "verified_to": f.verified_to,
-        "basis": basis.checksum,
+        "basis": f.basis.checksum,
         "sigma3_terms": {str(d): encode_rational(c) for d, c in sigma3.items()},
         "sigma_tail": [
             f"(1/24 - n/{4 * f.beta}) sigma(n/{f.alpha})",
             f"(1/24 - n/{4 * f.alpha}) sigma(n/{f.beta})",
         ],
         "cusp_terms": {str(j): encode_rational(c) for (j, _), c in cusp.items()},
-        "generators": [g.describe() for g in basis.cusp],
+        "generators": [g.describe() for g in f.basis.cusp],
     }
 
 
@@ -164,15 +164,15 @@ def cmd_convsum(args) -> int:
         basis = load_fixture_basis(level, basis_precision(level, args.verify))
         f = derive_formula(a1, b1, basis, verify_to=args.verify)
     else:
-        f, basis = provider.formula(a1, b1)
-        note = provider.notes.get(level, {})
-        if note.get("basis") == "repaired" and "fixture_failure" in note:
-            lines.append(f"note: fixture basis unusable ({note['fixture_failure']}); using repaired basis")
+        f = provider.formula(a1, b1)
+        if f.basis.fixture_failure:
+            lines.append(f"note: fixture basis unusable ({f.basis.fixture_failure}); using repaired basis")
     if args.cache_dir:
+        # the formula first: its store reads the directory and may refuse it
         cache = Cache(args.cache_dir)
-        cache.store_basis(basis)
         cache.store_formula(f)
-    doc = _formula_doc(f, basis)
+        cache.store_basis(f.basis)
+    doc = _formula_doc(f)
     lines.append(
         f"W_({a1},{b1})(n), level {level}, expansion of ({a1} L(q^{a1}) - {b1} L(q^{b1}))^2 "
         f"verified to n={f.verified_to}:"
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search-cusp", help="exhaustive weight-4 cusp quotient search")
     s.add_argument("level", type=int)
-    s.add_argument("--bound", type=int, default=10)
+    s.add_argument("--bound", type=int, default=SEARCH_BOUND)
     s.add_argument("--max-order", type=int, default=None)
     s.add_argument("--strict", action="store_true", help="also require the companion congruence")
     _add_global_flags(s, suppress=True)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("basis", help="construct and print a cusp basis")
     b.add_argument("level", type=int)
-    b.add_argument("--bound", type=int, default=10)
+    b.add_argument("--bound", type=int, default=SEARCH_BOUND)
     b.add_argument("--use-fixture", action="store_true")
     b.add_argument("--repair", action="store_true", help="certified-membership candidates only")
     _add_global_flags(b, suppress=True)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("alpha", type=int)
     c.add_argument("beta", type=int)
     c.add_argument("--verify", type=int, default=VERIFY_TO)
-    c.add_argument("--bound", type=int, default=10)
+    c.add_argument("--bound", type=int, default=SEARCH_BOUND)
     c.add_argument("--use-fixture", action="store_true")
     _add_global_flags(c, suppress=True)
     c.set_defaults(func=cmd_convsum)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("a", type=int)
     r.add_argument("b", type=int)
     r.add_argument("n", type=int)
-    r.add_argument("--bound", type=int, default=10)
+    r.add_argument("--bound", type=int, default=SEARCH_BOUND)
     _add_global_flags(r, suppress=True)
     r.set_defaults(func=cmd_repnum)
 

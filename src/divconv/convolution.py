@@ -23,20 +23,20 @@ check is the same system's residual in integers: the solution times the
 lcm of its denominators against the squared difference times that lcm.  The
 dispatcher reduces by gcd, short-circuits the diagonal a = b through the
 classical closed form, serves n up to the formula's verified_to with the
-closed form and answers n past it with the direct double sum, so a basis is
-never re-expanded to serve a query.
+closed form and answers n past it, up to DIRECT_SUM_MAX_N, with the direct
+double sum, so a basis is never re-expanded to serve a query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, gcd
 from operator import mul
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
-from .eta import check_search_bound
+from .eta import SEARCH_BOUND, check_search_bound
 from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
@@ -147,7 +147,7 @@ class ConvolutionFormula:
     level: int
     x: dict[int, Fraction]
     y: list[Fraction]
-    basis_ref: str
+    basis: ModularBasis = field(compare=False, repr=False)
     verified_to: int
 
     @cached_property
@@ -163,6 +163,7 @@ class ConvolutionFormula:
 
 
 VERIFY_TO = 200
+DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direct sum
 
 
 def basis_precision(N: int, verify_to: int = VERIFY_TO) -> int:
@@ -246,40 +247,37 @@ def derive_formula(
         level=N,
         x=dict(zip(divs, sol[: len(divs)])),
         y=sol[len(divs):],
-        basis_ref=basis.checksum,
+        basis=basis,
         verified_to=T,
     )
 
 
-def evaluate_W(f: ConvolutionFormula, basis: ModularBasis, n: int) -> int:
-    """Exact closed form for 1 <= n <= f.verified_to; errors on non-natural output."""
+def evaluate_W(f: ConvolutionFormula, n: int) -> int:
+    """Exact closed form on f.basis for 1 <= n <= f.verified_to; errors on non-natural output."""
     if not 1 <= n <= f.verified_to:
         raise ValueError(
             f"evaluate_W: n={n} outside the verified range 1..{f.verified_to}; use dispatch_W"
         )
-    if basis.checksum != f.basis_ref:
-        raise ValueError("evaluate_W: basis does not match the formula's basis_ref")
-    return _natural_W(f.alpha, f.beta, *f.w_terms, basis, n)
+    return _natural_W(f.alpha, f.beta, *f.w_terms, f.basis, n)
 
 
 class FormulaProvider:
     """Derives, verifies, and caches convolution formulas per level.
 
     Basis resolution per level: the embedded fixture basis when one exists
-    and derivation verifies; otherwise the certified repair basis.  Every
-    resolution is recorded in .notes for reporting.  Each level has one
-    basis, fixed once resolved; the formulas of all pairs at that level
+    and derivation verifies; otherwise the certified repair basis, which
+    carries the fixture's failure as its fixture_failure.  Each level has
+    one basis, fixed once resolved; the formulas of all pairs at that level
     share it.
     """
 
-    def __init__(self, bound: int = 10, verify_to: int = VERIFY_TO):
+    def __init__(self, bound: int = SEARCH_BOUND, verify_to: int = VERIFY_TO):
         check_search_bound(bound)
         basis_precision(1, verify_to)  # rejects a depth below 1 before any level resolves
         self.bound = bound
         self.verify_to = verify_to
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
-        self.notes: dict = {}
 
     def basis_for(self, level: int) -> ModularBasis:
         if level in self._bases:
@@ -291,7 +289,7 @@ class FormulaProvider:
                 f"class (needs nu <= 3 and odd squarefree part)"
             )
         T = basis_precision(level, self.verify_to)
-        basis = None
+        basis = failure = None
         if level in fixtures.BASIS_TABLES:
             fb = load_fixture_basis(level, T)
             probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
@@ -299,28 +297,26 @@ class FormulaProvider:
                 f = derive_formula(level // probe, probe, fb, self.verify_to)
                 self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
-                self.notes[level] = {"basis": "fixture"}
             except DerivationError as e:
-                self.notes[level] = {"basis": "repaired", "fixture_failure": str(e)}
+                failure = str(e)
         if basis is None:
-            basis = repair_basis(level, T, bound=self.bound)
-            self.notes.setdefault(level, {"basis": "repaired"})
+            basis = replace(repair_basis(level, T, bound=self.bound), fixture_failure=failure)
         self._bases[level] = basis
         return basis
 
-    def formula(self, alpha: int, beta: int) -> tuple[ConvolutionFormula, ModularBasis]:
-        """The formula for the coprime pair and its level's basis."""
+    def formula(self, alpha: int, beta: int) -> ConvolutionFormula:
+        """The formula for the coprime pair, on its level's basis."""
         if gcd(alpha, beta) != 1:
             raise ValueError("formula: alpha, beta must be coprime")
         if alpha > beta:
             alpha, beta = beta, alpha
-        key, level = (alpha, beta), alpha * beta
+        key = (alpha, beta)
         if key not in self._formulas:
-            basis = self.basis_for(level)
+            basis = self.basis_for(alpha * beta)
             # the fixture probe inside basis_for may have derived this pair
             if key not in self._formulas:
                 self._formulas[key] = derive_formula(alpha, beta, basis, self.verify_to)
-        return self._formulas[key], self._bases[level]
+        return self._formulas[key]
 
     def w(self, alpha: int, beta: int, n: int) -> int:
         return dispatch_W(alpha, beta, n, self)
@@ -329,8 +325,8 @@ class FormulaProvider:
 def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     """Full W evaluation: gcd reduction, diagonal closed form, then the
     provider's derived formula up to its verified_to and the direct sum
-    past it.  The formula is resolved first, so an unsupported level raises
-    for every n."""
+    past it, up to DIRECT_SUM_MAX_N.  The formula is resolved first, so an
+    unsupported level raises for every n."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("dispatch_W: alpha, beta, n must be >= 1")
     reduced = reduce_by_gcd(alpha, beta, n)
@@ -339,7 +335,12 @@ def dispatch_W(alpha: int, beta: int, n: int, provider: FormulaProvider) -> int:
     a, b, m = reduced
     if a == b:
         return diagonal_W(a, m)
-    f, basis = provider.formula(a, b)
-    if m > f.verified_to:
-        return brute_force_W(a, b, m)
-    return evaluate_W(f, basis, m)
+    f = provider.formula(a, b)
+    if m <= f.verified_to:
+        return evaluate_W(f, m)
+    if m > DIRECT_SUM_MAX_N:
+        raise ValueError(
+            f"dispatch_W: W_({a},{b})({m}) lies past the formula's verified range "
+            f"1..{f.verified_to} and the direct-sum ceiling n <= {DIRECT_SUM_MAX_N}"
+        )
+    return brute_force_W(a, b, m)

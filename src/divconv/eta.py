@@ -177,6 +177,7 @@ def order_at_infinity(e: EtaQuotient) -> int:
 # (2*bound + 1)^3 tails of #divisors sums each: at bound 16 that table adds
 # 16 MB at level 40 and 27 MB at level 120, and the level-40 search takes
 # 35 s; at bound 20 the table adds 33 and 53 MB, at bound 40 260 and 417 MB.
+SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
 
 
@@ -485,7 +486,7 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[dict[int, in
 def search_cusp_forms(
     N: int,
     weight_times_two: int = 8,
-    bound: int = 10,
+    bound: int = SEARCH_BOUND,
     max_order: int | None = None,
     strict: bool = False,
 ) -> list[EtaQuotient]:

@@ -16,12 +16,7 @@ from math import gcd, prod
 
 from . import fixtures
 from .arith import divisors, euler_phi, index_mu, prime_factors
-from .eta import (
-    EtaQuotient,
-    ligozat_check,
-    order_at_infinity,
-    search_cusp_forms,
-)
+from .eta import SEARCH_BOUND, EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .linalg import Echelon
 from .qseries import QSeries, eisenstein_weight2
 
@@ -124,6 +119,8 @@ class ModularBasis:
     cusp_series: list[QSeries] = field(repr=False)
     defects: list[str] = field(default_factory=list)
     checksum: str = ""
+    source: str = ""  # "fixture", "repaired" or "searched": the function that built it
+    fixture_failure: str | None = None  # why a repaired basis replaced the fixture basis
 
     @property
     def dim_cusp(self) -> int:
@@ -178,6 +175,11 @@ def build_basis(N: int, generators: list[CuspGenerator], T: int) -> ModularBasis
     if m != prof.dim_S4:
         basis.defects.append(f"{m} cusp generators for dim S4 = {prof.dim_S4}")
     return basis
+
+
+def search_max_order(N: int) -> int:
+    """The order cap of a weight-4 cusp search at level N: dim S4, at least 1."""
+    return max(profile(N).dim_S4, 1)
 
 
 def select_cusp_basis(
@@ -249,21 +251,20 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
         basis.defects.append(
             f"generator {i} ({gens[i - 1].describe()}) is a declared weight-2 auxiliary"
         )
-    return basis
+    return replace(basis, source="fixture")
 
 
-def search_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
+def search_basis(N: int, T: int, bound: int = SEARCH_BOUND) -> ModularBasis:
     """Basis from the exhaustive search under the membership criterion as
     published (no companion congruence); selection by Case 1 / Case 2."""
-    m = profile(N).dim_S4
     cands = [
         CuspGenerator(kind=KIND_ETA, eta=q)
-        for q in search_cusp_forms(N, 8, bound, max_order=max(m, 1))
+        for q in search_cusp_forms(N, 8, bound, max_order=search_max_order(N))
     ]
-    return select_cusp_basis(N, cands, T)
+    return replace(select_cusp_basis(N, cands, T), source="searched")
 
 
-def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
+def repair_candidates(N: int, bound: int = SEARCH_BOUND) -> list[CuspGenerator]:
     """Certified weight-4 cusp generators at level N.
 
     Two certified families: (a) strict-condition cusp quotients from
@@ -273,7 +274,7 @@ def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
     t > 1.  Both are cheap and usually suffice; `repair_basis` adds the
     strict quotients at N itself only when they do not span.
     """
-    m = max(profile(N).dim_S4, 1)
+    m = search_max_order(N)
     out: list[CuspGenerator] = []
     seen: set[tuple] = set()
 
@@ -301,22 +302,21 @@ def repair_candidates(N: int, bound: int = 10) -> list[CuspGenerator]:
     return out
 
 
-def repair_basis(N: int, T: int, bound: int = 10) -> ModularBasis:
+def repair_basis(N: int, T: int, bound: int = SEARCH_BOUND) -> ModularBasis:
     """Certified basis: sublevel closure and products first, the strict
     search at N only when those do not span."""
     cands = repair_candidates(N, bound)
     try:
         basis = select_cusp_basis(N, cands, T)
     except UnsupportedLevelError:
-        m = max(profile(N).dim_S4, 1)
         extra = [
             CuspGenerator(kind=KIND_ETA, eta=q)
-            for q in search_cusp_forms(N, 8, bound, max_order=m, strict=True)
+            for q in search_cusp_forms(N, 8, bound, max_order=search_max_order(N), strict=True)
         ]
         known = {c.eta.exponents for c in cands if c.kind == KIND_ETA}
         merged = cands + [g for g in extra if g.eta.exponents not in known]
         basis = select_cusp_basis(N, merged, T)
-    return basis
+    return replace(basis, source="repaired")
 
 
 def fixture_substitution_report(N: int, T: int = 64) -> list[tuple]:
@@ -325,7 +325,7 @@ def fixture_substitution_report(N: int, T: int = 64) -> list[tuple]:
     actual_k_or_None) rows."""
     rows = fixtures.BASIS_TABLES[N]
     out = []
-    for target, source, published_k, _ in fixtures.SUBSTITUTION_CLAIMS.get(N, []):
+    for target, source, published_k in fixtures.SUBSTITUTION_CLAIMS.get(N, []):
         st = EtaQuotient.make(N, rows[target - 1]).series(T)
         ss = EtaQuotient.make(N, rows[source - 1]).series(T)
         actual = None

@@ -40,7 +40,7 @@ from .representation import (
     s4,
     s4_by_enumeration,
 )
-from .spaces import fixture_substitution_report, load_fixture_basis, profile
+from .spaces import fixture_substitution_report, load_fixture_basis, profile, search_max_order
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -98,93 +98,89 @@ def _published_item(item, first_bad, resolved, *, dropped, passed, fails, note="
     return _item(item, discrepancy=disc, passed=passed + note)
 
 
-def _resolve_signs(ambiguous, magnitude, first_bad):
-    """Try every sign pattern on the printed values whose sign is ambiguous.
+def _resolve_signs(printed, first_bad):
+    """Try every sign pattern on the Unsigned values of printed (key ->
+    printed value).
 
-    first_bad(signed) returns the first failing n (or None) given a dict
-    key -> signed value for the ambiguous keys.  Returns (None, [(key, "+"
-    or "-"), ...]) for the first pattern that holds, else the first
-    failure with every sign "+" and an empty list.
+    first_bad(signed) returns the first failing n (or None) given printed
+    with signs applied.  Returns (None, [(key, "+" or "-"), ...]) for the
+    first pattern that holds, else the first failure with every sign "+"
+    and an empty list.
     """
+    ambiguous = [k for k, v in printed.items() if isinstance(v, fixtures.Unsigned)]
     for signs in itertools.product((1, -1), repeat=len(ambiguous)):
-        if first_bad({k: s * magnitude(k) for k, s in zip(ambiguous, signs)}) is None:
+        signed = {**printed, **{k: s * printed[k] for k, s in zip(ambiguous, signs)}}
+        if first_bad(signed) is None:
             return None, [(k, "+" if s > 0 else "-") for k, s in zip(ambiguous, signs)]
-    return first_bad({k: magnitude(k) for k in ambiguous}), []
+    return first_bad(printed), []
 
 
 def _published_expansion_series_check(pair, basis):
     """Directly test the published expansion coefficients against the
-    squared difference; ambiguous signs are resolved by trying both."""
+    squared difference; dropped signs are resolved by trying both."""
     a, b = pair
     data = fixtures.PUBLISHED_EXPANSIONS[pair]
     lhs = squared_difference(a, b, VERIFY_TO)
-    ambiguous = [("sigma3", d) for d, v in data["sigma3"].items() if v is None]
-    ambiguous += [("cusp", j) for j, v in data["cusp"].items() if v is None]
+    printed = {("sigma3", d): v for d, v in data["sigma3"].items()}
+    printed.update({("cusp", j): v for j, v in data["cusp"].items()})
 
     def first_bad(signed):
         if data["constant"] != (a - b) ** 2:
             return 0
-        s3 = {d: signed.get(("sigma3", d), v) for d, v in data["sigma3"].items()}
-        cusp = {(j, 1): signed.get(("cusp", j), v) for j, v in data["cusp"].items()}
+        s3 = {d: signed["sigma3", d] for d in data["sigma3"]}
+        cusp = {(j, 1): signed["cusp", j] for j in data["cusp"]}
         return _first_failure(
             range(1, VERIFY_TO + 1),
             lambda n: expansion_at(s3, cusp, basis, n) == lhs.coefficient(n),
         )
 
-    return _resolve_signs(
-        ambiguous, lambda k: fixtures.PUBLISHED_ABS[("expansion", pair, *k)], first_bad
-    )
+    return _resolve_signs(printed, first_bad)
 
 
 def _published_w_check(pair, basis):
     a, b = pair
     data = fixtures.PUBLISHED_W[pair]
-    ambiguous = [k for k, v in data["cusp"].items() if v is None]
 
-    def first_bad(signed):
-        cusp = {k: signed.get(k, v) for k, v in data["cusp"].items()}
+    def first_bad(cusp):
         return _first_failure(
             range(1, VERIFY_TO + 1),
             lambda n: closed_form_W(a, b, data["sigma3"], cusp, basis, n)
             == brute_force_W(a, b, n),
         )
 
-    return _resolve_signs(
-        ambiguous, lambda k: fixtures.PUBLISHED_ABS[("w", pair, "cusp", k)], first_bad
-    )
+    return _resolve_signs(data["cusp"], first_bad)
 
 
 def derived_vs_published(pair, basis):
     """Derive W for pair on basis and list every coefficient that differs
     from print: the expansion's 240 X_delta and Y_j, and the W formula's
-    sigma3 and unsubstituted cusp coefficients.  A printed value with an
-    ambiguous sign is compared in absolute value.  Raises DerivationError
+    sigma3 and unsubstituted cusp coefficients.  A printed value with a
+    dropped sign is compared in absolute value.  Raises DerivationError
     when the basis admits no verified derivation."""
     a, b = pair
     f = derive_formula(a, b, basis)
     mismatches = []
 
-    def compare(label, got, printed, abs_key):
-        if printed is None:
-            absv = fixtures.PUBLISHED_ABS[abs_key]
-            if abs(got) != absv:
-                mismatches.append(f"{label}: derived {got} vs printed +-{absv}")
+    def compare(label, got, printed):
+        if isinstance(printed, fixtures.Unsigned):
+            if abs(got) != printed:
+                mismatches.append(f"{label}: derived {got} vs printed +-{printed}")
         elif got != printed:
             mismatches.append(f"{label}: derived {got} vs printed {printed}")
 
     pub = fixtures.PUBLISHED_EXPANSIONS[pair]
     for d, v in pub["sigma3"].items():
-        compare(f"sigma3(n/{d})", 240 * f.x[d], v, ("expansion", pair, "sigma3", d))
+        compare(f"sigma3(n/{d})", 240 * f.x[d], v)
     for j, v in pub["cusp"].items():
-        compare(f"Y_{j}", f.y[j - 1], v, ("expansion", pair, "cusp", j))
+        compare(f"Y_{j}", f.y[j - 1], v)
     pub_w = fixtures.PUBLISHED_W[pair]
     sigma3, cusp = f.w_terms
     for d, v in pub_w["sigma3"].items():
-        compare(f"W sigma3(n/{d})", sigma3[d], v, None)
+        compare(f"W sigma3(n/{d})", sigma3[d], v)
     for (j, scale), v in pub_w["cusp"].items():
         if scale != 1:
             continue  # substituted-generator bookkeeping checked via expansion Y
-        compare(f"W b_{j}", cusp[j, scale], v, ("w", pair, "cusp", (j, scale)))
+        compare(f"W b_{j}", cusp[j, scale], v)
     return f, mismatches
 
 
@@ -241,11 +237,10 @@ def check_tables_cuspidality() -> list[ItemResult]:
 
 
 def regeneration_search(N: int) -> set[tuple]:
-    """Exponent vectors of the exhaustive bound-10 weight-4 cusp search at
-    N, orders up to dim S4: the sets the published tables are checked
-    against."""
-    m = profile(N).dim_S4
-    return {q.exponents for q in search_cusp_forms(N, 8, 10, max_order=m)}
+    """Exponent vectors of the exhaustive weight-4 cusp search at N with
+    the default bound and order cap: the sets the published tables are
+    checked against."""
+    return {q.exponents for q in search_cusp_forms(N, 8, max_order=search_max_order(N))}
 
 
 def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResult]:
@@ -355,7 +350,7 @@ def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
         bad = []
         for a, b in pairs:
             try:
-                f, basis = provider.formula(a, b)
+                f = provider.formula(a, b)
             except DerivationError as e:
                 bad.append(f"({a},{b}) derivation failed: {e}")
                 continue
@@ -364,17 +359,16 @@ def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
                 continue
             n = _first_failure(
                 range(1, VERIFY_TO + 1),
-                lambda n: evaluate_W(f, basis, n) == brute_force_W(a, b, n),
+                lambda n: evaluate_W(f, n) == brute_force_W(a, b, n),
             )
             if n is not None:
                 bad.append(f"({a},{b}) mismatch at n={n}")
-        basis_note = provider.notes.get(N, {}).get("basis", "?")
         out.append(
             _item(
                 f"oracle equivalence level {N}",
                 bad,
                 passed=f"all pairs {pairs} match the direct sum to {VERIFY_TO} "
-                f"(basis: {basis_note}, sturm {sturm_bound(N)})",
+                f"(basis: {provider.basis_for(N).source}, sturm {sturm_bound(N)})",
             )
         )
     return out
@@ -489,13 +483,13 @@ def check_level_11(provider: FormulaProvider) -> list[ItemResult]:
         refuted.append(f"published W_(1,11) disagrees with the direct sum first at n={first_bad_w}")
     name = "level 11 adjudication (weight-2 auxiliary)"
     try:
-        f, b11 = provider.formula(1, 11)
+        f = provider.formula(1, 11)
     except DerivationError as e:
         return [_item(name, refuted + [f"replacement derivation failed: {e}"])]
     bad = _first_failure(
-        range(1, VERIFY_TO + 1), lambda n: evaluate_W(f, b11, n) == brute_force_W(1, 11, n)
+        range(1, VERIFY_TO + 1), lambda n: evaluate_W(f, n) == brute_force_W(1, 11, n)
     )
-    gens = ", ".join(g.describe() for g in b11.cusp)
+    gens = ", ".join(g.describe() for g in f.basis.cusp)
     replaced = f"replacement weight-4 basis [{gens}] matches the direct sum to {VERIFY_TO}"
     return [
         _item(

@@ -122,6 +122,21 @@ def test_convsum_unsupported_level(capsys):
     assert "class" in err
 
 
+def test_convsum_notes_an_unusable_fixture_basis(capsys):
+    # the note reads the basis's own fixture_failure; a level whose fixture
+    # basis serves (10) or that has none (42) prints no note
+    code, out, _ = run_cli(capsys, "convsum", "1", "33")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "note: fixture basis unusable (level 33 (3,11): no exact solution; the basis "
+        "does not span the squared Eisenstein difference); using repaired basis"
+    )
+    for a, b in (("1", "10"), ("6", "7")):
+        code, out, _ = run_cli(capsys, "convsum", a, b)
+        assert code == 0
+        assert "note:" not in out
+
+
 def test_convsum_fixture_33_reports_failure(capsys):
     code, _, err = run_cli(capsys, "convsum", "1", "33", "--use-fixture")
     assert code == 3
@@ -177,6 +192,8 @@ def test_basis_repair_without_spanning_basis_exits_3(capsys):
 FAILURE_KINDS = {
     "convsum 0 5": (2, "error: "),
     "repnum --form quad 2 4 6": (2, "error: "),
+    # W_(1,10)(2*10^8) past the verified range: the direct sum refuses it at once
+    "repnum --form quad 1 10 200000000": (2, "error: dispatch_W: "),
     "convsum 1 7 --use-fixture": (3, "unsupported level: "),
     "convsum 1 9": (3, "unsupported level: "),
     "convsum 1 21": (3, "unsupported level: "),
@@ -262,7 +279,7 @@ def test_cache_rejects_tampering(tmp_path, provider):
     from divconv.cache import Cache
 
     cache = Cache(str(tmp_path))
-    f, _ = provider.formula(1, 10)
+    f = provider.formula(1, 10)
     cache.store_formula(f)
     path = tmp_path / "formula-10.json"
     doc = json.loads(path.read_text())
@@ -292,6 +309,8 @@ def test_convsum_refuses_malformed_cache_entry(capsys, tmp_path, content, proble
     code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "convsum", "1", "10")
     assert (code, out) == (2, "")
     assert err == f"error: cache entry {tmp_path / 'formula-10.json'} {problem}\n"
+    # the refused formula store comes first, so nothing else is written
+    assert not (tmp_path / "basis-10.json").exists()
 
 
 def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path):
@@ -299,17 +318,17 @@ def test_cache_dir_that_is_a_file_exits_2(capsys, tmp_path):
     target.write_text("")
     code, out, err = run_cli(capsys, "--cache-dir", str(target), "convsum", "1", "10")
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write cache entry {target / 'basis-10.json'}: ")
+    assert err.startswith(f"error: cannot write cache entry {target / 'formula-10.json'}: ")
     assert err.count("\n") == 1 and str(target) in err
 
 
 def test_cache_files_are_deterministic(tmp_path, provider):
     from divconv.cache import Cache
 
-    f, basis = provider.formula(1, 10)
+    f = provider.formula(1, 10)
     for run in ("a", "b"):
         cache = Cache(str(tmp_path / run))
-        cache.store_basis(basis)
+        cache.store_basis(f.basis)
         cache.store_formula(f)
     for name in ("basis-10.json", "formula-10.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from divconv import fixtures
 from divconv.arith import classify_level, coprime_pairs
 from divconv.convolution import (
+    DIRECT_SUM_MAX_N,
     VERIFY_TO,
     BasisNotSpanningError,
     FormulaIntegrityError,
@@ -105,24 +106,23 @@ def test_closed_form_serves_exactly_verified_to():
     basis = repair_basis(12, 240)
     f = derive_formula(1, 12, basis)
     assert f.verified_to == 200 < basis.precision
-    assert evaluate_W(f, basis, 200) == brute_force_W(1, 12, 200)
+    assert evaluate_W(f, 200) == brute_force_W(1, 12, 200)
     with pytest.raises(ValueError, match="verified range"):
-        evaluate_W(f, basis, 230)
+        evaluate_W(f, 230)
 
 
 def test_dispatch_routes_past_verified_to_to_direct_sum(provider, monkeypatch):
     from divconv import convolution
 
-    f, basis = provider.formula(1, 12)
-    short = replace(f, verified_to=100)
+    short = replace(provider.formula(1, 12), verified_to=100)
     served = []
 
-    def recording(g, b, n):
+    def recording(g, n):
         served.append(n)
-        return evaluate_W(g, b, n)
+        return evaluate_W(g, n)
 
     p = FormulaProvider()
-    monkeypatch.setattr(p, "formula", lambda a, b: (short, basis))
+    monkeypatch.setattr(p, "formula", lambda a, b: short)
     monkeypatch.setattr(convolution, "evaluate_W", recording)
     for n in (100, 101, 150):
         assert dispatch_W(1, 12, n, p) == brute_force_W(1, 12, n)
@@ -130,20 +130,20 @@ def test_dispatch_routes_past_verified_to_to_direct_sum(provider, monkeypatch):
 
 
 def test_derive_verifies_past_sturm(provider):
-    f, _ = provider.formula(1, 12)
+    f = provider.formula(1, 12)
     assert f.verified_to >= sturm_bound(12)
     assert f.verified_to >= 200
 
 
 def test_evaluate_examples(provider):
-    f, basis = provider.formula(1, 33)
-    assert evaluate_W(f, basis, 1) == 0
+    f = provider.formula(1, 33)
+    assert evaluate_W(f, 1) == 0
     for n in range(1, 201):
-        assert evaluate_W(f, basis, n) == brute_force_W(1, 33, n)
+        assert evaluate_W(f, n) == brute_force_W(1, 33, n)
 
 
-# The failure texts feed provider.notes[level]["fixture_failure"] and the
-# --machine output, so they are pinned byte for byte.
+# The failure texts feed ModularBasis.fixture_failure and the --machine
+# output, so they are pinned byte for byte.
 
 
 def test_fixture_level_33_does_not_span():
@@ -171,8 +171,7 @@ def test_fixture_level_24_underdetermined():
 
 
 def test_level_24_failure_text_is_the_same_everywhere(provider):
-    provider.formula(3, 8)
-    assert provider.notes[24]["fixture_failure"] == LEVEL_24_FAILURE
+    assert provider.formula(3, 8).basis.fixture_failure == LEVEL_24_FAILURE
     lines = Path(__file__).with_name("verify_paper_lines.txt").read_text()
     assert lines.count(f"derivation on the published basis fails: {LEVEL_24_FAILURE}\n") == 2
 
@@ -205,14 +204,18 @@ def test_verification_names_the_first_failing_row():
 
 
 def test_provider_notes(provider):
-    provider.formula(1, 40)
-    provider.formula(1, 33)
-    assert provider.notes[40]["basis"] == "fixture"
-    assert provider.notes[33]["basis"] == "repaired"
-    assert provider.notes[33]["fixture_failure"] == (
+    b40 = provider.formula(1, 40).basis
+    b33 = provider.formula(1, 33).basis
+    assert (b40.source, b40.fixture_failure) == ("fixture", None)
+    assert b33.source == "repaired"
+    assert b33.fixture_failure == (
         "level 33 (3,11): no exact solution; the basis does not span the "
         "squared Eisenstein difference"
     )
+    # a level without a fixture basis is repaired with no fixture failure
+    b42 = provider.formula(6, 7).basis
+    assert (b42.source, b42.fixture_failure) == ("repaired", None)
+    assert provider.basis_for(40) is b40
 
 
 def test_provider_keeps_fixture_probe_formula(monkeypatch):
@@ -227,19 +230,18 @@ def test_provider_keeps_fixture_probe_formula(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(convolution, "derive_formula", counting)
-    f, basis = FormulaProvider().formula(3, 4)
+    f = FormulaProvider().formula(3, 4)
     assert calls == [(3, 4)]
-    assert f.basis_ref == basis.checksum
-    assert all(evaluate_W(f, basis, n) == brute_force_W(3, 4, n) for n in range(1, 101))
+    assert f.basis.source == "fixture"
+    assert all(evaluate_W(f, n) == brute_force_W(3, 4, n) for n in range(1, 101))
 
 
 def test_basis_independence_level_12(provider):
-    f_fix, b_fix = provider.formula(1, 12)
-    b_rep = repair_basis(12, 240)
-    f_rep = derive_formula(1, 12, b_rep)
-    assert b_fix.checksum != f_rep.basis_ref or f_fix.y == f_rep.y
+    f_fix = provider.formula(1, 12)
+    f_rep = derive_formula(1, 12, repair_basis(12, 240))
+    assert f_fix.basis.checksum != f_rep.basis.checksum or f_fix.y == f_rep.y
     for n in range(1, 201):
-        assert evaluate_W(f_fix, b_fix, n) == evaluate_W(f_rep, b_rep, n)
+        assert evaluate_W(f_fix, n) == evaluate_W(f_rep, n)
 
 
 def test_basis_independence_level_10_search_route(provider):
@@ -247,13 +249,13 @@ def test_basis_independence_level_10_search_route(provider):
     # the X, Y coefficients differ but the function values may not
     from divconv.spaces import search_basis
 
-    f_fix, b_fix = provider.formula(1, 10)
-    b_sea = search_basis(10, 240, bound=8)
-    f_sea = derive_formula(1, 10, b_sea)
-    assert f_sea.basis_ref != f_fix.basis_ref
+    f_fix = provider.formula(1, 10)
+    f_sea = derive_formula(1, 10, search_basis(10, 240, bound=8))
+    assert f_sea.basis.source == "searched"
+    assert f_sea.basis.checksum != f_fix.basis.checksum
     assert f_sea.y != f_fix.y
     for n in range(1, 201):
-        assert evaluate_W(f_fix, b_fix, n) == evaluate_W(f_sea, b_sea, n)
+        assert evaluate_W(f_fix, n) == evaluate_W(f_sea, n)
 
 
 def test_dispatch_reexpands_beyond_precision(provider):
@@ -265,10 +267,10 @@ def test_dispatch_past_precision_keeps_the_basis():
     # n past the basis precision is answered by the direct sum; the level's
     # basis is neither re-expanded nor replaced
     p = FormulaProvider()
-    _, basis = p.formula(7, 8)
+    basis = p.formula(7, 8).basis
     assert basis.precision == basis_precision(56)
     assert dispatch_W(7, 8, 20000, p) == brute_force_W(7, 8, 20000)
-    assert p.formula(7, 8)[1] is basis
+    assert p.formula(7, 8).basis is basis
     assert basis.precision == basis_precision(56)
 
 
@@ -296,10 +298,9 @@ def _printed_basis(N):
 def test_printed_derived_and_direct_W_agree(provider, pair, n):
     a, b = pair
     printed = fixtures.PUBLISHED_W[pair]
-    f, basis = provider.formula(a, b)
     want = brute_force_W(a, b, n)
     assert closed_form_W(a, b, printed["sigma3"], printed["cusp"], _printed_basis(a * b), n) == want
-    assert evaluate_W(f, basis, n) == want
+    assert evaluate_W(provider.formula(a, b), n) == want
 
 
 def test_dispatch_gcd_reduction(provider):
@@ -328,26 +329,23 @@ def test_unsupported_level():
         dispatch_W(1, 9, 10**6, p)  # refused before the direct sum
 
 
+def test_dispatch_refuses_direct_sum_past_its_ceiling(provider):
+    # the direct sum is O(n): past the verified range dispatch serves it up
+    # to the ceiling and refuses a larger reduced n at once
+    with pytest.raises(ValueError, match=f"direct-sum ceiling n <= {DIRECT_SUM_MAX_N}"):
+        dispatch_W(1, 10, DIRECT_SUM_MAX_N + 1, provider)
+    with pytest.raises(ValueError, match=f"W_\\(1,10\\)\\({DIRECT_SUM_MAX_N + 1}\\)"):
+        dispatch_W(2, 20, 2 * (DIRECT_SUM_MAX_N + 1), provider)
+    # the diagonal closed form and the oracle itself have no ceiling
+    assert dispatch_W(3, 3, 3 * 10**8, provider) == diagonal_W(1, 10**8)
+    assert isinstance(brute_force_W(1000, 1001, DIRECT_SUM_MAX_N + 1), int)
+
+
 def test_evaluate_integrity_guard(provider):
-    f, basis = provider.formula(1, 10)
-    broken = type(f)(
-        alpha=f.alpha,
-        beta=f.beta,
-        level=f.level,
-        x=dict(f.x),
-        y=[y + Fraction(1, 7) for y in f.y],
-        basis_ref=f.basis_ref,
-        verified_to=f.verified_to,
-    )
+    f = provider.formula(1, 10)
+    broken = replace(f, y=[y + Fraction(1, 7) for y in f.y])
     with pytest.raises(FormulaIntegrityError):
-        evaluate_W(broken, basis, 5)
-
-
-def test_evaluate_requires_matching_basis(provider):
-    f, _ = provider.formula(1, 10)
-    other = repair_basis(12, 208)
-    with pytest.raises(ValueError):
-        evaluate_W(f, other, 3)
+        evaluate_W(broken, 5)
 
 
 def test_formula_provider_coprime_guard(provider):

@@ -1,8 +1,9 @@
-"""The benchmark tracer installs on divconv and puts every name back.
+"""The benchmark tracer installs on divconv, reads its spans, and puts
+every name back.
 
-perfbench/tracer.py binds divconv names by attribute; one that a change
-deletes or renames makes install() raise here instead of in a traced
-benchmark run.
+perfbench/tracer.py binds divconv names by attribute and reads the values
+they return; one that a change deletes, renames or reshapes makes install()
+or a span's counters fail here instead of in a traced benchmark run.
 """
 
 import importlib
@@ -51,3 +52,32 @@ def test_tracer_installs_and_restores_every_name():
     for name, names in before.items():
         assert after[name].keys() == names.keys(), name
         assert all(after[name][k] is v for k, v in names.items()), name
+
+
+def test_traced_run_records_every_layer_counter(capsys, tmp_path, provider):
+    from divconv import cli, representation
+
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer)
+    tracer.enabled = True
+    try:
+        code = cli.main(["--machine", "--cache-dir", str(tmp_path), "convsum", "1", "33"])
+        count = representation.count_N(1, 10, 250, provider.w)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert count == representation.count_N(1, 10, 250, provider.w)
+    summary = tracer.summary()
+    assert summary["convolution.basis_for"]["calls"] >= 1
+    # the level-33 fixture probe fails and the repair basis replaces it
+    assert summary["convolution.derive"]["failed"] == 1
+    assert summary["spaces.repair"]["calls"] == 1
+    assert summary["cache.store"]["calls"] == 2
+    assert summary["cache.store"]["bytes"] == sum(
+        p.stat().st_size for p in tmp_path.iterdir()
+    )
+    assert summary["representation.count"]["calls"] == 1
+    assert summary["representation.count"]["w_calls"] >= 1
