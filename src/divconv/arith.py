@@ -15,6 +15,9 @@ from math import gcd
 # benchmark workload (a few hundred), while one large direct sum, which
 # factorizes each argument once, cannot grow it without bound.
 FACTORIZE_CACHE_SIZE = 4096
+# Trial division tries divisors up to isqrt(FACTORIZE_CEILING) = 10^6, about
+# 0.2 s; a cofactor that may still be composite, say a 21-digit prime, is refused.
+FACTORIZE_CEILING = 10**12
 
 
 @lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
@@ -24,14 +27,19 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
     out = []
     d = 2
-    while d * d <= n:
+    top = n if n < FACTORIZE_CEILING else FACTORIZE_CEILING
+    while d * d <= top:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
+            if n < top:
+                top = n
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        raise ValueError(f"factorize: cofactor {n} above the ceiling {FACTORIZE_CEILING} has no prime factor below {d}")
     if n > 1:
         out.append((n, 1))
     return tuple(out)

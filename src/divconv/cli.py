@@ -4,9 +4,10 @@ Subcommands: dims, search-cusp, basis, convsum, repnum, verify-paper.
 Exit codes: 0 success, 2 usage error, 3 unsupported level (or a
 search above its ceiling), 4 internal invariant breach; main prints each
 failure as one stderr line (error:, unsupported level:, search too large:,
-derivation failed:, internal invariant breach:), and --bound below 1 exits 2
-on every subcommand that takes it.  --machine switches to deterministic
-JSON with exact rationals encoded as "p/q" strings.
+derivation failed:, internal invariant breach:).  Only the searches
+(search-cusp, basis) take --bound, which exits 2 below 1; convsum and repnum
+derive each pair's one formula at convolution.basis_precision.  --machine
+switches to deterministic JSON with exact rationals encoded as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from math import gcd
 from .arith import classify_level, divisors
 from .cache import Cache, encode_rational
 from .convolution import (
-    VERIFY_TO,
     DerivationError,
     FormulaIntegrityError,
     FormulaProvider,
@@ -33,7 +33,6 @@ from .convolution import (
 from .eta import SEARCH_BOUND, SearchCeilingError, check_search_bound, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
 from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,8 +143,6 @@ def cmd_convsum(args) -> int:
     a, b = args.alpha, args.beta
     if a < 1 or b < 1:
         raise ValueError(f"alpha and beta must be >= 1, got ({a}, {b})")
-    # built first so --verify and --bound are checked on every path
-    provider = FormulaProvider(bound=args.bound, verify_to=args.verify)
     g = gcd(a, b)
     if a == b:
         lines = [
@@ -161,10 +158,9 @@ def cmd_convsum(args) -> int:
         lines = []
     level = a1 * b1
     if args.use_fixture:
-        basis = load_fixture_basis(level, basis_precision(level, args.verify))
-        f = derive_formula(a1, b1, basis, verify_to=args.verify)
+        f = derive_formula(a1, b1, load_fixture_basis(level, basis_precision(level)))
     else:
-        f = provider.formula(a1, b1)
+        f = FormulaProvider().formula(a1, b1)
         if f.basis.fixture_failure:
             lines.append(f"note: fixture basis unusable ({f.basis.fixture_failure}); using repaired basis")
     if args.cache_dir:
@@ -189,7 +185,7 @@ def cmd_convsum(args) -> int:
 
 def cmd_repnum(args) -> int:
     a, b, n = args.a, args.b, args.n
-    provider = FormulaProvider(bound=args.bound)
+    provider = FormulaProvider()
     calls: list[tuple[int, int, int]] = []
 
     def w(x, y, m):
@@ -213,6 +209,8 @@ def cmd_repnum(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from . import verify as verify_mod  # verify-paper alone reads it
+
     provider = FormulaProvider()
     searches = {N: verify_mod.regeneration_search(N) for N in verify_mod.REGENERATION_LEVELS}
     results = verify_mod.run_all(provider, searches)
@@ -287,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convsum", help="derive the closed form of W_(alpha,beta)")
     c.add_argument("alpha", type=int)
     c.add_argument("beta", type=int)
-    c.add_argument("--verify", type=int, default=VERIFY_TO)
-    c.add_argument("--bound", type=int, default=SEARCH_BOUND)
     c.add_argument("--use-fixture", action="store_true")
     _add_global_flags(c, suppress=True)
     c.set_defaults(func=cmd_convsum)
@@ -298,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("a", type=int)
     r.add_argument("b", type=int)
     r.add_argument("n", type=int)
-    r.add_argument("--bound", type=int, default=SEARCH_BOUND)
     _add_global_flags(r, suppress=True)
     r.set_defaults(func=cmd_repnum)
 

@@ -13,11 +13,11 @@ expansion_at evaluates given coefficients and closed_form_W this W shape,
 for derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients
 alike.
 
-basis_precision(N, verify_to) is the one decision on depth: a level's basis
-carries that many q-rows, and every derived formula is sampled and verified
+basis_precision(N) is the one decision on depth: a level's basis carries
+that many q-rows, and every derived formula is sampled and verified
 coefficient-by-coefficient against the squared difference on exactly those
-rows (past twice the Sturm bound; verify_to defaults to VERIFY_TO) before it
-is returned.  derive_formula builds the system's columns (M(q^delta), then
+rows (past twice the Sturm bound, and at least VERIFY_TO) before it is
+returned.  derive_formula builds the system's columns (M(q^delta), then
 the b_j) once over those rows; the elimination samples its rows, and the
 check is the same system's residual in integers: the solution times the
 lcm of its denominators against the squared difference times that lcm.  The
@@ -36,7 +36,6 @@ from math import ceil, gcd
 from operator import mul
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
-from .eta import SEARCH_BOUND, check_search_bound
 from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
@@ -162,27 +161,20 @@ class ConvolutionFormula:
         return sigma3, cusp
 
 
-VERIFY_TO = 200
+VERIFY_TO = 200  # the least depth of every derivation, and verify-paper's depth
 DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direct sum
 
 
-def basis_precision(N: int, verify_to: int = VERIFY_TO) -> int:
+def basis_precision(N: int) -> int:
     """The q-rows a level-N derivation samples and verifies, and so the
     precision of the basis that serves it: past twice the Sturm bound,
-    16 rows past dim M4, every divisor row, and at least verify_to."""
-    if verify_to < 1:
-        raise ValueError(f"verification depth must be >= 1, got {verify_to}")
-    return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, verify_to)
+    16 rows past dim M4, every divisor row, and at least VERIFY_TO."""
+    return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, VERIFY_TO)
 
 
-def derive_formula(
-    alpha: int,
-    beta: int,
-    basis: ModularBasis,
-    verify_to: int = VERIFY_TO,
-) -> ConvolutionFormula:
+def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
-    T = basis_precision(N, verify_to), extending a shorter basis to T.
+    T = basis_precision(N), extending a shorter basis to T.
 
     The system's columns are built once over rows 0..T: M(q^delta) for each
     delta | N, then each cusp generator b_j.  Sample rows of that matrix go
@@ -199,7 +191,7 @@ def derive_formula(
     N = alpha * beta
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
-    T = basis_precision(N, verify_to)
+    T = basis_precision(N)
     basis = basis.at_precision(T)
     divs = divisors(N)
     nunk = len(divs) + basis.dim_cusp
@@ -265,17 +257,13 @@ class FormulaProvider:
     """Derives, verifies, and caches convolution formulas per level.
 
     Basis resolution per level: the embedded fixture basis when one exists
-    and derivation verifies; otherwise the certified repair basis, which
-    carries the fixture's failure as its fixture_failure.  Each level has
-    one basis, fixed once resolved; the formulas of all pairs at that level
-    share it.
+    and derivation verifies; otherwise the certified repair basis (searched
+    at eta.SEARCH_BOUND), which carries the fixture's failure as its
+    fixture_failure.  Each level has one basis, fixed once resolved; the
+    formulas of all pairs at that level share it.
     """
 
-    def __init__(self, bound: int = SEARCH_BOUND, verify_to: int = VERIFY_TO):
-        check_search_bound(bound)
-        basis_precision(1, verify_to)  # rejects a depth below 1 before any level resolves
-        self.bound = bound
-        self.verify_to = verify_to
+    def __init__(self):
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
 
@@ -288,19 +276,19 @@ class FormulaProvider:
                 f"level {level} = 2^{cls.nu} * {cls.mho} is outside the supported "
                 f"class (needs nu <= 3 and odd squarefree part)"
             )
-        T = basis_precision(level, self.verify_to)
+        T = basis_precision(level)
         basis = failure = None
         if level in fixtures.BASIS_TABLES:
             fb = load_fixture_basis(level, T)
             probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
             try:
-                f = derive_formula(level // probe, probe, fb, self.verify_to)
+                f = derive_formula(level // probe, probe, fb)
                 self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
             except DerivationError as e:
                 failure = str(e)
         if basis is None:
-            basis = replace(repair_basis(level, T, bound=self.bound), fixture_failure=failure)
+            basis = replace(repair_basis(level, T), fixture_failure=failure)
         self._bases[level] = basis
         return basis
 
@@ -315,7 +303,7 @@ class FormulaProvider:
             basis = self.basis_for(alpha * beta)
             # the fixture probe inside basis_for may have derived this pair
             if key not in self._formulas:
-                self._formulas[key] = derive_formula(alpha, beta, basis, self.verify_to)
+                self._formulas[key] = derive_formula(alpha, beta, basis)
         return self._formulas[key]
 
     def w(self, alpha: int, beta: int, n: int) -> int:

@@ -125,6 +125,14 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def test_factorize_refuses_a_cofactor_above_its_ceiling():
+    # a large smooth n and a 12-digit prime still factor; a 21-digit prime is refused
+    assert factorize(2**40) == ((2, 40),)
+    assert factorize(999999999989) == ((999999999989, 1),)
+    with pytest.raises(ValueError, match="above the ceiling"):
+        factorize(100000000000000000039)
+
+
 def test_factorize_cache_is_bounded():
     bound = factorize.cache_info().maxsize
     assert bound is not None

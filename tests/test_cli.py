@@ -143,28 +143,9 @@ def test_convsum_fixture_33_reports_failure(capsys):
     assert "span" in err
 
 
-def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
-    # --verify sets the least depth; the rows sampled always cover D(33)
-    code, _, err = run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "10")
-    assert code == 3
-    assert err.startswith("derivation failed: level 33 (1,33): no exact solution; ")
-    assert run_cli(capsys, "convsum", "1", "33", "--use-fixture", "--verify", "40") == (3, "", err)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param("convsum 1 2 --verify -5", id="-5"),
-        pytest.param("convsum 1 2 --verify 0", id="0"),
-        # the diagonal, fixture and repair paths check the same values
-        "convsum 2 2 --verify -5",
-        "convsum 4 4 --verify 0",
-        "convsum 1 10 --bound 0",
-        "convsum 1 10 --use-fixture --bound 0",
-        "convsum 2 2 --bound 0",
-        "convsum 1 14 --bound 0",
-        "repnum --form quad 1 10 5 --bound 0",
-        "repnum --form quad 1 14 5 --bound 0",
         # basis checks --bound before it chooses a mode, so the fixture
         # path that never searches refuses it too
         "basis 10 --use-fixture --bound 0",
@@ -173,10 +154,35 @@ def test_convsum_fixture_failure_does_not_depend_on_verify(capsys):
         "search-cusp 40 --bound 0",
     ],
 )
+def test_search_bound_below_one_exits_2(capsys, argv):
+    value = argv.split()[-1]
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: search bound must be >= 1, got {value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("convsum 1 2 --verify -5", id="-5"),
+        pytest.param("convsum 1 2 --verify 0", id="0"),
+        # the diagonal, fixture and repair paths refuse them alike
+        "convsum 2 2 --verify -5",
+        "convsum 4 4 --verify 0",
+        "convsum 1 10 --verify 100000000",
+        "convsum 1 10 --bound 0",
+        "convsum 1 10 --use-fixture --bound 0",
+        "convsum 2 2 --bound 0",
+        "convsum 1 14 --bound 0",
+        "repnum --form quad 1 10 5 --bound 0",
+        "repnum --form quad 1 14 5 --bound 0",
+    ],
+)
 def test_convsum_rejects_verify_below_one(capsys, argv):
-    flag, value = argv.split()[-2:]
-    what = "verification depth" if flag == "--verify" else "search bound"
-    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {what} must be >= 1, got {value}\n")
+    # convsum and repnum take no depth and no bound at all, so each pair has
+    # one formula: any --verify or --bound is an argparse usage error
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
@@ -199,6 +205,10 @@ FAILURE_KINDS = {
     "convsum 1 21": (3, "unsupported level: "),
     "search-cusp 40 --bound 17": (3, "search too large: "),
     "convsum 1 33 --use-fixture": (3, "derivation failed: "),
+    # a 21-digit prime factor: trial division stops at its ceiling at once
+    "dims 100000000000000000039": (2, "error: factorize: "),
+    "convsum 1 100000000000000000039": (2, "error: factorize: "),
+    "repnum --form quad 1 100000000000000000039 5": (2, "error: factorize: "),
 }
 
 
@@ -207,6 +217,13 @@ def test_every_failure_is_one_stderr_line_from_main(capsys):
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (want, ""), argv
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+def test_dims_of_a_twelve_digit_prime_level(capsys):
+    # the largest prime below the factorize ceiling still factors
+    code, out, _ = run_cli(capsys, "dims", "999999999989")
+    assert code == 0
+    assert out.startswith("level 999999999989: index mu=999999999990 ")
 
 
 def test_repnum_quad(capsys):
@@ -260,6 +277,19 @@ def test_closed_pipe_exits_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # verify (and the printed values it reads) serves verify-paper alone
+    src = str(Path(divconv.__file__).resolve().parents[1])
+    code = "import sys, divconv.cli; print('divconv.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
 
 def test_usage_error_exit_2():
@@ -354,10 +384,9 @@ _REPNUM_PAIRS = [(1, 10), (10, 1), (2, 5), (5, 2), (2, 4), (0, 3), (1, 0), (-1, 
 _cli_inputs = st.one_of(
     st.builds(lambda N: ["dims", str(N)], st.integers(-5, 3000)),
     st.builds(
-        lambda a, b, v: ["convsum", str(a), str(b), "--use-fixture", "--verify", str(v)],
+        lambda a, b: ["convsum", str(a), str(b), "--use-fixture"],
         st.integers(-1, 60),
         st.integers(-1, 60),
-        st.integers(-5, 260),
     ),
     st.builds(
         lambda ab, n: ["repnum", "--form", "quad", str(ab[0]), str(ab[1]), str(n)],
