@@ -4,10 +4,12 @@ Subcommands: dims, search-cusp, basis, convsum, repnum, verify-paper.
 Exit codes: 0 success, 2 usage error, 3 unsupported level (or a
 search above its ceiling), 4 internal invariant breach; main prints each
 failure as one stderr line (error:, unsupported level:, search too large:,
-derivation failed:, internal invariant breach:).  Only the searches
-(search-cusp, basis) take --bound, which exits 2 below 1; convsum and repnum
-derive each pair's one formula at convolution.basis_precision.  --machine
-switches to deterministic JSON with exact rationals encoded as "p/q" strings.
+derivation failed:, internal invariant breach:), and argparse its own usage
+errors (such as basis --use-fixture with --repair) with exit 2.  Only
+search-cusp takes --bound, which exits 2 below 1; basis, convsum and repnum
+search at eta.SEARCH_BOUND.  --machine and --cache-dir go before or after
+the subcommand; --machine switches to deterministic JSON with exact
+rationals encoded as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import SEARCH_BOUND, SearchCeilingError, check_search_bound, order_at_infinity, search_cusp_forms
+from .eta import SEARCH_BOUND, SearchCeilingError, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
 from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
 
@@ -93,13 +95,12 @@ def cmd_search_cusp(args) -> int:
 def cmd_basis(args) -> int:
     N = args.level
     T = basis_precision(N)
-    check_search_bound(args.bound)
     if args.use_fixture:
         basis = load_fixture_basis(N, T)
     elif args.repair:
-        basis = repair_basis(N, T, bound=args.bound)
+        basis = repair_basis(N, T)
     else:
-        basis = search_basis(N, T, bound=args.bound)
+        basis = search_basis(N, T)
     if args.cache_dir:
         Cache(args.cache_dir).store_basis(basis)
     doc = {
@@ -234,78 +235,67 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if doc["failed"] == 0 else EXIT_INTERNAL
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # subparser copies use SUPPRESS so they never clobber a value parsed
-    # by the main parser
-    parser.add_argument(
-        "--machine",
-        action="store_true",
-        help="deterministic JSON output",
-        **({"default": argparse.SUPPRESS} if suppress else {"default": False}),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        help="write the basis and formula to this directory (nothing is written without it)",
-        **({"default": argparse.SUPPRESS} if suppress else {"default": None}),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the global flags, declared once and shared by the main parser and every
+    # subparser; SUPPRESS keeps a subparser from clobbering a value the main
+    # parser read, and main supplies the defaults
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--machine", action="store_true", default=argparse.SUPPRESS, help="deterministic JSON output"
+    )
+    common.add_argument(
+        "--cache-dir",
+        default=argparse.SUPPRESS,
+        help="write the basis and formula to this directory (nothing is written without it)",
+    )
     p = argparse.ArgumentParser(
         prog="divconv",
         description="Exact convolution sums of the divisor function via "
         "weight-4 modular form bases, and octonary quadratic form "
         "representation counts.",
+        parents=[common],
     )
-    _add_global_flags(p, suppress=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("dims", help="space dimensions and invariants for a level")
+    d = sub.add_parser("dims", help="space dimensions and invariants for a level", parents=[common])
     d.add_argument("level", type=int)
-    _add_global_flags(d, suppress=True)
     d.set_defaults(func=cmd_dims)
 
-    s = sub.add_parser("search-cusp", help="exhaustive weight-4 cusp quotient search")
+    s = sub.add_parser("search-cusp", help="exhaustive weight-4 cusp quotient search", parents=[common])
     s.add_argument("level", type=int)
     s.add_argument("--bound", type=int, default=SEARCH_BOUND)
     s.add_argument("--max-order", type=int, default=None)
     s.add_argument("--strict", action="store_true", help="also require the companion congruence")
-    _add_global_flags(s, suppress=True)
     s.set_defaults(func=cmd_search_cusp)
 
-    b = sub.add_parser("basis", help="construct and print a cusp basis")
+    b = sub.add_parser("basis", help="construct and print a cusp basis", parents=[common])
     b.add_argument("level", type=int)
-    b.add_argument("--bound", type=int, default=SEARCH_BOUND)
-    b.add_argument("--use-fixture", action="store_true")
-    b.add_argument("--repair", action="store_true", help="certified-membership candidates only")
-    _add_global_flags(b, suppress=True)
+    mode = b.add_mutually_exclusive_group()
+    mode.add_argument("--use-fixture", action="store_true")
+    mode.add_argument("--repair", action="store_true", help="certified-membership candidates only")
     b.set_defaults(func=cmd_basis)
 
-    c = sub.add_parser("convsum", help="derive the closed form of W_(alpha,beta)")
+    c = sub.add_parser("convsum", help="derive the closed form of W_(alpha,beta)", parents=[common])
     c.add_argument("alpha", type=int)
     c.add_argument("beta", type=int)
     c.add_argument("--use-fixture", action="store_true")
-    _add_global_flags(c, suppress=True)
     c.set_defaults(func=cmd_convsum)
 
-    r = sub.add_parser("repnum", help="octonary representation count")
+    r = sub.add_parser("repnum", help="octonary representation count", parents=[common])
     r.add_argument("--form", choices=("quad", "hex"), required=True)
     r.add_argument("a", type=int)
     r.add_argument("b", type=int)
     r.add_argument("n", type=int)
-    _add_global_flags(r, suppress=True)
     r.set_defaults(func=cmd_repnum)
 
-    v = sub.add_parser("verify-paper", help="run the embedded regression suite")
-    _add_global_flags(v, suppress=True)
+    v = sub.add_parser("verify-paper", help="run the embedded regression suite", parents=[common])
     v.set_defaults(func=cmd_verify_paper)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(machine=False, cache_dir=None))
     try:
         return args.func(args)
     except FormulaIntegrityError as e:

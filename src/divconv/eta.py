@@ -102,10 +102,9 @@ class EtaQuotient:
     def series(self, T: int) -> QSeries:
         return eta_quotient_series(self.exponent_map, T)
 
-    def substitute(self, t: int, level: int | None = None) -> "EtaQuotient":
-        """q -> q^t image: eta(delta z) -> eta(t*delta z), level multiplied by t."""
-        new_level = level if level is not None else self.level * t
-        return EtaQuotient.make(new_level, {d * t: r for d, r in self.exponents})
+    def substitute(self, t: int, level: int) -> "EtaQuotient":
+        """q -> q^t image at `level`: eta(delta z) -> eta(t*delta z)."""
+        return EtaQuotient.make(level, {d * t: r for d, r in self.exponents})
 
     def label(self) -> str:
         parts = []
@@ -122,8 +121,6 @@ class LigozatReport:
     orders: dict[int, Fraction] = field(compare=False)
     is_modular: bool = False
     is_cusp: bool = False
-    weight: Fraction = Fraction(0)
-    order_at_infinity: int | None = None
 
 
 def ligozat_check(e: EtaQuotient) -> LigozatReport:
@@ -142,7 +139,6 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     }
     modular = cond_i and cond_ii and cond_iii and all(v >= 0 for v in orders.values())
     cusp = cond_i and cond_ii and cond_iii and all(v > 0 for v in orders.values())
-    ord_inf = s24 // 24 if cond_i else None
     return LigozatReport(
         cond_i=cond_i,
         cond_ii=cond_ii,
@@ -150,8 +146,6 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
         orders=orders,
         is_modular=modular,
         is_cusp=cusp,
-        weight=e.weight,
-        order_at_infinity=ord_inf,
     )
 
 
@@ -183,12 +177,6 @@ SEARCH_BOUND_CEILING = 16
 
 class SearchCeilingError(ValueError):
     """A search above its ceiling: the bound, or the cusp-order compositions."""
-
-
-def check_search_bound(bound: int) -> None:
-    """The one rule on a search bound |r_delta| <= bound, for every caller that takes one."""
-    if bound < 1:
-        raise ValueError(f"search bound must be >= 1, got {bound}")
 
 
 def _dot_bounds(weights: list[int], B: int, t: int):
@@ -487,22 +475,23 @@ def search_cusp_forms(
     N: int,
     weight_times_two: int = 8,
     bound: int = SEARCH_BOUND,
-    max_order: int | None = None,
+    *,
+    max_order: int,
     strict: bool = False,
 ) -> list[EtaQuotient]:
     """All cusp eta quotients at level N with |r_delta| <= bound.
 
     weight_times_two = sum r_delta (8 for weight 4, 4 for weight 2); results
-    are restricted to order at infinity <= max_order (default: the valence
-    cap) and returned sorted lexicographically by exponent vector over
-    ascending divisors, so output is reproducible.  strict=True also
-    requires the companion congruence and runs the cusp-order search.
+    are restricted to order at infinity <= max_order and returned sorted
+    lexicographically by exponent vector over ascending divisors, so output
+    is reproducible.  strict=True also requires the companion congruence and
+    runs the cusp-order search.  A bound below 1 is a ValueError, one above
+    SEARCH_BOUND_CEILING a SearchCeilingError.
     """
-    check_search_bound(bound)
+    if bound < 1:
+        raise ValueError(f"search bound must be >= 1, got {bound}")
     if N < 1:
         raise ValueError(f"search_cusp_forms: N must be >= 1, got {N}")
-    if max_order is None:
-        max_order = (weight_times_two * index_mu(N)) // 12
     if max_order < 1:
         return []
     search = _search_strict if strict else _search_range

@@ -18,7 +18,6 @@ are the coprime factorizations of level/p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Callable
 
@@ -91,28 +90,21 @@ def _hex_counts(limit: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PairSet:
-    level: int
-    modality: str  # "quad" | "hex"
-    pairs: tuple[tuple[int, int], ...]
-
-
-def _omega(form: str, level: int) -> PairSet:
+def _omega(form: str, level: int) -> tuple[tuple[int, int], ...]:
     p = FORMS[form][0]
     if not classify_level(level).in_class or level % p != 0:
         raise ValueError(
             f"omega{p}: level must be in the class and divisible by {p}, got {level}"
         )
-    return PairSet(level=level, modality=form, pairs=tuple(coprime_pairs(level // p)))
+    return tuple(coprime_pairs(level // p))
 
 
-def omega4(level: int) -> PairSet:
+def omega4(level: int) -> tuple[tuple[int, int], ...]:
     """Coprime pairs (a, b) with a*b = level/4."""
     return _omega("quad", level)
 
 
-def omega3(level: int) -> PairSet:
+def omega3(level: int) -> tuple[tuple[int, int], ...]:
     """Coprime pairs (c, d) with c*d = level/3."""
     return _omega("hex", level)
 

@@ -16,7 +16,7 @@ from math import gcd, prod
 
 from . import fixtures
 from .arith import divisors, euler_phi, index_mu, prime_factors
-from .eta import SEARCH_BOUND, EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
+from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .linalg import Echelon
 from .qseries import QSeries, eisenstein_weight2
 
@@ -254,18 +254,18 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
     return replace(basis, source="fixture")
 
 
-def search_basis(N: int, T: int, bound: int = SEARCH_BOUND) -> ModularBasis:
-    """Basis from the exhaustive search under the membership criterion as
-    published (no companion congruence); selection by Case 1 / Case 2."""
+def search_basis(N: int, T: int) -> ModularBasis:
+    """Basis from the exhaustive search at SEARCH_BOUND under the published
+    membership criterion (no companion congruence); Case 1 / Case 2 selection."""
     cands = [
         CuspGenerator(kind=KIND_ETA, eta=q)
-        for q in search_cusp_forms(N, 8, bound, max_order=search_max_order(N))
+        for q in search_cusp_forms(N, 8, max_order=search_max_order(N))
     ]
     return replace(select_cusp_basis(N, cands, T), source="searched")
 
 
-def repair_candidates(N: int, bound: int = SEARCH_BOUND) -> list[CuspGenerator]:
-    """Certified weight-4 cusp generators at level N.
+def repair_candidates(N: int) -> list[CuspGenerator]:
+    """Certified weight-4 cusp generators at level N, searched at SEARCH_BOUND.
 
     Two certified families: (a) strict-condition cusp quotients from
     proper sublevels M | N, pushed up by every substitution q -> q^t with
@@ -288,7 +288,7 @@ def repair_candidates(N: int, bound: int = SEARCH_BOUND) -> list[CuspGenerator]:
         # strict quotients of weight k2/2 at each level M, pushed up to N by
         # every q -> q^t with t | N/M
         for M in levels:
-            for q in search_cusp_forms(M, k2, bound, max_order=m, strict=True):
+            for q in search_cusp_forms(M, k2, max_order=m, strict=True):
                 for t in divisors(N // M):
                     up = q.substitute(t, level=N)
                     if order_at_infinity(up) <= m:
@@ -302,16 +302,16 @@ def repair_candidates(N: int, bound: int = SEARCH_BOUND) -> list[CuspGenerator]:
     return out
 
 
-def repair_basis(N: int, T: int, bound: int = SEARCH_BOUND) -> ModularBasis:
+def repair_basis(N: int, T: int) -> ModularBasis:
     """Certified basis: sublevel closure and products first, the strict
     search at N only when those do not span."""
-    cands = repair_candidates(N, bound)
+    cands = repair_candidates(N)
     try:
         basis = select_cusp_basis(N, cands, T)
     except UnsupportedLevelError:
         extra = [
             CuspGenerator(kind=KIND_ETA, eta=q)
-            for q in search_cusp_forms(N, 8, bound, max_order=search_max_order(N), strict=True)
+            for q in search_cusp_forms(N, 8, max_order=search_max_order(N), strict=True)
         ]
         known = {c.eta.exponents for c in cands if c.kind == KIND_ETA}
         merged = cands + [g for g in extra if g.eta.exponents not in known]

@@ -215,8 +215,9 @@ def check_tables_cuspidality() -> list[ItemResult]:
         for i, exps in enumerate(rows, start=1):
             if i in declared:
                 continue
-            rep = ligozat_check(EtaQuotient.make(N, exps))
-            if rep.is_cusp and rep.weight == 4:
+            q = EtaQuotient.make(N, exps)
+            rep = ligozat_check(q)
+            if rep.is_cusp and q.weight == 4:
                 if i in expected_bad:
                     unexpected.append(f"row {i} unexpectedly cuspidal")
             else:
@@ -392,7 +393,7 @@ def check_omega_sets() -> list[ItemResult]:
         for form, omega in (("quad", omega4), ("hex", omega3)):
             if form not in want:
                 continue
-            got = list(omega(level).pairs)
+            got = list(omega(level))
             if got != want[form]:
                 bad.append(f"{omega.__name__}({level}) = {got} != {want[form]}")
     return [_item("pair sets", bad, passed="omega sets for 120, 40, 56, 33 as published")]
@@ -412,8 +413,8 @@ def _lattice_item(form, a, b, w, note) -> ItemResult:
 
 def check_representations(provider: FormulaProvider) -> list[ItemResult]:
     w = provider.w
-    jobs = [("quad", a, b) for a, b in omega4(40).pairs + omega4(56).pairs]
-    jobs += [("hex", c, d) for c, d in omega3(33).pairs]
+    jobs = [("quad", a, b) for a, b in omega4(40) + omega4(56)]
+    jobs += [("hex", c, d) for c, d in omega3(33)]
     out = [_lattice_item(form, a, b, w, f" to {REPRESENTATION_DEPTH}") for form, a, b in jobs]
 
     def eight_squares(n):

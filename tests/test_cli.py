@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divconv
+from divconv import cli
 from divconv.cache import CacheEntry
 from divconv.cli import main
 
@@ -143,17 +144,7 @@ def test_convsum_fixture_33_reports_failure(capsys):
     assert "span" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # basis checks --bound before it chooses a mode, so the fixture
-        # path that never searches refuses it too
-        "basis 10 --use-fixture --bound 0",
-        "basis 10 --bound 0",
-        "basis 10 --repair --bound 0",
-        "search-cusp 40 --bound 0",
-    ],
-)
+@pytest.mark.parametrize("argv", ["search-cusp 40 --bound 0"])
 def test_search_bound_below_one_exits_2(capsys, argv):
     value = argv.split()[-1]
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: search bound must be >= 1, got {value}\n")
@@ -174,11 +165,16 @@ def test_search_bound_below_one_exits_2(capsys, argv):
         "convsum 1 14 --bound 0",
         "repnum --form quad 1 10 5 --bound 0",
         "repnum --form quad 1 14 5 --bound 0",
+        # basis searches at SEARCH_BOUND on every path
+        "basis 10 --use-fixture --bound 0",
+        "basis 10 --bound 0",
+        "basis 10 --repair --bound 0",
+        "basis 10 --bound 10",
     ],
 )
 def test_convsum_rejects_verify_below_one(capsys, argv):
-    # convsum and repnum take no depth and no bound at all, so each pair has
-    # one formula: any --verify or --bound is an argparse usage error
+    # convsum, repnum and basis take no depth and no bound at all, so each
+    # has one configuration: any --verify or --bound is an argparse usage error
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2
@@ -186,12 +182,66 @@ def test_convsum_rejects_verify_below_one(capsys, argv):
 
 
 def test_basis_repair_without_spanning_basis_exits_3(capsys):
-    assert run_cli(capsys, "basis", "21", "--repair", "--bound", "2") == (
+    assert run_cli(capsys, "basis", "21", "--repair") == (
         3,
         "",
         "unsupported level: level 21: no spanning weight-4 cusp basis: only 0 independent "
         "generators of 6 needed; orders not represented: [1, 2, 3, 4, 5, 6]\n",
     )
+
+
+def test_basis_use_fixture_with_repair_exits_2(capsys):
+    # one mode per basis: the fixture or the repair search, never both
+    with pytest.raises(SystemExit) as e:
+        main(["basis", "10", "--use-fixture", "--repair"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --repair: not allowed with argument --use-fixture\n")
+
+
+# one cheap invocation per subcommand
+GLOBAL_FLAG_CASES = [
+    "dims 56",
+    "search-cusp 12 --bound 4",
+    "basis 10 --use-fixture",
+    "convsum 1 10 --use-fixture",
+    "repnum --form quad 1 10 5",
+    "verify-paper",
+]
+
+
+@pytest.mark.parametrize("argv", GLOBAL_FLAG_CASES)
+def test_global_flags_before_and_after_the_subcommand_agree(capsys, monkeypatch, tmp_path, argv):
+    from divconv import verify
+
+    # verify-paper runs two cheap items and no regeneration search
+    monkeypatch.setattr(verify, "REGENERATION_LEVELS", ())
+    cheap_items = lambda provider, searches: verify.check_dimensions() + verify.check_omega_sets()
+    monkeypatch.setattr(verify, "run_all", cheap_items)
+    cmd = argv.split()
+    runs = []
+    for where in ("before", "after"):
+        cache_dir = tmp_path / where
+        flags = ["--machine", "--cache-dir", str(cache_dir)]
+        code, out, err = run_cli(capsys, *(flags + cmd if where == "before" else cmd + flags))
+        files = {f.name: f.read_bytes() for f in cache_dir.iterdir()} if cache_dir.exists() else {}
+        runs.append((code, out, err, files))
+    assert runs[0] == runs[1]
+    code, out, _, files = runs[0]
+    # both flags took effect: JSON on stdout, and the cache files of the
+    # two subcommands that write any
+    assert code == 0 and out.startswith("{")
+    assert bool(files) == (cmd[0] in ("basis", "convsum"))
+
+    # the namespace each command receives: main's defaults without the
+    # flags, the values given with them in either place
+    seen = []
+    command = "cmd_" + cmd[0].replace("-", "_")
+    monkeypatch.setattr(cli, command, lambda args: seen.append(args) or 0)
+    main(cmd)
+    main(["--machine", "--cache-dir", "d"] + cmd)
+    main(cmd + ["--machine", "--cache-dir", "d"])
+    assert [(a.machine, a.cache_dir) for a in seen] == [(False, None), (True, "d"), (True, "d")]
 
 
 # one command per failure kind, each with its exit code and stderr prefix

@@ -86,7 +86,7 @@ def test_basis_precision_covers_every_row_a_derivation_reads():
 
 
 def test_derive_level10_matches_published():
-    basis = load_fixture_basis(10, 208)
+    basis = load_fixture_basis(10, basis_precision(10))
     f = derive_formula(1, 10, basis)
     pub = fixtures.PUBLISHED_EXPANSIONS[(1, 10)]
     for d, v in pub["sigma3"].items():
@@ -147,7 +147,7 @@ def test_evaluate_examples(provider):
 
 
 def test_fixture_level_33_does_not_span():
-    basis = load_fixture_basis(33, 208)
+    basis = load_fixture_basis(33, basis_precision(33))
     with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 33, basis)
     assert str(err.value) == (
@@ -177,7 +177,7 @@ def test_level_24_failure_text_is_the_same_everywhere(provider):
 
 
 def test_fixture_level_11_fails_verification():
-    basis = load_fixture_basis(11, 208)
+    basis = load_fixture_basis(11, basis_precision(11))
     with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 11, basis)
     assert str(err.value) == (
@@ -191,7 +191,7 @@ def test_verification_names_the_first_failing_row():
     # elimination cannot see it, so only the verification loop can, and its
     # first failure is that row.  The level-10 solution has denominator 13,
     # so a check that scaled one side only would fail at n=1.
-    basis = load_fixture_basis(10, 208)
+    basis = load_fixture_basis(10, basis_precision(10))
     coeffs = list(basis.cusp_series[0].coeffs)
     coeffs[150] += 1
     planted = replace(basis, cusp_series=[QSeries(coeffs), *basis.cusp_series[1:]])
@@ -250,7 +250,7 @@ def test_basis_independence_level_10_search_route(provider):
     from divconv.spaces import search_basis
 
     f_fix = provider.formula(1, 10)
-    f_sea = derive_formula(1, 10, search_basis(10, 240, bound=8))
+    f_sea = derive_formula(1, 10, search_basis(10, 240))
     assert f_sea.basis.source == "searched"
     assert f_sea.basis.checksum != f_fix.basis.checksum
     assert f_sea.y != f_fix.y

@@ -44,10 +44,11 @@ def dual_congruence(e: EtaQuotient) -> bool:
 
 
 def test_ligozat_table4_row1():
-    rep = ligozat_check(EtaQuotient.make(33, {3: 8}))
+    q = EtaQuotient.make(33, {3: 8})
+    rep = ligozat_check(q)
     assert rep.cond_i and rep.cond_ii and rep.cond_iii
-    assert rep.is_cusp and rep.weight == 4
-    assert rep.order_at_infinity == 1
+    assert rep.is_cusp and q.weight == 4
+    assert order_at_infinity(q) == 1
 
 
 def test_ligozat_zero_map():
@@ -63,9 +64,9 @@ def test_eta_quotient_key_below_one_is_rejected(exponents):
 
 
 def test_ligozat_weight2_level11():
-    rep = ligozat_check(EtaQuotient.make(11, {1: 2, 11: 2}))
-    assert rep.weight == 2 and rep.is_cusp
-    assert rep.order_at_infinity == 1
+    q = EtaQuotient.make(11, {1: 2, 11: 2})
+    assert q.weight == 2 and ligozat_check(q).is_cusp
+    assert order_at_infinity(q) == 1
 
 
 def test_order_at_infinity_examples():
@@ -118,8 +119,8 @@ def test_cuspidal_published_rows_pass():
         for i, row in enumerate(rows, start=1):
             if i in skip:
                 continue
-            rep = ligozat_check(EtaQuotient.make(N, row))
-            assert rep.is_cusp and rep.weight == 4, (N, i)
+            q = EtaQuotient.make(N, row)
+            assert ligozat_check(q).is_cusp and q.weight == 4, (N, i)
 
 
 def test_search_level_1_empty():
@@ -286,7 +287,7 @@ def test_search_cusp_above_bound_ceiling_exits_3(capsys):
 def test_strict_search_needs_even_weight():
     # with odd weight the character is not trivial and orders need not be integral
     with pytest.raises(ValueError):
-        search_cusp_forms(12, 6, 3, strict=True)
+        search_cusp_forms(12, 6, 3, max_order=3, strict=True)
 
 
 def test_search_cusp_strict_above_ceiling_exits_3(capsys):

@@ -38,16 +38,16 @@ def test_quaternary_closed_forms_vs_enumeration():
 
 
 def test_omega4_examples():
-    assert list(omega4(120).pairs) == [(1, 30), (2, 15), (3, 10), (5, 6)]
-    assert list(omega4(40).pairs) == [(1, 10), (2, 5)]
-    assert list(omega4(4).pairs) == [(1, 1)]
-    assert list(omega4(56).pairs) == [(1, 14), (2, 7)]
+    assert list(omega4(120)) == [(1, 30), (2, 15), (3, 10), (5, 6)]
+    assert list(omega4(40)) == [(1, 10), (2, 5)]
+    assert list(omega4(4)) == [(1, 1)]
+    assert list(omega4(56)) == [(1, 14), (2, 7)]
 
 
 def test_omega3_examples():
-    assert list(omega3(120).pairs) == [(1, 40), (5, 8)]
-    assert list(omega3(33).pairs) == [(1, 11)]
-    assert list(omega3(3).pairs) == [(1, 1)]
+    assert list(omega3(120)) == [(1, 40), (5, 8)]
+    assert list(omega3(33)) == [(1, 11)]
+    assert list(omega3(3)) == [(1, 1)]
 
 
 def test_omega_preconditions():
@@ -67,12 +67,12 @@ def _all_coprime_pairs(product):
 
 @pytest.mark.parametrize("level", [12, 24, 40, 56, 120])
 def test_omega4_is_all_coprime_factorizations(level):
-    assert list(omega4(level).pairs) == _all_coprime_pairs(level // 4)
+    assert list(omega4(level)) == _all_coprime_pairs(level // 4)
 
 
 @pytest.mark.parametrize("level", [12, 15, 24, 33, 120])
 def test_omega3_is_all_coprime_factorizations(level):
-    assert list(omega3(level).pairs) == _all_coprime_pairs(level // 3)
+    assert list(omega3(level)) == _all_coprime_pairs(level // 3)
 
 
 def test_rep_oracle_examples():
@@ -93,7 +93,7 @@ def test_count_examples():
 @pytest.mark.parametrize("level", [12, 24, 40, 56])
 def test_count_N_vs_oracle_brute_provider(level):
     w = brute_force_W
-    for a, b in omega4(level).pairs:
+    for a, b in omega4(level):
         for n in range(1, 101):
             assert count_N(a, b, n, w) == rep_oracle("quad", a, b, n), (a, b, n)
 
@@ -101,7 +101,7 @@ def test_count_N_vs_oracle_brute_provider(level):
 @pytest.mark.parametrize("level", [12, 15, 24, 33])
 def test_count_R_vs_oracle_brute_provider(level):
     w = brute_force_W
-    for c, d in omega3(level).pairs:
+    for c, d in omega3(level):
         for n in range(1, 101):
             assert count_R(c, d, n, w) == rep_oracle("hex", c, d, n), (c, d, n)
 

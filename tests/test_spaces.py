@@ -85,13 +85,13 @@ def test_substitution_reports():
 
 
 def test_select_case1_level_12():
-    basis = search_basis(12, 40, bound=8)
+    basis = search_basis(12, 40)
     assert basis.dim_cusp == 3
     assert [g.order() for g in basis.cusp] == [1, 2, 3]
 
 
 def test_select_case2_level_10():
-    basis = search_basis(10, 40, bound=8)
+    basis = search_basis(10, 40)
     assert basis.dim_cusp == 3
     k = basis.dim_cusp
     m = [[basis.coefficient(j, n) for j in range(k)] for n in range(1, k + 1)]
