@@ -38,7 +38,15 @@ sum delta*r mod 24, the parity mask of sum v_p(delta)*r_delta over the
 primes p | N).  A prefix admits only the tails whose key completes
 sum r = k2, (i) and (ii), and of those exactly the ones that put every S_d
 in its window; each is a cusp quotient of order at infinity <= max_order.
-Bounds above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
+The window tests see every cusp at once: the vector (S_d) travels as one
+integer, pack(v) = sum_d v_d * 2^(W*d) with W-bit slots (the Kronecker
+substitution of `qseries`), and with G the integer that has the top bit of
+every slot set, each slot of pack(v) + G keeps its top bit iff v_d >= 0,
+as long as every |v_d| < 2^(W-1).  So a branch or a tail passes when
+(pack(S - floor) + G) & (pack(cap - S) + G) & G == G, one add, one subtract
+and one mask (the guard-bit test of SIMD within a register, Lamport,
+CACM 18(8), 1975).  Bounds above SEARCH_BOUND_CEILING raise
+SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -168,9 +176,10 @@ def order_at_infinity(e: EtaQuotient) -> int:
 # --- exhaustive search -----------------------------------------------------
 
 # Largest bound the exhaustive search accepts.  Its tail table holds
-# (2*bound + 1)^3 tails of #divisors sums each: at bound 16 that table adds
-# 16 MB at level 40 and 27 MB at level 120, and the level-40 search takes
-# 35 s; at bound 20 the table adds 33 and 53 MB, at bound 40 260 and 417 MB.
+# (2*bound + 1)^3 tails, each with one packed integer of #divisors cusp-sum
+# slots: at bound 16 that table adds 7 MB at level 40 and 8 MB at level 120,
+# and the level-40 search takes 10 s; at bound 20 the table adds 12 and
+# 14 MB, at bound 40 91 and 104 MB (tracemalloc, Python 3.11).
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
 
@@ -204,8 +213,11 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
 
     The DFS assigns all but the last min(3, #divisors) exponents; those come
     from `tails`, which maps each key (sum r, sum delta*r mod 24, parity
-    mask) to the tails with |r| <= B that have it, each with what it adds
-    to every S_d.
+    mask) to the tails with |r| <= B that have it, each with the packed
+    sums `add` it adds.  A child Q = P + pack(r*w_i) of a prefix with packed
+    sums P is kept iff (Q + lo) & (hi - Q) & G == G, (lo, hi) from `bounds`;
+    a tail iff (add + xl) & (xh - add) & G == G, xl = P - pack(floors) + G
+    and xh = pack(caps) - P + G.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -214,17 +226,33 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
         )
     divs = divisors(N)
     nd = len(divs)
-    iN = nd - 1
     proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
     head = nd - min(3, nd)  # exponents the DFS assigns; the table holds the rest
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
     coefs = [Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs]
     floors = [1] * nd
-    floors[iN] = 24 * N
+    floors[-1] = 24 * N
     # what the valence identity leaves once every S_d is at its floor
     slack = k2 * index_mu(N) - sum(c * f for c, f in zip(coefs, floors))
     caps = [f + slack // c for c, f in zip(coefs, floors)]
-    caps[iN] = min(caps[iN], 24 * N * max_order)
+    caps[-1] = min(caps[-1], 24 * N * max_order)
+    # Slot bound: every tested slot value is S_d + add_d - floor_d or
+    # cap_d - S_d - add_d, or the same with the extreme of the later
+    # exponents in place of add_d.  All exponents together move S_d by at
+    # most B * sum_j w[d][j] and every floor is at most 24N, so each value
+    # is at most M = max|cap| + 24N + B * max_d sum_j w[d][j] in absolute
+    # value, and W-bit slots hold every value in [-2^(W-1), 2^(W-1)).
+    M = max(map(abs, caps)) + 24 * N + B * max(map(sum, w))
+    W = M.bit_length() + 1
+    assert M < 1 << (W - 1), "cusp-sum slot too narrow"
+
+    def pack(v):
+        return sum(x << (W * d) for d, x in enumerate(v))
+
+    # X + G has the top bit of every slot set iff every slot of X is >= 0
+    G = pack([1 << (W - 1)] * nd)
+    # packing is linear: col[j] packs what r = 1 at proc[j] adds to every S_d
+    col = [pack([w[ci][j] for ci in range(nd)]) for j in range(nd)]
     # masks[j]: the primes p | N with v_p(proc[j]) odd, one bit each; an odd
     # r at proc[j] flips them in the parity of prod delta^r
     bit = {p: 1 << b for b, p in enumerate(prime_factors(N))}
@@ -237,62 +265,43 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
             sum(proc[j] * r for j, r in tail) % 24,
             reduce(xor, (masks[j] for j, r in tail if r & 1), 0),
         )
-        add = tuple(sum(w[ci][j] * r for j, r in tail) for ci in range(nd))
-        tails.setdefault(key, []).append((add, rs))
-    # bounds[i][t]: per cusp, (min, max) of what exponents i.. add to S_d
-    # when they sum to t
-    bounds = [
-        {
-            t: [_dot_bounds(w[ci][i:], B, t) for ci in range(nd)]
-            for t in range(-(nd - i) * B, (nd - i) * B + 1)
-        }
-        for i in range(head + 1)
-    ]
-    order_at = [sorted(range(nd), key=lambda ci: -w[ci][i]) for i in range(head)]
+        tails.setdefault(key, []).append((sum(col[j] * r for j, r in tail), rs))
+    # bounds[i][t]: the window test of a child at depth i whose later
+    # exponents i+1.. sum to t, with (min, max) of what they add to each S_d
+    bounds = []
+    for i in range(head):
+        row = {}
+        for t in range(-(nd - i - 1) * B, (nd - i - 1) * B + 1):
+            mm = [_dot_bounds(w[ci][i + 1 :], B, t) for ci in range(nd)]
+            row[t] = (
+                G + pack([hi - f for (_, hi), f in zip(mm, floors)]),
+                G + pack([c - lo for (lo, _), c in zip(mm, caps)]),
+            )
+        bounds.append(row)
+    steps = [[r * col[i] for r in range(-B, B + 1)] for i in range(head)]
+    low, high = G - pack(floors), G + pack(caps)
     out = []
-    S = [0] * nd
     path = [0] * head
 
-    def lookup(sr, pm):
-        # S_N / N = sum delta * r_delta over the exponents assigned so far
-        group = tails.get((k2 - sr, -(S[iN] // N) % 24, pm))
-        if group is None:
-            return
-        lo = [f - v for f, v in zip(floors, S)]
-        hi = [c - v for c, v in zip(caps, S)]
-        for add, rs in group:
-            for a, l, h in zip(add, lo, hi):
-                if not l <= a <= h:
-                    break
-            else:
-                exps = {proc[j]: r for j, r in enumerate(path) if r}
-                exps.update((proc[j], r) for j, r in zip(range(head, nd), rs) if r)
-                out.append(exps)
-
-    def dfs(i, sr, pm):
+    def dfs(i, P, sr, sd, pm):
+        # P packs the cusp sums, sd = sum delta*r, over the exponents so far
         if i == head:
-            lookup(sr, pm)
+            xl, xh = P + low, high - P
+            for add, rs in tails.get((k2 - sr, -sd % 24, pm), ()):
+                if (add + xl) & (xh - add) & G == G:
+                    exps = {proc[j]: r for j, r in enumerate(path) if r}
+                    exps.update((proc[j], r) for j, r in zip(range(head, nd), rs) if r)
+                    out.append(exps)
             return
-        bnds = bounds[i + 1]
-        oi = order_at[i]
-        for r in range(-B, B + 1):
-            brow = bnds.get(k2 - sr - r)
-            if brow is None:
-                continue
-            for ci in oi:
-                lo, hi = brow[ci]
-                v = S[ci] + r * w[ci][i]
-                if v + hi < floors[ci] or v + lo > caps[ci]:
-                    break
-            else:
-                for ci in range(nd):
-                    S[ci] += r * w[ci][i]
+        bnds = bounds[i]
+        for r, step in zip(range(-B, B + 1), steps[i]):
+            b = bnds.get(k2 - sr - r)
+            Q = P + step
+            if b and (Q + b[0]) & (b[1] - Q) & G == G:
                 path[i] = r
-                dfs(i + 1, sr + r, pm ^ masks[i] if r & 1 else pm)
-                for ci in range(nd):
-                    S[ci] -= r * w[ci][i]
+                dfs(i + 1, Q, sr + r, sd + proc[i] * r, pm ^ masks[i] if r & 1 else pm)
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0, 0)
     # dfs refers to itself, so without this the table and the other cells it
     # closes over would stay allocated until the cyclic collector runs
     del dfs

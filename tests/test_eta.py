@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -183,12 +186,29 @@ def _exhaustive_oracle(N, k2, bound, max_order):
         (20, 8, 3, 6, 21),
         (24, 8, 2, 8, 53),
         (12, 4, 3, 2, 8),
+        # 9 and 12 divisors: more cusp-sum slots than any level above
+        (36, 8, 2, 4, 193),
+        (60, 8, 1, 30, 15),  # max_order = dim S4(60)
     ],
 )
 def test_search_equals_brute_force(N, k2, bound, max_order, hits):
     found = [q.exponents for q in search_cusp_forms(N, k2, bound, max_order=max_order)]
     assert len(found) == len(set(found)) == hits
     assert set(found) == _exhaustive_oracle(N, k2, bound, max_order)
+
+
+SEARCH_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "search.json"
+
+
+@pytest.mark.parametrize("N", [40, 56])
+def test_search_matches_search_golden(N):
+    # the hit list the search benchmark checks, digested the same way: the
+    # sha256 of the sorted exponent vectors, one comma-joined line each; the
+    # golden file is read, never rewritten
+    want = json.loads(SEARCH_GOLDEN.read_text())[f"{N},4"]
+    found = search_cusp_forms(N, 8, 4, max_order=profile(N).dim_S4)
+    text = "\n".join(",".join(map(str, v)) for v in sorted(q.vector() for q in found))
+    assert {"hits": len(found), "sha256": hashlib.sha256(text.encode()).hexdigest()} == want
 
 
 # levels whose oracle (at most 7^5 vectors at bound 3) stays well under 1 s
