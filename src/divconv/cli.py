@@ -28,7 +28,6 @@ from .convolution import (
     FormulaIntegrityError,
     FormulaProvider,
     UnsupportedLevelError,
-    basis_precision,
     derive_formula,
     dispatch_W,
 )
@@ -94,13 +93,12 @@ def cmd_search_cusp(args) -> int:
 
 def cmd_basis(args) -> int:
     N = args.level
-    T = basis_precision(N)
     if args.use_fixture:
-        basis = load_fixture_basis(N, T)
+        basis = load_fixture_basis(N)
     elif args.repair:
-        basis = repair_basis(N, T)
+        basis = repair_basis(N)
     else:
-        basis = search_basis(N, T)
+        basis = search_basis(N)
     if args.cache_dir:
         Cache(args.cache_dir).store_basis(basis)
     doc = {
@@ -159,7 +157,7 @@ def cmd_convsum(args) -> int:
         lines = []
     level = a1 * b1
     if args.use_fixture:
-        f = derive_formula(a1, b1, load_fixture_basis(level, basis_precision(level)))
+        f = derive_formula(a1, b1, load_fixture_basis(level))
     else:
         f = FormulaProvider().formula(a1, b1)
         if f.basis.fixture_failure:

@@ -13,14 +13,11 @@ expansion_at evaluates given coefficients and closed_form_W this W shape,
 for derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients
 alike.
 
-basis_precision(N) is the one decision on depth: a level's basis carries
-that many q-rows, and every derived formula is sampled and verified
-coefficient-by-coefficient against the squared difference on exactly those
-rows (past twice the Sturm bound, and at least VERIFY_TO) before it is
-returned.  derive_formula builds the system's columns (M(q^delta), then
-the b_j) once over those rows; the elimination samples its rows, and the
-check is the same system's residual in integers: the solution times the
-lcm of its denominators against the squared difference times that lcm.  The
+derive_formula builds the system's columns (M(q^delta), then the b_j)
+once over the basis's rows, spaces.basis_precision(N); the elimination
+samples its rows, and the check is the same system's residual in integers:
+the solution times the lcm of its denominators against the squared
+difference times that lcm.  The
 dispatcher reduces by gcd, short-circuits the diagonal a = b through the
 classical closed form, serves n up to the formula's verified_to with the
 closed form and answers n past it, up to DIRECT_SUM_MAX_N, with the direct
@@ -32,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, gcd
+from math import gcd
 from operator import mul
 
 from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
@@ -41,9 +38,10 @@ from .qseries import eisenstein_M, squared_difference
 from .spaces import (
     ModularBasis,
     UnsupportedLevelError,
+    basis_precision,
     load_fixture_basis,
-    profile,
     repair_basis,
+    sturm_bound,
 )
 from . import fixtures
 
@@ -134,11 +132,6 @@ def diagonal_W(alpha: int, n: int) -> int:
     return _natural_W(alpha, alpha, {alpha: Fraction(5, 12)}, {}, None, n)
 
 
-def sturm_bound(N: int, k: int = 4) -> int:
-    """ceil((k/12) * [index of the level-N subgroup])."""
-    return ceil(Fraction(k * profile(N).index_mu, 12))
-
-
 @dataclass
 class ConvolutionFormula:
     alpha: int
@@ -161,20 +154,12 @@ class ConvolutionFormula:
         return sigma3, cusp
 
 
-VERIFY_TO = 200  # the least depth of every derivation, and verify-paper's depth
 DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direct sum
-
-
-def basis_precision(N: int) -> int:
-    """The q-rows a level-N derivation samples and verifies, and so the
-    precision of the basis that serves it: past twice the Sturm bound,
-    16 rows past dim M4, every divisor row, and at least VERIFY_TO."""
-    return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, VERIFY_TO)
 
 
 def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
-    T = basis_precision(N), extending a shorter basis to T.
+    T = basis_precision(N), the basis's own precision.
 
     The system's columns are built once over rows 0..T: M(q^delta) for each
     delta | N, then each cusp generator b_j.  Sample rows of that matrix go
@@ -192,7 +177,6 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
     T = basis_precision(N)
-    basis = basis.at_precision(T)
     divs = divisors(N)
     nunk = len(divs) + basis.dim_cusp
     # row n of the system: the q^n coefficients of every column, n = 0..T
@@ -276,10 +260,9 @@ class FormulaProvider:
                 f"level {level} = 2^{cls.nu} * {cls.mho} is outside the supported "
                 f"class (needs nu <= 3 and odd squarefree part)"
             )
-        T = basis_precision(level)
         basis = failure = None
         if level in fixtures.BASIS_TABLES:
-            fb = load_fixture_basis(level, T)
+            fb = load_fixture_basis(level)
             probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
             try:
                 f = derive_formula(level // probe, probe, fb)
@@ -288,7 +271,7 @@ class FormulaProvider:
             except DerivationError as e:
                 failure = str(e)
         if basis is None:
-            basis = replace(repair_basis(level, T), fixture_failure=failure)
+            basis = replace(repair_basis(level), fixture_failure=failure)
         self._bases[level] = basis
         return basis
 

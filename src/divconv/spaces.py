@@ -6,6 +6,12 @@ fixture bases, and `repair_basis`, which builds a certified cusp basis out
 of generators that provably lie in the weight-4 cusp space (strict eta
 quotients, their substitutions from sublevels, and weight-2 cusp quotients
 multiplied by weight-2 Eisenstein combinations).
+
+basis_precision(N) is the one decision on depth: every builder expands a
+level's basis to that many q-rows, and a formula derived on it is sampled
+and verified on exactly those rows.  Each builder asks for it before it
+searches or expands a series, so a level above BASIS_LEVEL_CEILING raises
+UnsupportedLevelError at once.
 """
 
 from __future__ import annotations
@@ -74,6 +80,32 @@ def profile(N: int) -> SpaceProfile:
     )
 
 
+def sturm_bound(N: int) -> int:
+    """ceil(k/12 * [index of the level-N subgroup]) at weight k = 4."""
+    return -(-profile(N).index_mu // 3)
+
+
+VERIFY_TO = 200  # the least depth of every derivation, and verify-paper's depth
+SUBSTITUTION_ROWS = 64  # the rows fixture_substitution_report compares
+# the largest level a basis is built at.  A basis grows with its level (Case
+# 2 selection expands candidates to 2 dim S4 rows); on 2 CPUs `basis p`, with
+# or without --repair, took at most 0.3 s and 23 MB at ~50 primes p < 10^4,
+# but 4-6 s at p = 49391 and 67751 and over 10 s at 100019 with --repair
+BASIS_LEVEL_CEILING = 10**4
+
+
+def basis_precision(N: int) -> int:
+    """The q-rows of every level-N basis, and so the rows a derivation on it
+    samples and verifies: past twice the Sturm bound, 16 rows past dim M4,
+    every divisor row, and at least VERIFY_TO.  UnsupportedLevelError above
+    BASIS_LEVEL_CEILING."""
+    if N > BASIS_LEVEL_CEILING:
+        raise UnsupportedLevelError(
+            f"level {N} is above the basis ceiling BASIS_LEVEL_CEILING = {BASIS_LEVEL_CEILING}"
+        )
+    return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, VERIFY_TO)
+
+
 KIND_ETA = "eta-quotient"
 KIND_DECLARED = "declared-fixture"
 KIND_PRODUCT = "eta-eisenstein-product"
@@ -113,7 +145,6 @@ class ModularBasis:
     """Eisenstein degrees plus selected cusp generators, expanded to a precision."""
 
     level: int
-    eisenstein: list[int]
     cusp: list[CuspGenerator]
     precision: int
     cusp_series: list[QSeries] = field(repr=False)
@@ -121,6 +152,10 @@ class ModularBasis:
     checksum: str = ""
     source: str = ""  # "fixture", "repaired" or "searched": the function that built it
     fixture_failure: str | None = None  # why a repaired basis replaced the fixture basis
+
+    @property
+    def eisenstein(self) -> list[int]:  # the degrees t | level of the M(q^t)
+        return divisors(self.level)
 
     @property
     def dim_cusp(self) -> int:
@@ -147,9 +182,9 @@ def _matrix_checksum(cusp_series: list[QSeries], m: int) -> str:
     return f"sha256:{digest[:16]}"
 
 
-def build_basis(N: int, generators: list[CuspGenerator], T: int) -> ModularBasis:
-    """Expand generators, record their defects and checksum the first rows."""
-    prof = profile(N)
+def build_basis(N: int, generators: list[CuspGenerator]) -> ModularBasis:
+    """Expand generators to basis_precision(N), record defects, checksum rows."""
+    T, prof = basis_precision(N), profile(N)
     series = [g.series(T) for g in generators]
     defects = []
     for i, (g, s) in enumerate(zip(generators, series), start=1):
@@ -165,7 +200,6 @@ def build_basis(N: int, generators: list[CuspGenerator], T: int) -> ModularBasis
     checksum = _matrix_checksum(series, max(m, 1)) if m else "sha256:empty"
     basis = ModularBasis(
         level=N,
-        eisenstein=divisors(N),
         cusp=list(generators),
         precision=T,
         cusp_series=series,
@@ -182,9 +216,7 @@ def search_max_order(N: int) -> int:
     return max(profile(N).dim_S4, 1)
 
 
-def select_cusp_basis(
-    N: int, candidates: list[CuspGenerator], T: int
-) -> ModularBasis:
+def select_cusp_basis(N: int, candidates: list[CuspGenerator]) -> ModularBasis:
     """Pick dim S4 independent generators from candidates.
 
     Case 1: when every order 1..m is represented, take the first candidate
@@ -194,9 +226,10 @@ def select_cusp_basis(
     candidate that does not raise the rank; UnsupportedLevelError when the
     rank stays below m.
     """
+    basis_precision(N)  # the level ceiling, before any expansion
     m = profile(N).dim_S4
     if m == 0:
-        return build_basis(N, [], T)
+        return build_basis(N, [])
     kind_rank = {KIND_ETA: 0, KIND_DECLARED: 1, KIND_PRODUCT: 2}
     ordered = sorted(
         candidates,
@@ -207,7 +240,7 @@ def select_cusp_basis(
         by_order.setdefault(g.order(), g)
     if all(o in by_order for o in range(1, m + 1)):
         chosen = [by_order[o] for o in range(1, m + 1)]
-        return build_basis(N, chosen, T)
+        return build_basis(N, chosen)
     # Case 2: exact-rank greedy selection over sample rows 1..max(2m, m+8)
     depth = max(2 * m, m + 8)
     chosen: list[CuspGenerator] = []
@@ -228,10 +261,10 @@ def select_cusp_basis(
             f"level {N}: no spanning weight-4 cusp basis: only {len(chosen)} independent "
             f"generators of {m} needed; orders not represented: {missing}"
         )
-    return build_basis(N, chosen, T)
+    return build_basis(N, chosen)
 
 
-def load_fixture_basis(N: int, T: int) -> ModularBasis:
+def load_fixture_basis(N: int) -> ModularBasis:
     """The embedded reference basis for a supported level, verbatim.
 
     Known defects (generators that are provably not cuspidal) are recorded
@@ -246,7 +279,7 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
     for i, exps in enumerate(fixtures.BASIS_TABLES[N], start=1):
         kind = KIND_DECLARED if i in declared else KIND_ETA
         gens.append(eta_generator(N, exps, kind=kind))
-    basis = build_basis(N, gens, T)
+    basis = build_basis(N, gens)
     for i in declared:
         basis.defects.append(
             f"generator {i} ({gens[i - 1].describe()}) is a declared weight-2 auxiliary"
@@ -254,14 +287,15 @@ def load_fixture_basis(N: int, T: int) -> ModularBasis:
     return replace(basis, source="fixture")
 
 
-def search_basis(N: int, T: int) -> ModularBasis:
+def search_basis(N: int) -> ModularBasis:
     """Basis from the exhaustive search at SEARCH_BOUND under the published
     membership criterion (no companion congruence); Case 1 / Case 2 selection."""
+    basis_precision(N)  # the level ceiling, before the search
     cands = [
         CuspGenerator(kind=KIND_ETA, eta=q)
         for q in search_cusp_forms(N, 8, max_order=search_max_order(N))
     ]
-    return replace(select_cusp_basis(N, cands, T), source="searched")
+    return replace(select_cusp_basis(N, cands), source="searched")
 
 
 def repair_candidates(N: int) -> list[CuspGenerator]:
@@ -302,12 +336,13 @@ def repair_candidates(N: int) -> list[CuspGenerator]:
     return out
 
 
-def repair_basis(N: int, T: int) -> ModularBasis:
+def repair_basis(N: int) -> ModularBasis:
     """Certified basis: sublevel closure and products first, the strict
     search at N only when those do not span."""
+    basis_precision(N)  # the level ceiling, before the searches
     cands = repair_candidates(N)
     try:
-        basis = select_cusp_basis(N, cands, T)
+        basis = select_cusp_basis(N, cands)
     except UnsupportedLevelError:
         extra = [
             CuspGenerator(kind=KIND_ETA, eta=q)
@@ -315,24 +350,24 @@ def repair_basis(N: int, T: int) -> ModularBasis:
         ]
         known = {c.eta.exponents for c in cands if c.kind == KIND_ETA}
         merged = cands + [g for g in extra if g.eta.exponents not in known]
-        basis = select_cusp_basis(N, merged, T)
+        basis = select_cusp_basis(N, merged)
     return replace(basis, source="repaired")
 
 
-def fixture_substitution_report(N: int, T: int = 64) -> list[tuple]:
+def fixture_substitution_report(N: int) -> list[tuple]:
     """Check the published substitution claims b_target(n) = b_source(n/k)
-    against the actual expansions; returns (target, source, published_k,
-    actual_k_or_None) rows."""
+    on rows 0..SUBSTITUTION_ROWS against the actual expansions; returns
+    (target, source, published_k, actual_k_or_None) rows."""
     rows = fixtures.BASIS_TABLES[N]
     out = []
     for target, source, published_k in fixtures.SUBSTITUTION_CLAIMS.get(N, []):
-        st = EtaQuotient.make(N, rows[target - 1]).series(T)
-        ss = EtaQuotient.make(N, rows[source - 1]).series(T)
+        st = EtaQuotient.make(N, rows[target - 1]).series(SUBSTITUTION_ROWS)
+        ss = EtaQuotient.make(N, rows[source - 1]).series(SUBSTITUTION_ROWS)
         actual = None
-        for k in range(1, T):
+        for k in range(1, SUBSTITUTION_ROWS):
             if all(
                 st.coefficient(n) == (ss.coefficient(n // k) if n % k == 0 else 0)
-                for n in range(T + 1)
+                for n in range(SUBSTITUTION_ROWS + 1)
             ):
                 actual = k
                 break

@@ -15,17 +15,14 @@ from dataclasses import dataclass
 from . import fixtures
 from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
 from .convolution import (
-    VERIFY_TO,
     DerivationError,
     FormulaProvider,
-    basis_precision,
     brute_force_W,
     closed_form_W,
     derive_formula,
     diagonal_W,
     evaluate_W,
     expansion_at,
-    sturm_bound,
 )
 from .eta import EtaQuotient, ligozat_check, search_cusp_forms
 from .qseries import eisenstein_L, squared_difference
@@ -40,7 +37,14 @@ from .representation import (
     s4,
     s4_by_enumeration,
 )
-from .spaces import fixture_substitution_report, load_fixture_basis, profile, search_max_order
+from .spaces import (
+    VERIFY_TO,
+    fixture_substitution_report,
+    load_fixture_basis,
+    profile,
+    search_max_order,
+    sturm_bound,
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -304,7 +308,7 @@ def check_substitution_claims() -> list[ItemResult]:
 
 def check_published_formulas() -> list[ItemResult]:
     levels = {a * b for a, b in [*fixtures.PUBLISHED_EXPANSIONS, *fixtures.PUBLISHED_W]}
-    bases = {N: load_fixture_basis(N, basis_precision(N)) for N in sorted(levels)}
+    bases = {N: load_fixture_basis(N) for N in sorted(levels)}
     out = []
     for pair in sorted(fixtures.PUBLISHED_EXPANSIONS):
         a, b = pair
@@ -474,7 +478,7 @@ def check_revisited_representations(provider: FormulaProvider) -> list[ItemResul
 
 
 def check_level_11(provider: FormulaProvider) -> list[ItemResult]:
-    basis = load_fixture_basis(11, basis_precision(11))
+    basis = load_fixture_basis(11)
     first_bad, _ = _published_expansion_series_check((1, 11), basis)
     first_bad_w, _ = _published_w_check((1, 11), basis)
     refuted = []

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from divconv import fixtures
-from divconv.convolution import DerivationError, basis_precision
+from divconv.convolution import DerivationError
 from divconv.eta import EtaQuotient, ligozat_check
 from divconv.spaces import load_fixture_basis
 from divconv import verify as verify_mod
@@ -162,7 +162,7 @@ def test_criterion_2_table_rows_are_cusp_forms(searches):
 
 def test_criterion_3_level_56_coefficients():
     t0 = time.time()
-    basis = load_fixture_basis(56, basis_precision(56))
+    basis = load_fixture_basis(56)
     all_mism = []
     for pair in ((1, 56), (7, 8)):
         f, mism = derived_vs_published(pair, basis)
@@ -197,14 +197,14 @@ def test_criterion_3_printed_values_levels_33_40():
     """
     failures = []
     for pair in ((1, 33), (3, 11)):
-        basis = load_fixture_basis(33, basis_precision(33))
+        basis = load_fixture_basis(33)
         try:
             _, mism = derived_vs_published(pair, basis)
             failures += [f"{pair}: {m}" for m in mism]
         except DerivationError as e:
             failures.append(f"{pair}: derivation on the published basis fails ({e})")
     for pair in ((1, 40), (5, 8)):
-        basis = load_fixture_basis(40, basis_precision(40))
+        basis = load_fixture_basis(40)
         _, mism = derived_vs_published(pair, basis)
         failures += [f"{pair}: {m}" for m in mism]
     if failures:
@@ -262,7 +262,7 @@ def test_criterion_5_section6_pairs():
     problems = []
     for pair in SECTION6_GOOD_PAIRS:
         N = pair[0] * pair[1]
-        basis = load_fixture_basis(N, basis_precision(N))
+        basis = load_fixture_basis(N)
         _, mism = derived_vs_published(pair, basis)
         problems += [f"{pair}: {m}" for m in mism]
     problems += _problems(
@@ -291,7 +291,7 @@ def test_criterion_5_printed_values_level_24():
     failures n=2 and n=5).
     """
     failures = []
-    basis = load_fixture_basis(24, basis_precision(24))
+    basis = load_fixture_basis(24)
     for pair in ((1, 24), (3, 8)):
         try:
             _, mism = derived_vs_published(pair, basis)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,13 @@ import divconv
 from divconv import cli
 from divconv.cache import CacheEntry
 from divconv.cli import main
+
+
+def _src_env():
+    # the environment of a `python -m divconv.cli` child that imports this tree
+    src = str(Path(divconv.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +263,10 @@ FAILURE_KINDS = {
     "convsum 1 21": (3, "unsupported level: "),
     "search-cusp 40 --bound 17": (3, "search too large: "),
     "convsum 1 33 --use-fixture": (3, "derivation failed: "),
+    # a level above spaces.BASIS_LEVEL_CEILING: refused before any search
+    "basis 1000000007": (3, "unsupported level: "),
+    "basis 1000000007 --repair": (3, "unsupported level: "),
+    "convsum 1 1000000007": (3, "unsupported level: "),
     # a 21-digit prime factor: trial division stops at its ceiling at once
     "dims 100000000000000000039": (2, "error: factorize: "),
     "convsum 1 100000000000000000039": (2, "error: factorize: "),
@@ -267,6 +279,25 @@ def test_every_failure_is_one_stderr_line_from_main(capsys):
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (want, ""), argv
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+def test_basis_above_the_level_ceiling_exits_3_at_once():
+    # without the ceiling, Case 2 selection expands a series of 2 dim S4,
+    # about 6.7 * 10^8 rows, until memory runs out; the address-space limit
+    # keeps such a regression from exhausting the machine
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divconv.cli", "basis", "1000000007"],
+        capture_output=True,
+        env=_src_env(),
+        preexec_fn=limit,
+        timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == (
+        b"unsupported level: level 1000000007 is above the basis ceiling "
+        b"BASIS_LEVEL_CEILING = 10000\n"
+    )
 
 
 def test_dims_of_a_twelve_digit_prime_level(capsys):
@@ -311,9 +342,6 @@ def test_repnum_rejects_nonpositive_pair(capsys, a, b, why):
 def test_closed_pipe_exits_quietly(argv):
     """A reader that has gone (`divconv ... | head -1`) costs the rest of
     the output, not a traceback or the exit code."""
-    src = str(Path(divconv.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -321,7 +349,7 @@ def test_closed_pipe_exits_quietly(argv):
             [sys.executable, "-m", "divconv.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_src_env(),
             timeout=120,
         )
     finally:

@@ -11,14 +11,12 @@ from divconv import fixtures
 from divconv.arith import classify_level, coprime_pairs
 from divconv.convolution import (
     DIRECT_SUM_MAX_N,
-    VERIFY_TO,
     BasisNotSpanningError,
     FormulaIntegrityError,
     FormulaProvider,
     UnderdeterminedBasisError,
     UnsupportedLevelError,
     VerificationError,
-    basis_precision,
     brute_force_W,
     closed_form_W,
     derive_formula,
@@ -26,10 +24,17 @@ from divconv.convolution import (
     dispatch_W,
     evaluate_W,
     reduce_by_gcd,
-    sturm_bound,
 )
 from divconv.qseries import QSeries
-from divconv.spaces import load_fixture_basis, profile, repair_basis
+from divconv.spaces import (
+    VERIFY_TO,
+    basis_precision,
+    load_fixture_basis,
+    profile,
+    repair_basis,
+    search_basis,
+    sturm_bound,
+)
 
 
 def test_brute_force_examples():
@@ -85,8 +90,19 @@ def test_basis_precision_covers_every_row_a_derivation_reads():
     assert {basis_precision(N) for N in fixtures.FIXTURE_LEVELS} == {200}
 
 
+def test_every_basis_carries_basis_precision(provider):
+    for N, basis in [
+        (10, load_fixture_basis(10)),
+        (10, search_basis(10)),
+        (12, repair_basis(12)),
+    ]:
+        assert basis.precision == basis_precision(N)
+    f = provider.formula(1, 12)
+    assert f.basis.precision == f.verified_to == basis_precision(12)
+
+
 def test_derive_level10_matches_published():
-    basis = load_fixture_basis(10, basis_precision(10))
+    basis = load_fixture_basis(10)
     f = derive_formula(1, 10, basis)
     pub = fixtures.PUBLISHED_EXPANSIONS[(1, 10)]
     for d, v in pub["sigma3"].items():
@@ -102,10 +118,9 @@ def test_derive_level10_matches_published():
 
 
 def test_closed_form_serves_exactly_verified_to():
-    # the basis carries rows past the 200 the derivation verified
-    basis = repair_basis(12, 240)
+    basis = repair_basis(12)
     f = derive_formula(1, 12, basis)
-    assert f.verified_to == 200 < basis.precision
+    assert f.verified_to == basis.precision
     assert evaluate_W(f, 200) == brute_force_W(1, 12, 200)
     with pytest.raises(ValueError, match="verified range"):
         evaluate_W(f, 230)
@@ -147,7 +162,7 @@ def test_evaluate_examples(provider):
 
 
 def test_fixture_level_33_does_not_span():
-    basis = load_fixture_basis(33, basis_precision(33))
+    basis = load_fixture_basis(33)
     with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 33, basis)
     assert str(err.value) == (
@@ -163,11 +178,9 @@ LEVEL_24_FAILURE = (
 
 
 def test_fixture_level_24_underdetermined():
-    # the text does not depend on the length of the basis passed in
-    for T in (40, 208):
-        with pytest.raises(UnderdeterminedBasisError) as err:
-            derive_formula(1, 24, load_fixture_basis(24, T))
-        assert str(err.value) == LEVEL_24_FAILURE
+    with pytest.raises(UnderdeterminedBasisError) as err:
+        derive_formula(1, 24, load_fixture_basis(24))
+    assert str(err.value) == LEVEL_24_FAILURE
 
 
 def test_level_24_failure_text_is_the_same_everywhere(provider):
@@ -177,7 +190,7 @@ def test_level_24_failure_text_is_the_same_everywhere(provider):
 
 
 def test_fixture_level_11_fails_verification():
-    basis = load_fixture_basis(11, basis_precision(11))
+    basis = load_fixture_basis(11)
     with pytest.raises(BasisNotSpanningError) as err:
         derive_formula(1, 11, basis)
     assert str(err.value) == (
@@ -191,7 +204,7 @@ def test_verification_names_the_first_failing_row():
     # elimination cannot see it, so only the verification loop can, and its
     # first failure is that row.  The level-10 solution has denominator 13,
     # so a check that scaled one side only would fail at n=1.
-    basis = load_fixture_basis(10, basis_precision(10))
+    basis = load_fixture_basis(10)
     coeffs = list(basis.cusp_series[0].coeffs)
     coeffs[150] += 1
     planted = replace(basis, cusp_series=[QSeries(coeffs), *basis.cusp_series[1:]])
@@ -238,7 +251,7 @@ def test_provider_keeps_fixture_probe_formula(monkeypatch):
 
 def test_basis_independence_level_12(provider):
     f_fix = provider.formula(1, 12)
-    f_rep = derive_formula(1, 12, repair_basis(12, 240))
+    f_rep = derive_formula(1, 12, repair_basis(12))
     assert f_fix.basis.checksum != f_rep.basis.checksum or f_fix.y == f_rep.y
     for n in range(1, 201):
         assert evaluate_W(f_fix, n) == evaluate_W(f_rep, n)
@@ -247,10 +260,8 @@ def test_basis_independence_level_12(provider):
 def test_basis_independence_level_10_search_route(provider):
     # the plain-search basis picks different generators than the fixture;
     # the X, Y coefficients differ but the function values may not
-    from divconv.spaces import search_basis
-
     f_fix = provider.formula(1, 10)
-    f_sea = derive_formula(1, 10, search_basis(10, 240))
+    f_sea = derive_formula(1, 10, search_basis(10))
     assert f_sea.basis.source == "searched"
     assert f_sea.basis.checksum != f_fix.basis.checksum
     assert f_sea.y != f_fix.y
@@ -291,7 +302,7 @@ PRINTED_W_PASS = [(1, 10), (2, 5), (1, 12), (3, 4), (1, 15), (3, 5), (7, 8)]
 
 @cache
 def _printed_basis(N):
-    return load_fixture_basis(N, basis_precision(N))
+    return load_fixture_basis(N)
 
 
 @given(st.sampled_from(PRINTED_W_PASS), st.integers(1, 200))

@@ -4,9 +4,12 @@ from divconv import fixtures
 from divconv.arith import classify_level, num_divisors
 from divconv.eta import EtaQuotient
 from divconv.linalg import rank
+from divconv import spaces
 from divconv.spaces import (
+    BASIS_LEVEL_CEILING,
     CuspGenerator,
     UnsupportedLevelError,
+    build_basis,
     eta_generator,
     fixture_substitution_report,
     load_fixture_basis,
@@ -46,27 +49,27 @@ def test_genus_integral_to_10000():
 
 def test_load_fixture_all_levels():
     for N in fixtures.FIXTURE_LEVELS:
-        b = load_fixture_basis(N, 48)
+        b = load_fixture_basis(N)
         assert b.dim_cusp == profile(N).dim_S4
         k = b.dim_cusp
         m = [[b.coefficient(j, n) for j in range(k)] for n in range(1, k + 1)]
         assert rank(m) == k, f"level {N} sample matrix singular"
     with pytest.raises(UnsupportedLevelError):
-        load_fixture_basis(7, 48)
+        load_fixture_basis(7)
 
 
 def test_fixture_defects_recorded():
-    assert load_fixture_basis(10, 40).defects == []
-    assert any("not cuspidal" in d for d in load_fixture_basis(24, 40).defects)
-    assert any("not cuspidal" in d for d in load_fixture_basis(15, 40).defects)
-    d33 = load_fixture_basis(33, 40).defects
+    assert load_fixture_basis(10).defects == []
+    assert any("not cuspidal" in d for d in load_fixture_basis(24).defects)
+    assert any("not cuspidal" in d for d in load_fixture_basis(15).defects)
+    d33 = load_fixture_basis(33).defects
     assert sum("not cuspidal" in x for x in d33) == 2
-    d11 = load_fixture_basis(11, 40).defects
+    d11 = load_fixture_basis(11).defects
     assert any("weight-2" in x for x in d11)
 
 
 def test_fixture_level11_declared_generator():
-    b = load_fixture_basis(11, 40)
+    b = load_fixture_basis(11)
     assert b.cusp[0].kind == "declared-fixture"
     assert b.cusp[0].eta.exponent_map == {1: 2, 11: 2}
     assert b.cusp[1].eta.exponent_map == {1: 4, 11: 4}
@@ -84,14 +87,35 @@ def test_substitution_reports():
     assert fixture_substitution_report(15) == [(3, 1, 2, 3)]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        search_basis,
+        repair_basis,
+        lambda N: select_cusp_basis(N, [eta_generator(N, {1: 24})]),
+        lambda N: build_basis(N, [eta_generator(N, {1: 24})]),
+    ],
+)
+@pytest.mark.parametrize("level", [BASIS_LEVEL_CEILING + 1, 1000000007])
+def test_builders_refuse_a_level_above_the_ceiling_first(monkeypatch, build, level):
+    # no search runs and no series is expanded before the refusal
+    def never(*args, **kwargs):
+        raise AssertionError("searched or expanded above the level ceiling")
+
+    monkeypatch.setattr(spaces, "search_cusp_forms", never)
+    monkeypatch.setattr(CuspGenerator, "series", never)
+    with pytest.raises(UnsupportedLevelError, match="above the basis ceiling"):
+        build(level)
+
+
 def test_select_case1_level_12():
-    basis = search_basis(12, 40)
+    basis = search_basis(12)
     assert basis.dim_cusp == 3
     assert [g.order() for g in basis.cusp] == [1, 2, 3]
 
 
 def test_select_case2_level_10():
-    basis = search_basis(10, 40)
+    basis = search_basis(10)
     assert basis.dim_cusp == 3
     k = basis.dim_cusp
     m = [[basis.coefficient(j, n) for j in range(k)] for n in range(1, k + 1)]
@@ -102,12 +126,12 @@ def test_select_insufficient_candidates_reports_missing_orders():
     # level 11 has a single weight-4 eta quotient (order 2); order 1 is missing
     cands = [eta_generator(11, {1: 4, 11: 4})]
     with pytest.raises(UnsupportedLevelError) as err:
-        select_cusp_basis(11, cands, 40)
+        select_cusp_basis(11, cands)
     assert str(err.value).endswith("orders not represented: [1]")
 
 
 def test_repair_basis_level_11():
-    b = repair_basis(11, 40)
+    b = repair_basis(11)
     assert b.dim_cusp == 2
     kinds = sorted(g.kind for g in b.cusp)
     assert kinds == ["eta-eisenstein-product", "eta-quotient"]
@@ -116,7 +140,7 @@ def test_repair_basis_level_11():
 
 
 def test_repair_basis_level_33():
-    b = repair_basis(33, 48)
+    b = repair_basis(33)
     assert b.dim_cusp == 10
     k = b.dim_cusp
     m = [[b.coefficient(j, n) for j in range(k)] for n in range(1, 2 * k + 1)]
@@ -124,21 +148,22 @@ def test_repair_basis_level_33():
 
 
 def test_basis_at_precision_extends():
-    b = load_fixture_basis(10, 30)
-    b2 = b.at_precision(50)
-    assert b2.precision == 50 and b.precision == 30
+    b = load_fixture_basis(10)
+    b2 = b.at_precision(250)
+    assert b2.precision == 250 and b.precision == 200
+    assert b.at_precision(150) is b
     assert b2.checksum == b.checksum
     for j in range(b.dim_cusp):
-        for n in range(31):
+        for n in range(201):
             assert b.coefficient(j, n) == b2.coefficient(j, n)
-        assert b2.coefficient(j, 50) == b.cusp[j].series(50).coefficient(50)
+        assert b2.coefficient(j, 250) == b.cusp[j].series(250).coefficient(250)
 
 
 @pytest.mark.parametrize("level", [24, 56])
 def test_basis_at_precision_keeps_defects_and_checksum(level):
-    b = load_fixture_basis(level, 40)
+    b = load_fixture_basis(level)
     assert b.defects
-    for T in (60, 80):
+    for T in (220, 240):
         b2 = b.at_precision(T)
         assert b2.defects == b.defects
         assert b2.checksum == b.checksum
@@ -158,6 +183,6 @@ def test_generator_series_product_kind():
 
 
 def test_checksum_distinguishes_bases():
-    a = load_fixture_basis(10, 30)
-    c = repair_basis(12, 30)
+    a = load_fixture_basis(10)
+    c = repair_basis(12)
     assert a.checksum != c.checksum
