@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-# Entries kept by factorize's cache: far above the distinct arguments of any
-# benchmark workload (a few hundred), while one large direct sum, which
-# factorizes each argument once, cannot grow it without bound.
+# Entries kept by the caches of factorize and divisors: far above the
+# distinct arguments of any benchmark workload (a few hundred), while one
+# large direct sum, which factorizes each argument once, cannot grow them
+# without bound.
 FACTORIZE_CACHE_SIZE = 4096
 # Trial division tries divisors up to isqrt(FACTORIZE_CEILING) = 10^6, about
 # 0.2 s; a cofactor that may still be composite, say a 21-digit prime, is refused.
@@ -75,13 +76,18 @@ def sigma_scaled(k: int, n: int, d: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """Ascending positive divisors of n >= 1."""
+    """Ascending positive divisors of n >= 1, as a fresh list."""
     if n < 1:
         raise ValueError(f"divisors: n must be >= 1, got {n}")
+    return list(_divisors(n))
+
+
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
+def _divisors(n: int) -> tuple[int, ...]:
     out = [1]
     for p, e in factorize(n):
         out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def num_divisors(n: int) -> int:

@@ -45,8 +45,9 @@ every slot set, each slot of pack(v) + G keeps its top bit iff v_d >= 0,
 as long as every |v_d| < 2^(W-1).  So a branch or a tail passes when
 (pack(S - floor) + G) & (pack(cap - S) + G) & G == G, one add, one subtract
 and one mask (the guard-bit test of SIMD within a register, Lamport,
-CACM 18(8), 1975).  Bounds above SEARCH_BOUND_CEILING raise
-SearchCeilingError at once.
+CACM 18(8), 1975).  The last level of the DFS looks up the tails of each
+child it keeps inline, with no call per child.  Bounds above
+SEARCH_BOUND_CEILING raise SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -60,6 +61,10 @@ is integral, |r_delta| <= bound, v_N <= max_order and (ii) holds; (i) and
 the companion congruence are v_N and v_1 being integers.  There are at most
 C(k2*mu/24 - 1, #divisors - 1) compositions; above
 STRICT_COMPOSITION_CEILING the search raises SearchCeilingError at once.
+
+Hits leave both searches as exponent vectors over ascending divisors (the
+order of `EtaQuotient.vector`), so `search_cusp_forms` sorts plain tuples
+and builds each EtaQuotient once, from its sorted vector.
 """
 
 from __future__ import annotations
@@ -208,16 +213,20 @@ def _dot_bounds(weights: list[int], B: int, t: int):
     return greedy(ws), greedy(ws[::-1])
 
 
-def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int]]:
-    """Exponent maps of the cusp quotients; see the module docstring.
+def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the cusp quotients, over ascending divisors and
+    in no particular order; see the module docstring.
 
     The DFS assigns all but the last min(3, #divisors) exponents; those come
     from `tails`, which maps each key (sum r, sum delta*r mod 24, parity
     mask) to the tails with |r| <= B that have it, each with the packed
-    sums `add` it adds.  A child Q = P + pack(r*w_i) of a prefix with packed
-    sums P is kept iff (Q + lo) & (hi - Q) & G == G, (lo, hi) from `bounds`;
-    a tail iff (add + xl) & (xh - add) & G == G, xl = P - pack(floors) + G
-    and xh = pack(caps) - P + G.
+    sums `add` it adds and its exponents over ascending divisors.  A child
+    Q = P + pack(r*w_i) of a prefix with packed sums P is kept iff
+    (Q + lo) & (hi - Q) & G == G, (lo, hi) from `bounds`; a tail iff
+    (add + xl) & (xh - add) & G == G, xl = P - pack(floors) + G and
+    xh = pack(caps) - P + G.  The last prefix level looks up its children's
+    tails itself, and a hit is the tail's exponents followed by the prefix
+    reversed, so every hit is already a vector over ascending divisors.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -265,7 +274,7 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
             sum(proc[j] * r for j, r in tail) % 24,
             reduce(xor, (masks[j] for j, r in tail if r & 1), 0),
         )
-        tails.setdefault(key, []).append((sum(col[j] * r for j, r in tail), rs))
+        tails.setdefault(key, []).append((sum(col[j] * r for j, r in tail), rs[::-1]))
     # bounds[i][t]: the window test of a child at depth i whose later
     # exponents i+1.. sum to t, with (min, max) of what they add to each S_d
     bounds = []
@@ -280,26 +289,35 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int
         bounds.append(row)
     steps = [[r * col[i] for r in range(-B, B + 1)] for i in range(head)]
     low, high = G - pack(floors), G + pack(caps)
+    if head == 0:
+        # the whole vector is one tail: one lookup with the empty prefix
+        return [rs for add, rs in tails.get((k2, 0, 0), ()) if (add + low) & (high - add) & G == G]
     out = []
     path = [0] * head
 
     def dfs(i, P, sr, sd, pm):
         # P packs the cusp sums, sd = sum delta*r, over the exponents so far
-        if i == head:
-            xl, xh = P + low, high - P
-            for add, rs in tails.get((k2 - sr, -sd % 24, pm), ()):
-                if (add + xl) & (xh - add) & G == G:
-                    exps = {proc[j]: r for j, r in enumerate(path) if r}
-                    exps.update((proc[j], r) for j, r in zip(range(head, nd), rs) if r)
-                    out.append(exps)
-            return
-        bnds = bounds[i]
+        bnds, d, m = bounds[i], proc[i], masks[i]
         for r, step in zip(range(-B, B + 1), steps[i]):
-            b = bnds.get(k2 - sr - r)
+            t = k2 - sr - r  # what the later exponents must sum to
+            b = bnds.get(t)
             Q = P + step
-            if b and (Q + b[0]) & (b[1] - Q) & G == G:
-                path[i] = r
-                dfs(i + 1, Q, sr + r, sd + proc[i] * r, pm ^ masks[i] if r & 1 else pm)
+            if not (b and (Q + b[0]) & (b[1] - Q) & G == G):
+                continue
+            path[i] = r
+            if i + 1 < head:
+                dfs(i + 1, Q, sr + r, sd + d * r, pm ^ m if r & 1 else pm)
+                continue
+            # the last prefix level: the tails that complete this child
+            xl, xh = Q + low, high - Q
+            hits = [
+                rs
+                for add, rs in tails.get((t, -(sd + d * r) % 24, pm ^ m if r & 1 else pm), ())
+                if (add + xl) & (xh - add) & G == G
+            ]
+            if hits:
+                top = tuple(path[::-1])
+                out.extend(rs + top for rs in hits)
 
     dfs(0, 0, 0, 0, 0)
     # dfs refers to itself, so without this the table and the other cells it
@@ -346,8 +364,9 @@ def _column_hermite(M: list[list[int]]) -> list[list[int]]:
     return H
 
 
-def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[dict[int, int]]:
-    """Strict quotients from their cusp orders; see the module docstring.
+def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the strict quotients, over ascending divisors,
+    from their cusp orders; see the module docstring.
 
     Orders are assigned depth-first.  At each depth the next order is
     confined to an interval, from the extremes each r_delta can still reach
@@ -455,15 +474,14 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[dict[int, in
             x = R // ph[i]
             if R % ph[i] or x % step != x0 or (i == iN and x > max_order):
                 return
-            exps = {}
+            v = []
             for e in range(nd):
                 t = P[e] + cols[i][e] * x
                 if not -BD <= t <= BD:
                     return
-                if t:
-                    exps[divs[e]] = t // D
-            if _is_square_product(exps):
-                out.append(exps)
+                v.append(t // D)
+            if _is_square_product(dict(zip(divs, v))):
+                out.append(tuple(v))
             return
         lo_x, hi_x = interval(i, R, P)
         col, hcol = cols[i], hcols[i]
@@ -504,6 +522,8 @@ def search_cusp_forms(
     if max_order < 1:
         return []
     search = _search_strict if strict else _search_range
-    quotients = [EtaQuotient.make(N, e) for e in search(N, weight_times_two, bound, max_order)]
-    quotients.sort(key=lambda q: q.vector())
-    return quotients
+    divs = divisors(N)
+    return [
+        EtaQuotient(N, tuple((d, r) for d, r in zip(divs, v) if r))
+        for v in sorted(search(N, weight_times_two, bound, max_order))
+    ]

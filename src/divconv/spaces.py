@@ -255,11 +255,14 @@ def select_cusp_basis(N: int, candidates: list[CuspGenerator]) -> ModularBasis:
         if ech.add([s.coefficient(n) for n in range(1, depth + 1)]):
             chosen.append(g)
     if len(chosen) < m:
-        have = sorted({g.order() for g in chosen})
+        have = {g.order() for g in chosen}
         missing = [o for o in range(1, m + 1) if o not in have]
+        # the first few orders only, so that the message stays one short line
+        more = len(missing) - 10
         raise UnsupportedLevelError(
             f"level {N}: no spanning weight-4 cusp basis: only {len(chosen)} independent "
-            f"generators of {m} needed; orders not represented: {missing}"
+            f"generators of {m} needed; orders not represented: {missing[:10]}"
+            + (f" and {more} more" if more > 0 else "")
         )
     return build_basis(N, chosen)
 

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divconv.arith import (
+    FACTORIZE_CACHE_SIZE,
+    _divisors,
     classify_level,
     coprime_pairs,
     divisors,
@@ -70,6 +72,15 @@ def test_divisors():
     assert divisors(1) == [1]
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_divisors_returns_a_fresh_list_from_a_bounded_cache():
+    ds = divisors(40)
+    ds.append(7)
+    ds[0] = 0
+    assert divisors(40) == [1, 2, 4, 5, 8, 10, 20, 40]
+    assert divisors(40) is not divisors(40)
+    assert _divisors.cache_info().maxsize == FACTORIZE_CACHE_SIZE
 
 
 @given(st.integers(1, 2000))

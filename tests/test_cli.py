@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -59,6 +60,21 @@ def test_search_cusp_level_12(capsys):
     doc = json.loads(out)
     assert doc["count"] >= 3
     assert any(q["order"] == 1 for q in doc["quotients"])
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        ("search-cusp 40 --bound 4", "0e7b6ab05f98057e63044ddddb58e998ea67cecd448d7e94467e5286612593cc"),
+        ("search-cusp 40 --strict", "1f717293f4d43216ecc888ccec6ad2b64503ada227c4d0d3dae8b98f54f60131"),
+        ("search-cusp 12", "bfa93d13c59ee706df049f9046bcbc07a50d42f669049f1ca3ce6f14e0e06e82"),
+    ],
+)
+def test_search_cusp_machine_output_pinned(capsys, argv, sha256):
+    # the exact --machine stdout: hits, their order and their fields
+    code, out, _ = run_cli(capsys, "--machine", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_search_cusp_max_order_zero(capsys):

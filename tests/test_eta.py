@@ -147,12 +147,21 @@ def test_search_level_33_bound_8():
             assert key in found, f"row {i} missing"
 
 
+def _strictly_increasing(vecs):
+    return all(u < v for u, v in zip(vecs, vecs[1:]))
+
+
 def test_search_deterministic_order():
-    a = search_cusp_forms(12, 8, 8, max_order=3)
-    b = search_cusp_forms(12, 8, 8, max_order=3)
-    assert a == b
-    vecs = [q.vector() for q in a]
-    assert vecs == sorted(vecs)
+    # 1, 3, 2 and 3 divisors (no exponent is assigned before the tail), then 6 and 8
+    cases = [
+        (1, 8, 3, 10), (9, 8, 8, 8), (11, 8, 8, 8), (25, 8, 4, 20), (12, 8, 8, 3), (40, 8, 4, 14)
+    ]
+    for (N, k2, bound, max_order), strict in product(cases, [False, True]):
+        a = search_cusp_forms(N, k2, bound, max_order=max_order, strict=strict)
+        b = search_cusp_forms(N, k2, bound, max_order=max_order, strict=strict)
+        assert a == b
+        # lexicographic over ascending divisors, with no repeats
+        assert _strictly_increasing([q.vector() for q in a]), (N, strict)
 
 
 def _exhaustive_oracle(N, k2, bound, max_order):
@@ -229,7 +238,9 @@ _SMALL_LEVELS = [N for N in range(1, 101) if len(divisors(N)) <= 6]
 def test_search_matches_oracle_on_random_levels(N, k2, bound, max_order):
     if max_order is None:
         max_order = k2 * index_mu(N) // 12  # the search's default
-    found = [q.exponents for q in search_cusp_forms(N, k2, bound, max_order=max_order)]
+    quotients = search_cusp_forms(N, k2, bound, max_order=max_order)
+    assert _strictly_increasing([q.vector() for q in quotients])
+    found = [q.exponents for q in quotients]
     assert len(found) == len(set(found))
     assert set(found) == _exhaustive_oracle(N, k2, bound, max_order)
 

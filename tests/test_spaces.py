@@ -130,6 +130,17 @@ def test_select_insufficient_candidates_reports_missing_orders():
     assert str(err.value).endswith("orders not represented: [1]")
 
 
+def test_select_missing_orders_message_stays_short():
+    # dim S4(9973) = 2493: the message names the first 10 missing orders and
+    # counts the rest instead of listing all 2493
+    with pytest.raises(UnsupportedLevelError) as err:
+        select_cusp_basis(9973, [])
+    msg = str(err.value)
+    assert len(msg.encode()) < 300
+    assert "2493" in msg
+    assert msg.endswith("orders not represented: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 2483 more")
+
+
 def test_repair_basis_level_11():
     b = repair_basis(11)
     assert b.dim_cusp == 2
