@@ -9,7 +9,8 @@ errors (such as basis --use-fixture with --repair) with exit 2.  Only
 search-cusp takes --bound, which exits 2 below 1; basis, convsum and repnum
 search at eta.SEARCH_BOUND.  --machine and --cache-dir go before or after
 the subcommand; --machine switches to deterministic JSON with exact
-rationals encoded as "p/q" strings.
+rationals encoded as "p/q" strings, and --cache-dir is written only by
+basis and convsum.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         default=argparse.SUPPRESS,
-        help="write the basis and formula to this directory (nothing is written without it)",
+        help="basis and convsum write their basis and formula to this directory; "
+        "every other subcommand accepts it and writes nothing (nothing is written without it)",
     )
     p = argparse.ArgumentParser(
         prog="divconv",

@@ -179,8 +179,15 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
     T = basis_precision(N)
     divs = divisors(N)
     nunk = len(divs) + basis.dim_cusp
-    # row n of the system: the q^n coefficients of every column, n = 0..T
-    cols = [eisenstein_M(d, T).coeffs for d in divs] + [s.coeffs for s in basis.cusp_series]
+    # row n of the system: the q^n coefficients of every column, n = 0..T.
+    # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
+    M = eisenstein_M(1, T).coeffs
+    cols = []
+    for d in divs:
+        col = [0] * (T + 1)
+        col[::d] = M[: T // d + 1]
+        cols.append(col)
+    cols += [s.coeffs for s in basis.cusp_series]
     rows = list(zip(*cols))
     lhs = squared_difference(alpha, beta, T).coeffs
 

@@ -8,18 +8,21 @@ only the solved X_delta and Y_j are rational, and they never enter a QSeries.
 
 A product is one big-integer multiplication (Kronecker substitution; see
 Harvey, J. Symb. Comput. 44, 2009): each operand is packed into one int, a
-slot of fixed width per coefficient; the two ints are multiplied once and
-the low t + 1 slots of the result, read as signed digits, are the product's
+slot of whole bytes per coefficient, by one int.from_bytes over its biased
+coefficients; the two ints are multiplied once and the low t + 1 slots of
+the result, read as balanced digits from one to_bytes, are the product's
 coefficients.
 
 Provides the weight-2 and weight-4 Eisenstein series
 
     L(q) = 1 - 24 sum sigma(n) q^n,      M(q) = 1 + 240 sum sigma_3(n) q^n,
 
-the squared difference (a*L(q^a) - b*L(q^b))^2, and eta-quotient
-expansions.  An eta quotient prod eta(delta*z)^{r_delta} is q^s times
-prod (1 - q^{delta n})^{r_delta}, and only the T - s + 1 rows that survive
-the shift by s are computed.  Each factor goes in as sparse series (Koehler,
+L(q) - t*L(q^t) read off a given L(q), the squared difference
+(a*L(q^a) - b*L(q^b))^2, and eta-quotient expansions.  An eta quotient
+prod eta(delta*z)^{r_delta} is q^s times prod (1 - q^{delta n})^{r_delta},
+a series in q^g for g the gcd of the keys delta with r_delta != 0; only its
+(T - s)//g + 1 rows in q^g that survive the shift by s are computed, then
+spread to every g-th row.  Each factor goes in as sparse series (Koehler,
 Eta Products and Theta Series Identities, 2011, ch. 1): |r| // 3 copies of
 Jacobi's cube sum (-1)^j (2j+1) q^{delta j(j+1)/2} and |r| % 3 of Euler's
 pentagonal sum (-1)^k q^{delta k(3k-1)/2}.  The first two multipliers make
@@ -31,6 +34,7 @@ the scalar recurrence.
 from __future__ import annotations
 
 from itertools import repeat
+from math import gcd
 from operator import add, mul, sub
 from typing import Iterable
 
@@ -85,19 +89,27 @@ class QSeries:
         # Kronecker substitution: evaluate both polynomials at q = 2^bits, make
         # one big-integer product and read the q^0..q^t coefficients back as
         # balanced digits.  Each of them is a sum of at most t + 1 products
-        # a_i b_j, so its absolute value stays below 2^(bits-1): one slot each.
-        bits = (max(map(abs, a)) * max(map(abs, b)) * (t + 1)).bit_length() + 1
-        packed_a = packed_b = 0
-        for x, y in zip(reversed(a), reversed(b)):
-            packed_a = (packed_a << bits) + x
-            packed_b = (packed_b << bits) + y
-        # adding half a slot to every digit makes all t + 1 digits non-negative
-        width = bits * (t + 1)
-        half = 1 << (bits - 1)
-        bias = int(("1" + "0" * (bits - 1)) * (t + 1), 2)
-        digits = format((packed_a * packed_b + bias) & ((1 << width) - 1), f"0{width}b")
-        out = [int(digits[width - bits * (k + 1) : width - bits * k], 2) - half for k in range(t + 1)]
-        return QSeries(out)
+        # a_i b_j, so its absolute value stays below 2^(bits-1) = half; every
+        # operand coefficient goes in through a slot too, so it must as well.
+        # bits = 8 * size: a slot is whole bytes.
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        size = (max(ma * mb * (t + 1), ma, mb).bit_length() + 8) // 8
+        half = 1 << (8 * size - 1)
+        bias = int.from_bytes(half.to_bytes(size, "little") * (t + 1), "little")
+
+        def pack(cs) -> int:
+            # slot k holds x_k + half, in [0, 2^bits); less the bias (half in
+            # every slot) that is sum x_k 2^(bits k)
+            slots = b"".join([(x + half).to_bytes(size, "little") for x in cs])
+            return int.from_bytes(slots, "little") - bias
+
+        # the product plus the bias holds c_k + half, in [0, 2^bits), in each
+        # of its t + 1 low slots, and the mask drops the slots above them
+        width = size * (t + 1)
+        low = (pack(a) * pack(b) + bias) & ((1 << (8 * width)) - 1)
+        digits = low.to_bytes(width, "little")
+        unpack = int.from_bytes
+        return QSeries([unpack(digits[i : i + size], "little") - half for i in range(0, width, size)])
 
     def scale(self, c: int) -> "QSeries":
         return QSeries(c * x for x in self.coeffs)
@@ -130,17 +142,18 @@ def eisenstein_M(t: int, T: int) -> QSeries:
     return _sigma_series("eisenstein_M", 3, 240, t, T)
 
 
-def eisenstein_weight2(t: int, T: int) -> QSeries:
-    """L(q) - t*L(q^t): the weight-2 holomorphic combination for t >= 2.
+def eisenstein_weight2(t: int, L: QSeries) -> QSeries:
+    """L(q) - t*L(q^t), read off L = L(q) to its precision: the weight-2
+    holomorphic combination for t >= 2.
 
-    L(q^t) has L(q)'s q^n coefficient at q^{tn}, so one L(q) gives both.
+    L(q^t) has L(q)'s q^n coefficient at q^{tn}, so one L(q) gives both, and
+    one L(q) serves every t.
     """
     if t < 2:
         raise ValueError("eisenstein_weight2: t must be >= 2")
-    L = eisenstein_L(1, T).coeffs
-    out = list(L)
-    for n in range(T // t + 1):
-        out[t * n] -= t * L[n]
+    cs = L.coeffs
+    out = list(cs)
+    out[::t] = [x - t * y for x, y in zip(out[::t], cs)]
     return QSeries(out)
 
 
@@ -202,9 +215,12 @@ def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:
 
     The leading power is s = (sum delta*r_delta)/24, which must be a
     non-negative integer (holomorphy at infinity plus the mod-24 condition).
-    Each prod (1 - q^{delta n})^{r_delta} goes in as |r| // 3 Jacobi cubes
-    and |r| % 3 Euler products, over only the T - s + 1 rows that survive
-    the shift by s.
+    With g the gcd of the keys delta with r_delta != 0, the product
+    prod (1 - q^{delta n})^{r_delta} is a series in q^g: it is expanded as
+    prod (1 - q^{(delta/g) n})^{r_delta} over the (T - s)//g + 1 rows that
+    survive the shift by s, each factor as |r| // 3 Jacobi cubes and
+    |r| % 3 Euler products (a divisor with |r| % 3 == 2 as one more cube,
+    times one Euler product), then spread to every g-th row and shifted by s.
     """
     _check_precision(T)
     if min(exponents, default=1) < 1:
@@ -217,13 +233,22 @@ def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:
         raise ValueError(f"eta quotient has a pole at infinity (leading exponent {s})")
     if s > T:
         return QSeries([0] * (T + 1))
-    t = T - s
+    # the shift stays apart from the product: sum (delta/g) r_delta / 24 need
+    # not be an integer
+    g = gcd(*(d for d, r in exponents.items() if r)) or 1
+    t = (T - s) // g
     muls, divs = [], []
     for d, r in sorted(exponents.items()):
         cubes, singles = divmod(abs(r), 3)
+        if r < 0 and singles == 2:
+            # two Euler divisions cost about twice one cube division, which a
+            # division runs as a scalar recurrence, while one more Euler
+            # multiplication is a few whole-list adds
+            cubes, singles = cubes + 1, 0
+            muls.append(_eta_terms(d // g, t, False))
         for cube, times in ((True, cubes), (False, singles)):
             if times:
-                (muls if r > 0 else divs).extend([_eta_terms(d, t, cube)] * times)
+                (muls if r > 0 else divs).extend([_eta_terms(d // g, t, cube)] * times)
     # the first two multipliers go in as one sparse-by-sparse product
     out = [0] * (t + 1)
     first = muls.pop(0) if muls else [(0, 1)]
@@ -237,4 +262,7 @@ def eta_quotient_series(exponents: dict[int, int], T: int) -> QSeries:
         out = _mul_sparse(out, sparse)
     for sparse in divs:
         out = _div_sparse(out, sparse)
-    return QSeries([0] * s + out)
+    # spread to every g-th row, starting at the shift s
+    series = [0] * (T + 1)
+    series[s::g] = out
+    return QSeries(series)

@@ -7,6 +7,11 @@ of generators that provably lie in the weight-4 cusp space (strict eta
 quotients, their substitutions from sublevels, and weight-2 cusp quotients
 multiplied by weight-2 Eisenstein combinations).
 
+`expand` is the one expansion path of generators: building a basis,
+re-expanding it (`ModularBasis.at_precision`) and the Case 2 rank test of
+`select_cusp_basis` expand each distinct eta quotient once and L(q) once
+per call, and read every L(q) - t*L(q^t) off that one L(q).
+
 basis_precision(N) is the one decision on depth: every builder expands a
 level's basis to that many q-rows, and a formula derived on it is sampled
 and verified on exactly those rows.  Each builder asks for it before it
@@ -19,12 +24,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from math import gcd, prod
+from typing import Iterable, Iterator
 
 from . import fixtures
 from .arith import divisors, euler_phi, index_mu, prime_factors
 from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .linalg import Echelon
-from .qseries import QSeries, eisenstein_weight2
+from .qseries import QSeries, eisenstein_L, eisenstein_weight2
 
 
 class UnsupportedLevelError(ValueError):
@@ -119,12 +125,6 @@ class CuspGenerator:
     eta: EtaQuotient
     e2_scale: int | None = None
 
-    def series(self, T: int) -> QSeries:
-        s = self.eta.series(T)
-        if self.kind == KIND_PRODUCT:
-            return s * eisenstein_weight2(self.e2_scale, T)
-        return s
-
     def order(self) -> int:
         # the weight-2 Eisenstein factor has nonzero constant term
         return order_at_infinity(self.eta)
@@ -134,6 +134,29 @@ class CuspGenerator:
         if self.kind == KIND_PRODUCT:
             return f"{base} * (L(q) - {self.e2_scale} L(q^{self.e2_scale}))"
         return base
+
+
+def expand(generators: Iterable[CuspGenerator], T: int) -> Iterator[QSeries]:
+    """Each generator's series to T, in order and only as far as it is read.
+
+    Within the call each distinct eta quotient is expanded once and L(q)
+    once, and every L(q) - t*L(q^t) is read off that one L(q); nothing is
+    kept across calls.
+    """
+    etas: dict[tuple, QSeries] = {}
+    weight2: dict[int, QSeries] = {}
+    L = None
+    for g in generators:
+        s = etas.get(g.eta.exponents)
+        if s is None:
+            s = etas[g.eta.exponents] = g.eta.series(T)
+        if g.kind == KIND_PRODUCT:
+            if g.e2_scale not in weight2:
+                if L is None:
+                    L = eisenstein_L(1, T)
+                weight2[g.e2_scale] = eisenstein_weight2(g.e2_scale, L)
+            s = s * weight2[g.e2_scale]
+        yield s
 
 
 def eta_generator(level: int, exponents: dict[int, int], kind: str = KIND_ETA) -> CuspGenerator:
@@ -170,7 +193,7 @@ class ModularBasis:
         if T <= self.precision:
             return self
         return replace(
-            self, precision=T, cusp_series=[g.series(T) for g in self.cusp]
+            self, precision=T, cusp_series=list(expand(self.cusp, T))
         )
 
 
@@ -185,7 +208,7 @@ def _matrix_checksum(cusp_series: list[QSeries], m: int) -> str:
 def build_basis(N: int, generators: list[CuspGenerator]) -> ModularBasis:
     """Expand generators to basis_precision(N), record defects, checksum rows."""
     T, prof = basis_precision(N), profile(N)
-    series = [g.series(T) for g in generators]
+    series = list(expand(generators, T))
     defects = []
     for i, (g, s) in enumerate(zip(generators, series), start=1):
         if s.coefficient(0) != 0:
@@ -248,12 +271,11 @@ def select_cusp_basis(N: int, candidates: list[CuspGenerator]) -> ModularBasis:
     # when it is reached; the echelon keeps only the rows that raise the
     # rank, i.e. the chosen generators
     ech = Echelon(depth)
-    for g in ordered:
-        if len(chosen) == m:
-            break
-        s = g.series(depth)
+    for g, s in zip(ordered, expand(ordered, depth)):
         if ech.add([s.coefficient(n) for n in range(1, depth + 1)]):
             chosen.append(g)
+            if len(chosen) == m:
+                break
     if len(chosen) < m:
         have = {g.order() for g in chosen}
         missing = [o for o in range(1, m + 1) if o not in have]

@@ -67,8 +67,18 @@ kronecker_operand = st.builds(
 # (t + 1) max|a| max|b|, the most a slot must hold
 @example(QSeries([10**30] * 9), QSeries([-(10**30)] * 9))
 @example(QSeries([10**30] * 9), QSeries([10**30] * 12))
+# a zero operand: the slot must still hold the other operand's coefficients
 @example(QSeries([0] * 7), QSeries([10**30] * 7))
+@example(QSeries([-(10**30)] * 4), QSeries([0] * 9))
 @example(QSeries([0] * 5), QSeries([0] * 8))
+# operand coefficients that just fill a 2-byte slot, and one past them
+@example(QSeries([2**15 - 1, -(2**15 - 1)]), QSeries([0, 0]))
+@example(QSeries([2**15, -(2**15)]), QSeries([0, 0]))
+# t = 0, with the product just filling a 1- or 3-byte slot, and one past it
+@example(QSeries([2**7 - 1]), QSeries([-1]))
+@example(QSeries([-(2**7)]), QSeries([1]))
+@example(QSeries([-(2**23 - 1)]), QSeries([1, 5]))
+@example(QSeries([2**23]), QSeries([1]))
 @given(kronecker_operand, kronecker_operand)
 def test_kronecker_product_matches_schoolbook(a, b):
     product = a * b
@@ -139,7 +149,7 @@ def test_eisenstein_block_independent():
 
 
 def test_weight2_combination():
-    e = eisenstein_weight2(11, 12)
+    e = eisenstein_weight2(11, eisenstein_L(1, 12))
     assert e.coefficient(0) == -10
     assert e.coefficient(1) == -24
     assert e.coefficient(11) == -24 * sigma(1, 11) + 11 * 24 * sigma(1, 1)
@@ -147,7 +157,8 @@ def test_weight2_combination():
 
 @given(st.integers(2, 60), st.integers(0, 120))
 def test_weight2_matches_two_expansions(t, T):
-    assert eisenstein_weight2(t, T) == eisenstein_L(1, T) - eisenstein_L(t, T).scale(t)
+    L = eisenstein_L(1, T)
+    assert eisenstein_weight2(t, L) == L - eisenstein_L(t, T).scale(t)
 
 
 def test_squared_difference_constants():
@@ -315,6 +326,41 @@ def test_eta_quotient_series_matches_pentagonal_oracle(exponents, T):
     assert series.precision == T
 
 
+@st.composite
+def eta_exponents_in_q_g(draw):
+    """A holomorphic eta quotient whose keys are g times the divisors of 6, 10
+    or 12, for g in {2, 3, 4, 7, 8}; |r| <= 10."""
+    g = draw(st.sampled_from([2, 3, 4, 7, 8]))
+    M = draw(st.sampled_from([6, 10, 12]))
+    r = {g * d: draw(st.integers(-10, 10)) for d in divisors(M)[1:]}
+    rest = sum(d * x for d, x in r.items())
+    # r_g among the values in [-10, 10] that make sum delta*r_delta == 0 (mod 24)
+    fits = [x for x in range(-10, 11) if (g * x + rest) % 24 == 0]
+    assume(fits)
+    r[g] = draw(st.sampled_from(fits))
+    if sum(d * x for d, x in r.items()) < 0:
+        r = {d: -x for d, x in r.items()}
+    return r
+
+
+# s is an integer, but the reduced quotient's leading exponent is not:
+# eta(2z)^12 is q * prod (1 - q^{2n})^12 and prod (1 - q^n)^12 would lead
+# with q^{1/2}; a zero exponent at a key off the multiples of g; the empty
+# quotient, where gcd() of no keys is 0
+@example({2: 12}, 0)
+@example({2: 12}, 1)
+@example({2: 12}, 230)
+@example({4: 6}, 41)
+@example({1: 0, 2: 12}, 60)
+@example({}, 0)
+@example({}, 50)
+@given(eta_exponents_in_q_g(), st.integers(0, 230))
+def test_eta_quotient_series_in_q_g_matches_pentagonal_oracle(exponents, T):
+    series = eta_quotient_series(exponents, T)
+    assert series.coeffs == pentagonal_eta_series(exponents, T).coeffs
+    assert series.precision == T
+
+
 def test_eta_exponent_additivity():
     # in the second pair the divisions by eta(z) and eta(11z) cancel against
     # multiplications, so series division must invert multiplication exactly
@@ -332,7 +378,7 @@ def test_eta_exponent_additivity():
 PRECISION_CALLS = {
     "eisenstein_L": lambda T: eisenstein_L(1, T),
     "eisenstein_M": lambda T: eisenstein_M(2, T),
-    "eisenstein_weight2": lambda T: eisenstein_weight2(11, T),
+    "eisenstein_weight2": lambda T: eisenstein_weight2(11, eisenstein_L(1, T)),
     "squared_difference": lambda T: squared_difference(1, 2, T),
     "eta_quotient_series": lambda T: eta_quotient_series({1: 24}, T),
     "eta_quotient_series_empty": lambda T: eta_quotient_series({}, T),

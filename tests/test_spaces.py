@@ -1,16 +1,19 @@
 import pytest
 
-from divconv import fixtures
+from divconv import eta, fixtures
 from divconv.arith import classify_level, num_divisors
 from divconv.eta import EtaQuotient
 from divconv.linalg import rank
+from divconv.qseries import eisenstein_L, eta_quotient_series
 from divconv import spaces
 from divconv.spaces import (
     BASIS_LEVEL_CEILING,
+    KIND_PRODUCT,
     CuspGenerator,
     UnsupportedLevelError,
     build_basis,
     eta_generator,
+    expand,
     fixture_substitution_report,
     load_fixture_basis,
     profile,
@@ -103,7 +106,7 @@ def test_builders_refuse_a_level_above_the_ceiling_first(monkeypatch, build, lev
         raise AssertionError("searched or expanded above the level ceiling")
 
     monkeypatch.setattr(spaces, "search_cusp_forms", never)
-    monkeypatch.setattr(CuspGenerator, "series", never)
+    monkeypatch.setattr(spaces, "expand", never)
     with pytest.raises(UnsupportedLevelError, match="above the basis ceiling"):
         build(level)
 
@@ -167,7 +170,7 @@ def test_basis_at_precision_extends():
     for j in range(b.dim_cusp):
         for n in range(201):
             assert b.coefficient(j, n) == b2.coefficient(j, n)
-        assert b2.coefficient(j, 250) == b.cusp[j].series(250).coefficient(250)
+        assert b2.coefficient(j, 250) == next(expand([b.cusp[j]], 250)).coefficient(250)
 
 
 @pytest.mark.parametrize("level", [24, 56])
@@ -181,13 +184,52 @@ def test_basis_at_precision_keeps_defects_and_checksum(level):
         b = b2
 
 
+def generator_series(g: CuspGenerator, T: int):
+    """One generator's series on its own, with its own eta expansion and its
+    own L(q) and L(q^t): the per-generator expansion build_basis replaced."""
+    s = eta_quotient_series(g.eta.exponent_map, T)
+    if g.kind == KIND_PRODUCT:
+        t = g.e2_scale
+        return s * (eisenstein_L(1, T) - eisenstein_L(t, T).scale(t))
+    return s
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: repair_basis(33), lambda: repair_basis(42), lambda: load_fixture_basis(56)],
+    ids=["33-repaired", "42-repaired", "56-fixture"],
+)
+def test_build_basis_expands_each_series_once(monkeypatch, build):
+    basis = build()
+    gens, N, T = basis.cusp, basis.level, basis.precision
+    oracle = [generator_series(g, T) for g in gens]
+    calls = {eta.eta_quotient_series: 0, spaces.eisenstein_L: 0}
+
+    def counted(f):
+        def call(*args):
+            calls[f] += 1
+            return f(*args)
+
+        return call
+
+    for module, name in ((eta, "eta_quotient_series"), (spaces, "eisenstein_L")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    rebuilt = build_basis(N, gens)
+    # one expansion per distinct quotient, and L(q) once when any product needs it
+    products = any(g.kind == KIND_PRODUCT for g in gens)
+    assert list(calls.values()) == [len({g.eta.exponents for g in gens}), int(products)]
+    assert products == (N != 56)
+    assert rebuilt.cusp_series == oracle
+    assert rebuilt.checksum == basis.checksum == spaces._matrix_checksum(oracle, len(gens))
+
+
 def test_generator_series_product_kind():
     g = CuspGenerator(
         kind="eta-eisenstein-product",
         eta=EtaQuotient.make(11, {1: 2, 11: 2}),
         e2_scale=11,
     )
-    s = g.series(20)
+    s = next(expand([g], 20))
     assert s.coefficient(0) == 0
     assert s.coefficient(1) == -10  # q * (1 - 11)
     assert g.order() == 1
