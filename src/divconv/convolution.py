@@ -9,19 +9,15 @@ give the closed form
                - sum_j Y_j b_j(n) / (1152 ab)
                + (1/24 - n/(4b)) sigma(n/a) + (1/24 - n/(4a)) sigma(n/b).
 
-expansion_at evaluates given coefficients and closed_form_W this W shape,
-for derived, diagonal (5/12 sigma3(n/a), no b_j) and printed coefficients
-alike.
-
-derive_formula builds the system's columns (M(q^delta), then the b_j)
-once over the basis's rows, spaces.basis_precision(N); the elimination
-samples its rows, and the check is the same system's residual in integers:
-the solution times the lcm of its denominators against the squared
-difference times that lcm.  The
-dispatcher reduces by gcd, short-circuits the diagonal a = b through the
-classical closed form, serves n up to the formula's verified_to with the
-closed form and answers n past it, up to DIRECT_SUM_MAX_N, with the direct
-double sum, so a basis is never re-expanded to serve a query.
+closed_form_W evaluates this W shape for derived, diagonal (5/12
+sigma3(n/a), no b_j) and printed coefficients alike.  column_system builds
+the expansion's columns (M(q^delta), then the b_j) over the basis's rows,
+and first_residual_row is its one check, in integers: it checks every
+derivation and, in verify-paper, the printed expansions.  The dispatcher
+reduces by gcd, short-circuits the diagonal a = b through the classical
+closed form, serves n up to the formula's verified_to with the closed form
+and answers n past it, up to DIRECT_SUM_MAX_N, with the direct double sum,
+so a basis is never re-expanded to serve a query.
 """
 
 from __future__ import annotations
@@ -73,8 +69,6 @@ def brute_force_W(alpha: int, beta: int, n: int) -> int:
     total = 0
     for l in range(1, (n - 1) // alpha + 1):
         rest = n - alpha * l
-        if rest <= 0:
-            break
         if rest % beta == 0:
             total += sigma(1, l) * sigma(1, rest // beta)
     return total
@@ -91,11 +85,10 @@ def reduce_by_gcd(alpha: int, beta: int, n: int):
     return alpha // g, beta // g, n // g
 
 
-def expansion_at(sigma3: dict, cusp: dict, basis, n: int):
+def closed_form_W(alpha: int, beta: int, sigma3: dict, cusp: dict, basis, n: int) -> Fraction:
     """sum sigma3[delta] sigma3(n/delta) + sum cusp[j, s] b_j(n/s), j 1-based,
-    skipping zero sigma3 and b_j values.  With sigma3[delta] = 240 X_delta
-    and cusp[j, 1] = Y_j it is the q^n coefficient (n >= 1) of the
-    expansion sum X_delta M(q^delta) + sum Y_j b_j."""
+    + (1/24 - n/(4 beta)) sigma(n/alpha) + (1/24 - n/(4 alpha)) sigma(n/beta):
+    the one W closed form.  Zero sigma3 and b_j values are skipped."""
     val = 0
     for d, c in sigma3.items():
         s3 = sigma_scaled(3, n, d)
@@ -106,13 +99,6 @@ def expansion_at(sigma3: dict, cusp: dict, basis, n: int):
             bj = basis.coefficient(j - 1, n // s)
             if bj:
                 val += c * bj
-    return val
-
-
-def closed_form_W(alpha: int, beta: int, sigma3: dict, cusp: dict, basis, n: int) -> Fraction:
-    """expansion_at(sigma3, cusp, basis, n) + (1/24 - n/(4 beta)) sigma(n/alpha)
-    + (1/24 - n/(4 alpha)) sigma(n/beta): the one W closed form."""
-    val = expansion_at(sigma3, cusp, basis, n)
     val += (Fraction(1, 24) - Fraction(n, 4 * beta)) * sigma_scaled(1, n, alpha)
     return val + (Fraction(1, 24) - Fraction(n, 4 * alpha)) * sigma_scaled(1, n, beta)
 
@@ -157,13 +143,39 @@ class ConvolutionFormula:
 DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direct sum
 
 
+def column_system(alpha: int, beta: int, basis: ModularBasis) -> tuple[list[tuple], list[int]]:
+    """rows[n]: the q^n coefficients of M(q^delta) for each delta | N ascending,
+    then of each b_j; lhs[n]: that of (alpha L(q^alpha) - beta L(q^beta))^2;
+    for n = 0..basis_precision(N)."""
+    N = alpha * beta
+    if basis.level != N:
+        raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
+    T = basis_precision(N)
+    # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
+    M = eisenstein_M(1, T).coeffs
+    cols = []
+    for d in divisors(N):
+        col = [0] * (T + 1)
+        col[::d] = M[: T // d + 1]
+        cols.append(col)
+    cols += [s.coeffs for s in basis.cusp_series]
+    return list(zip(*cols)), squared_difference(alpha, beta, T).coeffs
+
+
+def first_residual_row(rows, lhs, coeffs, upto: int):
+    """The first n in 1..upto with rows[n] . coeffs != lhs[n], or None; in
+    integers, both sides times the lcm of the denominators of coeffs."""
+    scaled, den = over_common_denominator(coeffs)
+    ns = range(1, upto + 1)
+    return next((n for n in ns if sum(map(mul, scaled, rows[n])) != den * lhs[n]), None)
+
+
 def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
     T = basis_precision(N), the basis's own precision.
 
-    The system's columns are built once over rows 0..T: M(q^delta) for each
-    delta | N, then each cusp generator b_j.  Sample rows of that matrix go
-    into one incremental fraction-free elimination: row 0 (the constant row,
+    The system is column_system's.  Sample rows of that matrix go into one
+    incremental fraction-free elimination: row 0 (the constant row,
     sum X_delta = (alpha-beta)^2), then the q^n rows for n in D(N) union
     {1..m_S}, filled up to nunk + 4 rows with further indices, then one row
     at a time until the rank reaches nunk.  Consistency is judged over
@@ -173,23 +185,11 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
     """
     if gcd(alpha, beta) != 1:
         raise ValueError("derive_formula: alpha and beta must be coprime")
+    rows, lhs = column_system(alpha, beta, basis)
     N = alpha * beta
-    if basis.level != N:
-        raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
-    T = basis_precision(N)
+    T = len(rows) - 1
     divs = divisors(N)
     nunk = len(divs) + basis.dim_cusp
-    # row n of the system: the q^n coefficients of every column, n = 0..T.
-    # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
-    M = eisenstein_M(1, T).coeffs
-    cols = []
-    for d in divs:
-        col = [0] * (T + 1)
-        col[::d] = M[: T // d + 1]
-        cols.append(col)
-    cols += [s.coeffs for s in basis.cusp_series]
-    rows = list(zip(*cols))
-    lhs = squared_difference(alpha, beta, T).coeffs
 
     sampled = sorted(set(divs) | set(range(1, basis.dim_cusp + 1)))
     order = [0, *sampled, *(n for n in range(1, T + 1) if n not in sampled)]
@@ -211,14 +211,8 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
             f"level {N} ({alpha},{beta}): no exact solution; the basis does "
             f"not span the squared Eisenstein difference"
         ) from e
-    # an exact check apart from the elimination, so a solver fault shows: the
-    # residual of the whole system on rows 1..T, in integers (both sides
-    # times the lcm den of the solution's denominators)
-    scaled, den = over_common_denominator(sol)
-    first_bad = next(
-        (n for n in range(1, T + 1) if sum(map(mul, scaled, rows[n])) != den * lhs[n]),
-        None,
-    )
+    # an exact check apart from the elimination, so a solver fault shows
+    first_bad = first_residual_row(rows, lhs, sol, T)
     if first_bad is not None:
         raise VerificationError(
             f"level {N} ({alpha},{beta}): solved identity fails first at n={first_bad} "

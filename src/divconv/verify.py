@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import fixtures
 from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
@@ -19,13 +20,14 @@ from .convolution import (
     FormulaProvider,
     brute_force_W,
     closed_form_W,
+    column_system,
     derive_formula,
     diagonal_W,
     evaluate_W,
-    expansion_at,
+    first_residual_row,
 )
 from .eta import EtaQuotient, ligozat_check, search_cusp_forms
-from .qseries import eisenstein_L, squared_difference
+from .qseries import eisenstein_L
 from .representation import (
     count_N,
     count_R,
@@ -81,6 +83,12 @@ def _first_failure(ns, holds):
     return next((n for n in ns if not holds(n)), None)
 
 
+def _first_w_mismatch(a, b, w):
+    """The first n <= VERIFY_TO with w(n) != brute_force_W(a, b, n), or
+    None: the one check of a W against the direct sum."""
+    return _first_failure(range(1, VERIFY_TO + 1), lambda n: w(n) == brute_force_W(a, b, n))
+
+
 def _oracle_item(item, holds, upto, passed) -> ItemResult:
     """PASS when holds(n) for every 1 <= n <= upto, else FAIL at the
     first n that breaks it."""
@@ -120,23 +128,25 @@ def _resolve_signs(printed, first_bad):
 
 
 def _published_expansion_series_check(pair, basis):
-    """Directly test the published expansion coefficients against the
-    squared difference; dropped signs are resolved by trying both."""
+    """The first failing row of the printed 240 X_delta / 240 and Y_j on
+    derive_formula's column system; dropped signs are resolved by trying
+    both, and a printed key with no column raises ValueError."""
     a, b = pair
     data = fixtures.PUBLISHED_EXPANSIONS[pair]
-    lhs = squared_difference(a, b, VERIFY_TO)
+    rows, lhs = column_system(a, b, basis)
+    # each column's key and scale, in column_system's order
+    columns = [(("sigma3", d), Fraction(1, 240)) for d in basis.eisenstein]
+    columns += [(("cusp", j), 1) for j in range(1, basis.dim_cusp + 1)]
     printed = {("sigma3", d): v for d, v in data["sigma3"].items()}
     printed.update({("cusp", j): v for j, v in data["cusp"].items()})
+    if unknown := printed.keys() - dict(columns).keys():
+        raise ValueError(f"published expansion {pair}: no column for {sorted(unknown)}")
 
     def first_bad(signed):
         if data["constant"] != (a - b) ** 2:
             return 0
-        s3 = {d: signed["sigma3", d] for d in data["sigma3"]}
-        cusp = {(j, 1): signed["cusp", j] for j in data["cusp"]}
-        return _first_failure(
-            range(1, VERIFY_TO + 1),
-            lambda n: expansion_at(s3, cusp, basis, n) == lhs.coefficient(n),
-        )
+        coeffs = [signed.get(key, 0) * scale for key, scale in columns]
+        return first_residual_row(rows, lhs, coeffs, VERIFY_TO)
 
     return _resolve_signs(printed, first_bad)
 
@@ -146,11 +156,7 @@ def _published_w_check(pair, basis):
     data = fixtures.PUBLISHED_W[pair]
 
     def first_bad(cusp):
-        return _first_failure(
-            range(1, VERIFY_TO + 1),
-            lambda n: closed_form_W(a, b, data["sigma3"], cusp, basis, n)
-            == brute_force_W(a, b, n),
-        )
+        return _first_w_mismatch(a, b, lambda n: closed_form_W(a, b, data["sigma3"], cusp, basis, n))
 
     return _resolve_signs(data["cusp"], first_bad)
 
@@ -362,10 +368,7 @@ def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
             if f.verified_to < sturm_bound(N):
                 bad.append(f"({a},{b}) verified only to {f.verified_to}")
                 continue
-            n = _first_failure(
-                range(1, VERIFY_TO + 1),
-                lambda n: evaluate_W(f, n) == brute_force_W(a, b, n),
-            )
+            n = _first_w_mismatch(a, b, lambda n: evaluate_W(f, n))
             if n is not None:
                 bad.append(f"({a},{b}) mismatch at n={n}")
         out.append(
@@ -380,10 +383,9 @@ def check_oracle_equivalence(provider: FormulaProvider) -> list[ItemResult]:
 
 
 def check_diagonal() -> ItemResult:
-    bad = _first_failure(
-        itertools.product(range(1, 6), range(1, VERIFY_TO + 1)),
-        lambda an: diagonal_W(an[0], an[1]) == brute_force_W(an[0], an[0], an[1]),
-    )
+    # the first alpha with a mismatch, then its first n
+    firsts = ((a, _first_w_mismatch(a, a, lambda n: diagonal_W(a, n))) for a in range(1, 6))
+    bad = next(((a, n) for a, n in firsts if n is not None), None)
     return _item(
         "diagonal closed form",
         [] if bad is None else [f"alpha={bad[0]}, n={bad[1]} mismatch"],
@@ -491,9 +493,7 @@ def check_level_11(provider: FormulaProvider) -> list[ItemResult]:
         f = provider.formula(1, 11)
     except DerivationError as e:
         return [_item(name, refuted + [f"replacement derivation failed: {e}"])]
-    bad = _first_failure(
-        range(1, VERIFY_TO + 1), lambda n: evaluate_W(f, n) == brute_force_W(1, 11, n)
-    )
+    bad = _first_w_mismatch(1, 11, lambda n: evaluate_W(f, n))
     gens = ", ".join(g.describe() for g in f.basis.cusp)
     replaced = f"replacement weight-4 basis [{gens}] matches the direct sum to {VERIFY_TO}"
     return [

@@ -11,6 +11,7 @@ arbitrates).  Each failure message carries the refutation; the ledger
 outside the package documents the analysis.
 """
 
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -410,3 +411,22 @@ def test_verify_paper_statuses(provider, searches):
     assert len(items) == 70
     want = VERIFY_PAPER_LINES.read_text().splitlines()
     assert [r.line() for r in items] == want
+
+
+def test_verify_paper_command_output(provider, searches, monkeypatch, capsys):
+    """`divconv --machine verify-paper` and `divconv verify-paper` end to
+    end, on the session's searches and provider: exit 0, the counts, every
+    item as its pinned line, and the summary line."""
+    from divconv import cli
+
+    monkeypatch.setattr(verify_mod, "regeneration_search", _found(searches).__getitem__)
+    monkeypatch.setattr(cli, "FormulaProvider", lambda: provider)
+    want = VERIFY_PAPER_LINES.read_text().splitlines()
+    assert cli.main(["--machine", "verify-paper"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    counts = {k: doc[k] for k in ("passed", "documented_discrepancies", "skipped", "failed")}
+    assert counts == {"passed": 41, "documented_discrepancies": 28, "skipped": 1, "failed": 0}
+    assert [f"{i['status']:<24} {i['item']}: {i['detail']}" for i in doc["items"]] == want
+    assert cli.main(["verify-paper"]) == 0
+    summary = "== 41 passed, 28 documented discrepancies, 1 skipped, 0 failed"
+    assert capsys.readouterr().out.splitlines() == [*want, summary]

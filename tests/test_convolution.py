@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divconv import fixtures
-from divconv.arith import classify_level, coprime_pairs
+from divconv.arith import classify_level, coprime_pairs, sigma_scaled
 from divconv.convolution import (
     DIRECT_SUM_MAX_N,
     BasisNotSpanningError,
@@ -25,7 +26,7 @@ from divconv.convolution import (
     evaluate_W,
     reduce_by_gcd,
 )
-from divconv.qseries import QSeries
+from divconv.qseries import QSeries, squared_difference
 from divconv.spaces import (
     VERIFY_TO,
     basis_precision,
@@ -35,6 +36,7 @@ from divconv.spaces import (
     search_basis,
     sturm_bound,
 )
+from divconv import verify
 
 
 def test_brute_force_examples():
@@ -312,6 +314,72 @@ def test_printed_derived_and_direct_W_agree(provider, pair, n):
     want = brute_force_W(a, b, n)
     assert closed_form_W(a, b, printed["sigma3"], printed["cusp"], _printed_basis(a * b), n) == want
     assert evaluate_W(provider.formula(a, b), n) == want
+
+
+def expansion_at(sigma3: dict, cusp: dict, basis, n: int):
+    """sum sigma3[delta] sigma3(n/delta) + sum cusp[j, s] b_j(n/s), j 1-based,
+    skipping zero sigma3 and b_j values.  With sigma3[delta] = 240 X_delta
+    and cusp[j, 1] = Y_j it is the q^n coefficient (n >= 1) of the
+    expansion sum X_delta M(q^delta) + sum Y_j b_j."""
+    val = 0
+    for d, c in sigma3.items():
+        s3 = sigma_scaled(3, n, d)
+        if s3:
+            val += c * s3
+    for (j, s), c in cusp.items():
+        if n % s == 0:
+            bj = basis.coefficient(j - 1, n // s)
+            if bj:
+                val += c * bj
+    return val
+
+
+def _printed_expansion_cases(data):
+    """data with every sign pattern of its Unsigned values applied, and
+    each of those with +1 planted on each printed coefficient in turn."""
+    keys = [("sigma3", d) for d in data["sigma3"]] + [("cusp", j) for j in data["cusp"]]
+    ambiguous = [k for k in keys if isinstance(data[k[0]][k[1]], fixtures.Unsigned)]
+    for signs in itertools.product((1, -1), repeat=len(ambiguous)):
+        sign = dict(zip(ambiguous, signs))
+        signed = {k: sign.get(k, 1) * Fraction(data[k[0]][k[1]]) for k in keys}
+        for planted in (None, *keys):
+            values = {k: v + (k == planted) for k, v in signed.items()}
+            yield {
+                "constant": data["constant"],
+                "sigma3": {d: values["sigma3", d] for d in data["sigma3"]},
+                "cusp": {j: values["cusp", j] for j in data["cusp"]},
+            }
+
+
+@pytest.mark.parametrize("pair", sorted(fixtures.PUBLISHED_EXPANSIONS), ids=str)
+def test_printed_expansion_check_matches_the_expansion_oracle(monkeypatch, pair):
+    # verify-paper's printed-expansion check runs on derive_formula's column
+    # system; its first failing row must be the first n where the printed
+    # expansion, evaluated term by term, leaves the squared difference
+    a, b = pair
+    basis = _printed_basis(a * b)
+    lhs = squared_difference(a, b, VERIFY_TO)
+    assert fixtures.PUBLISHED_EXPANSIONS[pair]["constant"] == (a - b) ** 2
+    for case in _printed_expansion_cases(fixtures.PUBLISHED_EXPANSIONS[pair]):
+        cusp = {(j, 1): v for j, v in case["cusp"].items()}
+        want = next(
+            (
+                n
+                for n in range(1, VERIFY_TO + 1)
+                if expansion_at(case["sigma3"], cusp, basis, n) != lhs.coefficient(n)
+            ),
+            None,
+        )
+        monkeypatch.setitem(fixtures.PUBLISHED_EXPANSIONS, pair, case)
+        assert verify._published_expansion_series_check(pair, basis) == (want, [])
+
+
+def test_printed_expansion_key_without_a_column_raises(monkeypatch):
+    data = fixtures.PUBLISHED_EXPANSIONS[1, 10]
+    for extra in ({"sigma3": {**data["sigma3"], 3: 1}}, {"cusp": {**data["cusp"], 4: 1}}):
+        monkeypatch.setitem(fixtures.PUBLISHED_EXPANSIONS, (1, 10), {**data, **extra})
+        with pytest.raises(ValueError, match=r"published expansion \(1, 10\): no column for"):
+            verify._published_expansion_series_check((1, 10), _printed_basis(10))
 
 
 def test_dispatch_gcd_reduction(provider):
