@@ -85,8 +85,7 @@ def cmd_search_cusp(args) -> int:
     header = " ".join(f"{d:>5}" for d in divisors(N))
     lines.append(f"  order | {header}")
     for q in found:
-        m = q.exponent_map
-        vec = " ".join(f"{m.get(d, 0):>5}" for d in divisors(N))
+        vec = " ".join(f"{r:>5}" for r in q.vector())
         lines.append(f"  {order_at_infinity(q):>5} | {vec}")
     _emit(args, doc, lines)
     return EXIT_OK

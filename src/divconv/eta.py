@@ -62,43 +62,60 @@ the companion congruence are v_N and v_1 being integers.  There are at most
 C(k2*mu/24 - 1, #divisors - 1) compositions; above
 STRICT_COMPOSITION_CEILING the search raises SearchCeilingError at once.
 
-Hits leave both searches as exponent vectors over ascending divisors (the
-order of `EtaQuotient.vector`), so `search_cusp_forms` sorts plain tuples
-and builds each EtaQuotient once, from its sorted vector.
+Hits leave both searches as exponent vectors over ascending divisors, which
+is what an `EtaQuotient` holds, so `search_cusp_forms` sorts plain tuples
+and wraps each sorted vector once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from functools import cached_property, lru_cache, reduce
 from math import comb, gcd, lcm
-from operator import xor
 
-from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
+from .arith import FACTORIZE_CACHE_SIZE, divisors, euler_phi, factorize, index_mu, prime_factors
 from .linalg import Echelon
 from .qseries import QSeries, eta_quotient_series
 
 
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
+def _slots(level: int) -> dict[int, int]:
+    """delta -> its index among the ascending divisors of level; read only."""
+    return {d: i for i, d in enumerate(divisors(level))}
+
+
 @dataclass(frozen=True)
 class EtaQuotient:
-    """Level plus exponent map delta -> r_delta (absent divisors are 0)."""
+    """Level plus exponent vector rs: rs[i] is r_delta at the i-th
+    ascending divisor delta of the level."""
 
     level: int
-    exponents: tuple[tuple[int, int], ...]
+    rs: tuple[int, ...]
 
     def __post_init__(self):
-        for d, _ in self.exponents:
-            if d < 1:
-                raise ValueError(f"exponent key {d} must be >= 1")
-            if self.level % d != 0:
-                raise ValueError(f"exponent key {d} does not divide level {self.level}")
+        if len(self.rs) != (nd := len(_slots(self.level))):
+            raise ValueError(f"level {self.level} has {nd} divisors, got {len(self.rs)} exponents")
 
     @staticmethod
     def make(level: int, exponents: dict[int, int]) -> "EtaQuotient":
-        cleaned = tuple(sorted((d, r) for d, r in exponents.items() if r != 0))
-        return EtaQuotient(level, cleaned)
+        """From a map delta -> r_delta (absent divisors are 0); a nonzero r_delta
+        off the divisors of level is a ValueError naming the smallest such delta."""
+        slot = _slots(level)
+        rs = [0] * len(slot)
+        for d, r in exponents.items():
+            if d in slot:
+                rs[slot[d]] = r
+            elif r:
+                bad = min(k for k, v in exponents.items() if v and k not in slot)
+                why = "must be >= 1" if bad < 1 else f"does not divide level {level}"
+                raise ValueError(f"exponent key {bad} {why}")
+        return EtaQuotient(level, tuple(rs))
+
+    @cached_property
+    def exponents(self) -> tuple[tuple[int, int], ...]:
+        """The (delta, r_delta) pairs with r_delta != 0, delta ascending."""
+        return tuple((d, r) for d, r in zip(divisors(self.level), self.rs) if r)
 
     @property
     def exponent_map(self) -> dict[int, int]:
@@ -106,11 +123,10 @@ class EtaQuotient:
 
     @property
     def weight(self) -> Fraction:
-        return Fraction(sum(r for _, r in self.exponents), 2)
+        return Fraction(sum(self.rs), 2)
 
     def vector(self) -> tuple[int, ...]:
-        m = self.exponent_map
-        return tuple(m.get(d, 0) for d in divisors(self.level))
+        return self.rs
 
     def series(self, T: int) -> QSeries:
         return eta_quotient_series(self.exponent_map, T)
@@ -120,10 +136,7 @@ class EtaQuotient:
         return EtaQuotient.make(level, {d * t: r for d, r in self.exponents})
 
     def label(self) -> str:
-        parts = []
-        for d, r in self.exponents:
-            parts.append(f"eta({d}z)^{r}" if r != 1 else f"eta({d}z)")
-        return "*".join(parts) if parts else "1"
+        return "*".join(f"eta({d}z)^{r}" if r != 1 else f"eta({d}z)" for d, r in self.exponents) or "1"
 
 
 @dataclass(frozen=True)
@@ -152,14 +165,7 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     }
     modular = cond_i and cond_ii and cond_iii and all(v >= 0 for v in orders.values())
     cusp = cond_i and cond_ii and cond_iii and all(v > 0 for v in orders.values())
-    return LigozatReport(
-        cond_i=cond_i,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        orders=orders,
-        is_modular=modular,
-        is_cusp=cusp,
-    )
+    return LigozatReport(cond_i, cond_ii, cond_iii, orders, is_modular=modular, is_cusp=cusp)
 
 
 def _is_square_product(exps: dict[int, int]) -> bool:
@@ -172,7 +178,7 @@ def _is_square_product(exps: dict[int, int]) -> bool:
 
 
 def order_at_infinity(e: EtaQuotient) -> int:
-    s24 = sum(d * r for d, r in e.exponents)
+    s24 = sum(d * r for d, r in zip(divisors(e.level), e.rs))
     if s24 % 24 != 0:
         raise ValueError("order at infinity is not integral (condition (i) fails)")
     return s24 // 24
@@ -193,24 +199,21 @@ class SearchCeilingError(ValueError):
     """A search above its ceiling: the bound, or the cusp-order compositions."""
 
 
-def _dot_bounds(weights: list[int], B: int, t: int):
-    """(min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t; None if infeasible.
-
-    Greedy: every r_j starts at -B, and the t + m*B left go, 2B at a time, to
-    the smallest weights (min) or the largest (max).
+def _window_extremes(asc: list[int], B: int) -> dict[int, tuple[int, int]]:
+    """t -> (min, max) of sum w_j r_j over |r_j| <= B with sum r_j = t, for
+    each feasible t, by running sums: every r_j starts at -B, and each unit
+    of t + m*B goes to the smallest weight (min) or the largest (max) still
+    below B.  asc holds the m weights in ascending order or, packing being
+    linear, packed columns, column k packing every slot's k-th smallest.
     """
-    m = len(weights)
-    left = t + m * B
-    if not 0 <= left <= 2 * m * B:
-        return None
-    full, part = divmod(left, 2 * B)
-    ws = sorted(weights)
-    base = -B * sum(ws)
-
-    def greedy(order):
-        return base + 2 * B * sum(order[:full]) + part * (order[full] if full < m else 0)
-
-    return greedy(ws), greedy(ws[::-1])
+    m, run = len(asc), 2 * B
+    lo = hi = -B * sum(asc)
+    out = {-m * B: (lo, hi)}
+    for k in range(m * run):
+        lo += asc[k // run]
+        hi += asc[m - 1 - k // run]
+        out[k + 1 - m * B] = (lo, hi)
+    return out
 
 
 def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ...]]:
@@ -266,29 +269,28 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     # r at proc[j] flips them in the parity of prod delta^r
     bit = {p: 1 << b for b, p in enumerate(prime_factors(N))}
     masks = [sum(bit[p] for p, k in factorize(d) if k % 2) for d in proc]
-    tails: dict[tuple[int, int, int], list] = {}
-    for rs in product(range(-B, B + 1), repeat=nd - head):
-        tail = list(zip(range(head, nd), rs))
-        key = (
-            sum(rs),
-            sum(proc[j] * r for j, r in tail) % 24,
-            reduce(xor, (masks[j] for j, r in tail if r & 1), 0),
+    # the tails grow one exponent at a time, from delta = 1 up, each entry
+    # (sum r, sum delta*r mod 24, parity mask, packed sums, exponents); every
+    # step is a generator, so only the finished table is ever held whole
+    def grow(prev, j):
+        opts = [(r, proc[j] * r, masks[j] if r & 1 else 0, r * col[j]) for r in range(-B, B + 1)]
+        return (
+            (sr + r, (sd + dr) % 24, pm ^ m, add + step, rs + (r,))
+            for sr, sd, pm, add, rs in prev
+            for r, dr, m, step in opts
         )
-        tails.setdefault(key, []).append((sum(col[j] * r for j, r in tail), rs[::-1]))
+
+    tails: dict[tuple[int, int, int], list] = {}
+    for sr, sd, pm, add, rs in reduce(grow, range(nd - 1, head - 1, -1), [(0, 0, 0, 0, ())]):
+        tails.setdefault((sr, sd, pm), []).append((add, rs))
+    low, high = G - pack(floors), G + pack(caps)
     # bounds[i][t]: the window test of a child at depth i whose later
-    # exponents i+1.. sum to t, with (min, max) of what they add to each S_d
+    # exponents i+1.. sum to t, each slot's later weights sorted once
     bounds = []
     for i in range(head):
-        row = {}
-        for t in range(-(nd - i - 1) * B, (nd - i - 1) * B + 1):
-            mm = [_dot_bounds(w[ci][i + 1 :], B, t) for ci in range(nd)]
-            row[t] = (
-                G + pack([hi - f for (_, hi), f in zip(mm, floors)]),
-                G + pack([c - lo for (lo, _), c in zip(mm, caps)]),
-            )
-        bounds.append(row)
+        ext = _window_extremes([pack(ws) for ws in zip(*(sorted(row[i + 1 :]) for row in w))], B)
+        bounds.append({t: (low + hi, high - lo) for t, (lo, hi) in ext.items()})
     steps = [[r * col[i] for r in range(-B, B + 1)] for i in range(head)]
-    low, high = G - pack(floors), G + pack(caps)
     if head == 0:
         # the whole vector is one tail: one lookup with the empty prefix
         return [rs for add, rs in tails.get((k2, 0, 0), ()) if (add + low) & (high - add) & G == G]
@@ -512,8 +514,10 @@ def search_cusp_forms(
     are restricted to order at infinity <= max_order and returned sorted
     lexicographically by exponent vector over ascending divisors, so output
     is reproducible.  strict=True also requires the companion congruence and
-    runs the cusp-order search.  A bound below 1 is a ValueError, one above
-    SEARCH_BOUND_CEILING a SearchCeilingError.
+    runs the cusp-order search.  A bound below 1 is a ValueError; the
+    exhaustive search raises SearchCeilingError for one above
+    SEARCH_BOUND_CEILING, and the strict search for more cusp-order
+    compositions than STRICT_COMPOSITION_CEILING.
     """
     if bound < 1:
         raise ValueError(f"search bound must be >= 1, got {bound}")
@@ -522,8 +526,4 @@ def search_cusp_forms(
     if max_order < 1:
         return []
     search = _search_strict if strict else _search_range
-    divs = divisors(N)
-    return [
-        EtaQuotient(N, tuple((d, r) for d, r in zip(divs, v) if r))
-        for v in sorted(search(N, weight_times_two, bound, max_order))
-    ]
+    return [EtaQuotient(N, v) for v in sorted(search(N, weight_times_two, bound, max_order))]

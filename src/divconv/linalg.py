@@ -6,9 +6,9 @@ the stored pivot rows, reports whether the rank rose, and flags an
 inconsistent system when it reduces to 0 = nonzero.  Every reduced entry is
 a minor of the rows added so far (Sylvester's identity, Bareiss 1968), so
 the divisions are exact and the entries stay bounded.  The unique solution
-is back-substituted once into Fractions.  `rank` and `solve` are one-shot
-loops over it; `solve` rejects underdetermined or inconsistent systems
-instead of guessing.
+is back-substituted in integers, scaled by the last pivot, and divided out
+into Fractions once.  `rank` and `solve` are one-shot loops over it;
+`solve` rejects underdetermined or inconsistent systems instead of guessing.
 """
 
 from __future__ import annotations
@@ -78,11 +78,14 @@ class Echelon:
             raise UnderdeterminedSystem(f"rank {self.rank} < {self.ncols} unknowns")
         if self.inconsistent:
             raise InconsistentSystem("no exact solution satisfies every sampled equation")
-        x = [Fraction(0)] * self.ncols
+        # the last pivot D is a minor of the selected rows, so y = D*x is
+        # integral (Cramer) and each y_c divides out exactly
+        D = self._rows[-1][self._pivots[-1]] if self._rows else 1
+        y = [0] * self.ncols
         for row, c in zip(reversed(self._rows), reversed(self._pivots)):
-            acc = row[self.ncols] - sum(row[j] * x[j] for j in self._pivots if j != c and row[j])
-            x[c] = Fraction(acc, row[c])
-        return x
+            acc = D * row[self.ncols] - sum(row[j] * y[j] for j in self._pivots if j != c and row[j])
+            y[c] = acc // row[c]
+        return [Fraction(v, D) for v in y]
 
 
 def rank(rows) -> int:

@@ -143,13 +143,13 @@ def expand(generators: Iterable[CuspGenerator], T: int) -> Iterator[QSeries]:
     once, and every L(q) - t*L(q^t) is read off that one L(q); nothing is
     kept across calls.
     """
-    etas: dict[tuple, QSeries] = {}
+    etas: dict[EtaQuotient, QSeries] = {}
     weight2: dict[int, QSeries] = {}
     L = None
     for g in generators:
-        s = etas.get(g.eta.exponents)
+        s = etas.get(g.eta)
         if s is None:
-            s = etas[g.eta.exponents] = g.eta.series(T)
+            s = etas[g.eta] = g.eta.series(T)
         if g.kind == KIND_PRODUCT:
             if g.e2_scale not in weight2:
                 if L is None:
@@ -338,7 +338,7 @@ def repair_candidates(N: int) -> list[CuspGenerator]:
     seen: set[tuple] = set()
 
     def add(gen: CuspGenerator):
-        key = (gen.kind, gen.eta.exponents, gen.e2_scale)
+        key = (gen.kind, gen.eta, gen.e2_scale)
         if key not in seen:
             seen.add(key)
             out.append(gen)
@@ -373,8 +373,8 @@ def repair_basis(N: int) -> ModularBasis:
             CuspGenerator(kind=KIND_ETA, eta=q)
             for q in search_cusp_forms(N, 8, max_order=search_max_order(N), strict=True)
         ]
-        known = {c.eta.exponents for c in cands if c.kind == KIND_ETA}
-        merged = cands + [g for g in extra if g.eta.exponents not in known]
+        known = {c.eta for c in cands if c.kind == KIND_ETA}
+        merged = cands + [g for g in extra if g.eta not in known]
         basis = select_cusp_basis(N, merged)
     return replace(basis, source="repaired")
 

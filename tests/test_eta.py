@@ -3,7 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from divconv.eta import (
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
     SearchCeilingError,
+    _window_extremes,
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
@@ -250,7 +251,7 @@ def test_strict_search_subset():
     strict = {q.exponents for q in search_cusp_forms(14, 8, 10, max_order=4, strict=True)}
     assert strict <= loose
     for exps in strict:
-        assert dual_congruence(EtaQuotient(14, exps))
+        assert dual_congruence(EtaQuotient.make(14, dict(exps)))
 
 
 def _strict_oracle(N, k2, bound, max_order):
@@ -373,6 +374,57 @@ def test_ligozat_orders_match_fraction_sum(e):
 def test_eta_quotient_level_guard():
     with pytest.raises(ValueError):
         EtaQuotient.make(10, {3: 4})
+
+
+CLASS_LEVELS = [N for N in range(1, 121) if classify_level(N).in_class]
+
+
+@given(st.data())
+def test_make_and_vector_agree(data):
+    N = data.draw(st.sampled_from(CLASS_LEVELS))
+    divs = divisors(N)
+    m = data.draw(st.dictionaries(st.sampled_from(divs), st.integers(-12, 12)))
+    q = EtaQuotient.make(N, m)
+    assert q.exponents == tuple(sorted((d, r) for d, r in m.items() if r))
+    assert len(q.vector()) == len(divs)
+    assert q.vector() == tuple(m.get(d, 0) for d in divs)
+    v = EtaQuotient(N, q.vector())
+    assert v == q and hash(v) == hash(q)
+
+
+# the first bad key in ascending order is named; zero exponents are ignored
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ({0: 1}, "exponent key 0 must be >= 1"),
+        ({-2: 1}, "exponent key -2 must be >= 1"),
+        ({5: 1, 3: 2, -2: 0}, "exponent key 3 does not divide level 10"),
+        ({7: 1, -2: 1}, "exponent key -2 must be >= 1"),
+    ],
+)
+def test_make_names_the_first_bad_key(exponents, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EtaQuotient.make(10, exponents)
+
+
+@pytest.mark.parametrize("rs", [(), (1, 2, 3), (1, 2, 3, 4, 5)])
+def test_vector_of_wrong_length_is_rejected(rs):
+    with pytest.raises(ValueError, match="level 10 has 4 divisors"):
+        EtaQuotient(10, rs)
+
+
+def test_window_extremes_match_brute_force():
+    # every multiset of m <= 4 weights from 1..5 and every B <= 3: the (min,
+    # max) of sum w_j r_j at each t = -mB..mB over all |r_j| <= B summing to t
+    for m in range(1, 5):
+        for ws in combinations_with_replacement(range(1, 6), m):
+            for B in range(1, 4):
+                ext: dict[int, tuple[int, int]] = {}
+                for rs in product(range(-B, B + 1), repeat=m):
+                    t, v = sum(rs), sum(w * r for w, r in zip(ws, rs))
+                    lo, hi = ext.get(t, (v, v))
+                    ext[t] = (min(lo, v), max(hi, v))
+                assert _window_extremes(list(ws), B) == ext, (ws, B)
 
 
 def test_substitute_and_at_level():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divconv.linalg import Echelon, InconsistentSystem, UnderdeterminedSystem, rank, solve
@@ -72,6 +72,13 @@ def test_echelon_matches_reference_row_by_row(system):
         assert ech.inconsistent == want_inconsistent
 
 
+F = Fraction
+
+
+# Fraction rows: a square system, and an overdetermined one whose third row
+# is the sum of the first two
+@example(([[F(1, 2), F(-2, 3), 3], [F(5, 7), 1, F(1, 4)], [2, F(3, 5), -1]], [F(1, 3), -2, F(7, 6)]))
+@example(([[F(1, 2), F(1, 3)], [2, F(-1, 5)], [F(5, 2), F(2, 15)]], [F(1, 6), 3, F(19, 6)]))
 @given(systems())
 def test_solve_matches_reference(system):
     rows, rhs = system
