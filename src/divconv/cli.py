@@ -32,7 +32,7 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import SEARCH_BOUND, SearchCeilingError, order_at_infinity, search_cusp_forms
+from .eta import SEARCH_BOUND, SearchCeilingError, search_cusp_forms
 from .representation import count_N, count_R
 from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
 
@@ -72,21 +72,16 @@ def cmd_search_cusp(args) -> int:
     N = args.level
     max_order = search_max_order(N) if args.max_order is None else args.max_order
     found = search_cusp_forms(N, 8, bound=args.bound, max_order=max_order, strict=args.strict)
-    rows = []
+    divs = divisors(N)
+    rows, lines = [], [f"level {N}: {len(found)} cusp quotients (bound {args.bound}, order <= {max_order})"]
+    lines.append("  order | " + " ".join(f"{d:>5}" for d in divs))
     for q in found:
-        rows.append(
-            {
-                "exponents": [[d, r] for d, r in q.exponents],
-                "order": order_at_infinity(q),
-            }
-        )
+        rs = q.vector()
+        pairs = [[d, r] for d, r in zip(divs, rs) if r]
+        order = sum(d * r for d, r in pairs) // 24  # every hit meets (i)
+        rows.append({"exponents": pairs, "order": order})
+        lines.append(f"  {order:>5} | " + " ".join(f"{r:>5}" for r in rs))
     doc = {"level": N, "bound": args.bound, "max_order": max_order, "count": len(found), "quotients": rows}
-    lines = [f"level {N}: {len(found)} cusp quotients (bound {args.bound}, order <= {max_order})"]
-    header = " ".join(f"{d:>5}" for d in divisors(N))
-    lines.append(f"  order | {header}")
-    for q in found:
-        vec = " ".join(f"{r:>5}" for r in q.vector())
-        lines.append(f"  {order_at_infinity(q):>5} | {vec}")
     _emit(args, doc, lines)
     return EXIT_OK
 

@@ -45,9 +45,11 @@ every slot set, each slot of pack(v) + G keeps its top bit iff v_d >= 0,
 as long as every |v_d| < 2^(W-1).  So a branch or a tail passes when
 (pack(S - floor) + G) & (pack(cap - S) + G) & G == G, one add, one subtract
 and one mask (the guard-bit test of SIMD within a register, Lamport,
-CACM 18(8), 1975).  The last level of the DFS looks up the tails of each
-child it keeps inline, with no call per child.  Bounds above
-SEARCH_BOUND_CEILING raise SearchCeilingError at once.
+CACM 18(8), 1975).  The last level of the DFS reads its children from a
+leaf table built once per search and indexed by the prefix's exponent sum:
+each entry has its window bounds folded into its step, so a child costs
+one window test, and its tails are looked up only when it passes.  Bounds
+above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -188,9 +190,11 @@ def order_at_infinity(e: EtaQuotient) -> int:
 
 # Largest bound the exhaustive search accepts.  Its tail table holds
 # (2*bound + 1)^3 tails, each with one packed integer of #divisors cusp-sum
-# slots: at bound 16 that table adds 7 MB at level 40 and 8 MB at level 120,
-# and the level-40 search takes 10 s; at bound 20 the table adds 12 and
-# 14 MB, at bound 40 91 and 104 MB (tracemalloc, Python 3.11).
+# slots, and its leaf table at most (2*bound + 1)(6*bound + 1) children,
+# each with three: at bound 16 the tail table adds 7.0 MB at level 40 and
+# 7.9 MB at level 120, the leaf table 0.7 and 0.9 MB, and the level-40
+# search takes 10-11 s; at bound 20 the tail table adds 13.0 and 14.9 MB,
+# the leaf table 1.1 and 1.3 MB (tracemalloc, Python 3.11).
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
 
@@ -226,10 +230,14 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     sums `add` it adds and its exponents over ascending divisors.  A child
     Q = P + pack(r*w_i) of a prefix with packed sums P is kept iff
     (Q + lo) & (hi - Q) & G == G, (lo, hi) from `bounds`; a tail iff
-    (add + xl) & (xh - add) & G == G, xl = P - pack(floors) + G and
-    xh = pack(caps) - P + G.  The last prefix level looks up its children's
-    tails itself, and a hit is the tail's exponents followed by the prefix
-    reversed, so every hit is already a vector over ascending divisors.
+    (add + xl) & (xh - add) & G == G, xl = Q - pack(floors) + G and
+    xh = pack(caps) - Q + G.  The last prefix level is `leaf`: `rows[sr]`
+    holds its children for a prefix whose exponents sum to sr, each with
+    (lo, hi) folded into its step, so a child passes iff
+    (P + step + lo) & (hi - step - P) & G == G, and its tails are read only
+    when their bucket is non-empty.  A hit is the tail's exponents followed
+    by the prefix reversed, so every hit is already a vector over ascending
+    divisors.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -290,38 +298,64 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     for i in range(head):
         ext = _window_extremes([pack(ws) for ws in zip(*(sorted(row[i + 1 :]) for row in w))], B)
         bounds.append({t: (low + hi, high - lo) for t, (lo, hi) in ext.items()})
-    steps = [[r * col[i] for r in range(-B, B + 1)] for i in range(head)]
     if head == 0:
         # the whole vector is one tail: one lookup with the empty prefix
         return [rs for add, rs in tails.get((k2, 0, 0), ()) if (add + low) & (high - add) & G == G]
+    # kids[i]: each r at depth i with what it adds to the packed sums, to
+    # sum delta*r and to the parity mask
+    kids = [
+        [(r, r * col[i], proc[i] * r, masks[i] if r & 1 else 0) for r in range(-B, B + 1)]
+        for i in range(head)
+    ]
+    # rows[sr]: the children of a last-level prefix whose exponents sum to
+    # sr, with the window test of each folded into its step: (r, t, step,
+    # step + lo_t, hi_t - step, delta*r, flip) for the r whose tail sum t =
+    # k2 - sr - r has window bounds.  Four exponents sum to k2 - sr, so only
+    # the sums within 4B of k2 that the head - 1 prefix exponents reach have
+    # children, at most 8B + 1 of them, and each r pairs with the 6B + 1
+    # tail sums in -3B..3B: at most (2B + 1)(6B + 1) entries, 3,201 at
+    # SEARCH_BOUND_CEILING, whatever the divisor count.
+    last, reach = bounds[-1], (head - 1) * B
+    rows = {
+        sr: [
+            (r, t, step, step + last[t][0], last[t][1] - step, dr, flip)
+            for r, step, dr, flip in kids[-1]
+            if (t := k2 - sr - r) in last
+        ]
+        for sr in range(max(k2 - 4 * B, -reach), min(k2 + 4 * B, reach) + 1)
+    }
     out = []
-    path = [0] * head
+    path = [0] * (head - 1)
+
+    def leaf(P, sr, sd, pm):
+        # the last prefix level: P packs the cusp sums of the prefix, and a
+        # child's tails are read only when their bucket is non-empty
+        for r, t, step, lo, hi, dr, flip in rows.get(sr, ()):
+            if (P + lo) & (hi - P) & G == G and (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip))):
+                Q = P + step
+                xl, xh = Q + low, high - Q
+                hits = [rs for add, rs in bucket if (add + xl) & (xh - add) & G == G]
+                if hits:
+                    top = (r, *path[::-1])
+                    out.extend(rs + top for rs in hits)
 
     def dfs(i, P, sr, sd, pm):
         # P packs the cusp sums, sd = sum delta*r, over the exponents so far
-        bnds, d, m = bounds[i], proc[i], masks[i]
-        for r, step in zip(range(-B, B + 1), steps[i]):
-            t = k2 - sr - r  # what the later exponents must sum to
-            b = bnds.get(t)
+        bnds = bounds[i]
+        for r, step, dr, flip in kids[i]:
+            b = bnds.get(k2 - sr - r)  # the later exponents must sum to it
             Q = P + step
-            if not (b and (Q + b[0]) & (b[1] - Q) & G == G):
-                continue
-            path[i] = r
-            if i + 1 < head:
-                dfs(i + 1, Q, sr + r, sd + d * r, pm ^ m if r & 1 else pm)
-                continue
-            # the last prefix level: the tails that complete this child
-            xl, xh = Q + low, high - Q
-            hits = [
-                rs
-                for add, rs in tails.get((t, -(sd + d * r) % 24, pm ^ m if r & 1 else pm), ())
-                if (add + xl) & (xh - add) & G == G
-            ]
-            if hits:
-                top = tuple(path[::-1])
-                out.extend(rs + top for rs in hits)
+            if b and (Q + b[0]) & (b[1] - Q) & G == G:
+                path[i] = r
+                if i + 2 < head:
+                    dfs(i + 1, Q, sr + r, sd + dr, pm ^ flip)
+                else:
+                    leaf(Q, sr + r, sd + dr, pm ^ flip)
 
-    dfs(0, 0, 0, 0, 0)
+    if head > 1:
+        dfs(0, 0, 0, 0, 0)
+    else:
+        leaf(0, 0, 0, 0)  # one exponent before the tail: the empty prefix
     # dfs refers to itself, so without this the table and the other cells it
     # closes over would stay allocated until the cyclic collector runs
     del dfs

@@ -26,7 +26,7 @@ from .convolution import (
     evaluate_W,
     first_residual_row,
 )
-from .eta import EtaQuotient, ligozat_check, search_cusp_forms
+from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .qseries import eisenstein_L
 from .representation import (
     count_N,
@@ -247,14 +247,14 @@ def check_tables_cuspidality() -> list[ItemResult]:
     return out
 
 
-def regeneration_search(N: int) -> set[tuple]:
-    """Exponent vectors of the exhaustive weight-4 cusp search at N with
-    the default bound and order cap: the sets the published tables are
-    checked against."""
-    return {q.exponents for q in search_cusp_forms(N, 8, max_order=search_max_order(N))}
+def regeneration_search(N: int) -> set[EtaQuotient]:
+    """The quotients of the exhaustive weight-4 cusp search at N with the
+    default bound and order cap: the sets the published tables are checked
+    against."""
+    return set(search_cusp_forms(N, 8, max_order=search_max_order(N)))
 
 
-def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResult]:
+def check_search_regeneration(searches: dict[int, set[EtaQuotient]]) -> list[ItemResult]:
     """Compare the tables at REGENERATION_LEVELS with searches[N], the
     output of regeneration_search(N)."""
     out = []
@@ -263,15 +263,14 @@ def check_search_regeneration(searches: dict[int, set[tuple]]) -> list[ItemResul
         expected_bad = set(fixtures.NONCUSPIDAL_ROWS.get(N, ()))
         missing, excluded = [], []
         for i, exps in enumerate(fixtures.BASIS_TABLES[N], start=1):
-            key = EtaQuotient.make(N, exps).exponents
-            if key in found:
+            if EtaQuotient.make(N, exps) in found:
                 if i in expected_bad:
                     missing.append(f"row {i} found despite non-cuspidality")
             elif i in expected_bad:
                 excluded.append(str(i))
             else:
                 missing.append(f"row {i} missing from search output")
-        orders = sorted({sum(d * r for d, r in e) // 24 for e in found})
+        orders = sorted({order_at_infinity(e) for e in found})
         order_note = ""
         if N == 40:
             if [o for o in orders if o <= 14] != list(range(1, 15)):
@@ -526,7 +525,7 @@ def check_classical_identities() -> list[ItemResult]:
     ]
 
 
-def run_all(provider: FormulaProvider, searches: dict[int, set[tuple]]) -> list[ItemResult]:
+def run_all(provider: FormulaProvider, searches: dict[int, set[EtaQuotient]]) -> list[ItemResult]:
     """Every verify-paper item, in report order; searches maps each of
     REGENERATION_LEVELS to its regeneration_search output."""
     results: list[ItemResult] = []

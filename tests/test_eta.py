@@ -236,9 +236,14 @@ _SMALL_LEVELS = [N for N in range(1, 101) if len(divisors(N)) <= 6]
 @example(N=11, k2=4, bound=2, max_order=None)
 @example(N=9, k2=4, bound=3, max_order=None)
 @example(N=25, k2=8, bound=3, max_order=None)
+# four divisors: the last prefix level is the first, entered with the empty
+# prefix; five divisors: one depth above the last prefix level
+@example(N=10, k2=8, bound=3, max_order=None)
+@example(N=16, k2=8, bound=3, max_order=None)
 def test_search_matches_oracle_on_random_levels(N, k2, bound, max_order):
     if max_order is None:
-        max_order = k2 * index_mu(N) // 12  # the search's default
+        # twice the valence bound k2 * mu / 24 on the order at infinity: no cap
+        max_order = k2 * index_mu(N) // 12
     quotients = search_cusp_forms(N, k2, bound, max_order=max_order)
     assert _strictly_increasing([q.vector() for q in quotients])
     found = [q.exponents for q in quotients]
