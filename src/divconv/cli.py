@@ -73,16 +73,23 @@ def cmd_search_cusp(args) -> int:
     max_order = search_max_order(N) if args.max_order is None else args.max_order
     found = search_cusp_forms(N, 8, bound=args.bound, max_order=max_order, strict=args.strict)
     divs = divisors(N)
-    rows, lines = [], [f"level {N}: {len(found)} cusp quotients (bound {args.bound}, order <= {max_order})"]
-    lines.append("  order | " + " ".join(f"{d:>5}" for d in divs))
-    for q in found:
-        rs = q.vector()
-        pairs = [[d, r] for d, r in zip(divs, rs) if r]
-        order = sum(d * r for d, r in pairs) // 24  # every hit meets (i)
-        rows.append({"exponents": pairs, "order": order})
-        lines.append(f"  {order:>5} | " + " ".join(f"{r:>5}" for r in rs))
-    doc = {"level": N, "bound": args.bound, "max_order": max_order, "count": len(found), "quotients": rows}
-    _emit(args, doc, lines)
+    vectors = [q.vector() for q in found]
+    orders = [sum(d * r for d, r in zip(divs, rs)) // 24 for rs in vectors]  # every hit meets (i)
+    # only the printed form is built
+    if args.machine:
+        rows = [
+            {"exponents": [[d, r] for d, r in zip(divs, rs) if r], "order": order}
+            for rs, order in zip(vectors, orders)
+        ]
+        doc = {"level": N, "bound": args.bound, "max_order": max_order, "count": len(found), "quotients": rows}
+        _emit(args, doc, [])
+    else:
+        lines = [
+            f"level {N}: {len(found)} cusp quotients (bound {args.bound}, order <= {max_order})",
+            "  order | " + " ".join(f"{d:>5}" for d in divs),
+        ]
+        lines += [f"  {order:>5} | " + " ".join(f"{r:>5}" for r in rs) for rs, order in zip(vectors, orders)]
+        _emit(args, {}, lines)
     return EXIT_OK
 
 

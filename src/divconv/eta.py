@@ -46,10 +46,14 @@ as long as every |v_d| < 2^(W-1).  So a branch or a tail passes when
 (pack(S - floor) + G) & (pack(cap - S) + G) & G == G, one add, one subtract
 and one mask (the guard-bit test of SIMD within a register, Lamport,
 CACM 18(8), 1975).  The last level of the DFS reads its children from a
-leaf table built once per search and indexed by the prefix's exponent sum:
-each entry has its window bounds folded into its step, so a child costs
-one window test, and its tails are looked up only when it passes.  Bounds
-above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
+leaf table built once per search and indexed by the prefix's exponent sum,
+each entry with its window bounds folded into its step.  Whether a child
+has any tails depends only on the prefix's key (sum r, sum delta*r mod 24,
+parity mask), so a second table, filled the first time the walk meets a
+key, keeps for it only the children whose tail bucket is non-empty, with
+the bucket attached: a child costs one window test and no lookup, and a
+child without tails is never tested.  Both tables are local to one search.
+Bounds above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -190,11 +194,14 @@ def order_at_infinity(e: EtaQuotient) -> int:
 
 # Largest bound the exhaustive search accepts.  Its tail table holds
 # (2*bound + 1)^3 tails, each with one packed integer of #divisors cusp-sum
-# slots, and its leaf table at most (2*bound + 1)(6*bound + 1) children,
-# each with three: at bound 16 the tail table adds 7.0 MB at level 40 and
-# 7.9 MB at level 120, the leaf table 0.7 and 0.9 MB, and the level-40
-# search takes 10-11 s; at bound 20 the tail table adds 13.0 and 14.9 MB,
-# the leaf table 1.1 and 1.3 MB (tracemalloc, Python 3.11).
+# slots, its leaf table at most (2*bound + 1)(6*bound + 1) children, each
+# with three, and its key table at most (8*bound + 1) * 24 * 2^omega(N)
+# keys, each with at most 2*bound + 1 of those children.  At bound 16
+# (tracemalloc, Python 3.11) the tail table adds 6.7 MB at level 40 and
+# 7.5 MB at level 120 and the leaf table 0.65 and 0.83 MB; the key table
+# holds 4.9 MB (3,016 keys) when the level-40 search ends, and 13.6 and
+# 15.7 MB with every key it can hold filled (11,616 and 24,768 keys).  The
+# level-40 search takes 9-11 s.
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
 
@@ -234,10 +241,12 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     xh = pack(caps) - Q + G.  The last prefix level is `leaf`: `rows[sr]`
     holds its children for a prefix whose exponents sum to sr, each with
     (lo, hi) folded into its step, so a child passes iff
-    (P + step + lo) & (hi - step - P) & G == G, and its tails are read only
-    when their bucket is non-empty.  A hit is the tail's exponents followed
-    by the prefix reversed, so every hit is already a vector over ascending
-    divisors.
+    (P + step + lo) & (hi - step - P) & G == G.  `kept`, filled on the first
+    visit to each prefix key (sr, sd mod 24, parity mask), holds the
+    children of rows[sr] whose tail bucket is non-empty, in order, each with
+    its bucket, so only those are tested.  A hit is the tail's exponents
+    followed by the prefix reversed, so every hit is already a vector over
+    ascending divisors.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -324,14 +333,27 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
         ]
         for sr in range(max(k2 - 4 * B, -reach), min(k2 + 4 * B, reach) + 1)
     }
+    # kept[(sr, sd % 24, pm)]: the children of rows[sr], in order, whose tail
+    # bucket is non-empty for a prefix with that key, as (r, step, step +
+    # lo_t, hi_t - step, bucket); filled on first visit.  sr is within 4B of
+    # k2, so at most (8B + 1) * 24 * 2^omega(N) keys, each with at most
+    # 2B + 1 children.
+    kept = {}
     out = []
     path = [0] * (head - 1)
 
     def leaf(P, sr, sd, pm):
-        # the last prefix level: P packs the cusp sums of the prefix, and a
-        # child's tails are read only when their bucket is non-empty
-        for r, t, step, lo, hi, dr, flip in rows.get(sr, ()):
-            if (P + lo) & (hi - P) & G == G and (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip))):
+        # the last prefix level: P packs the cusp sums of the prefix, and
+        # only children that have tails are tested
+        key = (sr, sd % 24, pm)
+        if (live := kept.get(key)) is None:
+            live = kept[key] = [
+                (r, step, lo, hi, bucket)
+                for r, t, step, lo, hi, dr, flip in rows.get(sr, ())
+                if (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip)))
+            ]
+        for r, step, lo, hi, bucket in live:
+            if (P + lo) & (hi - P) & G == G:
                 Q = P + step
                 xl, xh = Q + low, high - Q
                 hits = [rs for add, rs in bucket if (add + xl) & (xh - add) & G == G]
