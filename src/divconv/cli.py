@@ -32,7 +32,7 @@ from .convolution import (
     derive_formula,
     dispatch_W,
 )
-from .eta import SEARCH_BOUND, SearchCeilingError, search_cusp_forms
+from .eta import SEARCH_BOUND, SearchCeilingError, order_at_infinity, search_cusp_forms
 from .representation import count_N, count_R
 from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
 
@@ -74,7 +74,7 @@ def cmd_search_cusp(args) -> int:
     found = search_cusp_forms(N, 8, bound=args.bound, max_order=max_order, strict=args.strict)
     divs = divisors(N)
     vectors = [q.vector() for q in found]
-    orders = [sum(d * r for d, r in zip(divs, rs)) // 24 for rs in vectors]  # every hit meets (i)
+    orders = [order_at_infinity(q) for q in found]
     # only the printed form is built
     if args.machine:
         rows = [

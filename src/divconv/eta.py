@@ -1,8 +1,11 @@
-"""Eta quotients, the membership criterion, and the cusp-form searches.
+"""Eta quotients as exponent data, the membership criterion, and the
+cusp-form searches; nothing here expands a series (`spaces.expand` does).
 
 An eta quotient at level N is a finite product prod_{delta | N}
-eta(delta*z)^{r_delta}.  It lies in the weight-k modular (resp. cusp) space
-for the level-N Hecke congruence subgroup when
+eta(delta*z)^{r_delta}, held as its exponents: q -> q^k sends
+eta(delta*z) to eta(k*delta*z), so substitution scales the keys.  It lies
+in the weight-k modular (resp. cusp) space for the level-N Hecke
+congruence subgroup when
 
   (i)    sum delta * r_delta == 0 (mod 24),
   (ii)   prod delta^{r_delta} is a square in Q,
@@ -82,7 +85,6 @@ from math import comb, gcd, lcm
 
 from .arith import FACTORIZE_CACHE_SIZE, divisors, euler_phi, factorize, index_mu, prime_factors
 from .linalg import Echelon
-from .qseries import QSeries, eta_quotient_series
 
 
 @lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
@@ -133,9 +135,6 @@ class EtaQuotient:
 
     def vector(self) -> tuple[int, ...]:
         return self.rs
-
-    def series(self, T: int) -> QSeries:
-        return eta_quotient_series(self.exponent_map, T)
 
     def substitute(self, t: int, level: int) -> "EtaQuotient":
         """q -> q^t image at `level`: eta(delta z) -> eta(t*delta z)."""
@@ -188,6 +187,13 @@ def order_at_infinity(e: EtaQuotient) -> int:
     if s24 % 24 != 0:
         raise ValueError("order at infinity is not integral (condition (i) fails)")
     return s24 // 24
+
+
+def substitution_scale(source: EtaQuotient, target: EtaQuotient) -> int | None:
+    """The k | target.level with target = source(q^k), or None: the k that,
+    scaling every delta of source's (delta, r_delta) pairs, gives target's."""
+    pairs, want = source.exponents, target.exponents
+    return next((k for k in divisors(target.level) if tuple((k * d, r) for d, r in pairs) == want), None)
 
 
 # --- exhaustive search -----------------------------------------------------
@@ -432,8 +438,6 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
     form H = A*U: S lies in A*Z^n, i.e. r is integral, iff S = H*c for an
     integer c, solved row by row as the orders are assigned.
     """
-    if k2 % 4:
-        raise ValueError("strict search needs an even weight (sum r_delta == 0 mod 4)")
     mu = index_mu(N)
     if k2 * mu % 24:
         return []
@@ -570,8 +574,9 @@ def search_cusp_forms(
     are restricted to order at infinity <= max_order and returned sorted
     lexicographically by exponent vector over ascending divisors, so output
     is reproducible.  strict=True also requires the companion congruence and
-    runs the cusp-order search.  A bound below 1 is a ValueError; the
-    exhaustive search raises SearchCeilingError for one above
+    runs the cusp-order search.  A bound below 1, or a weight_times_two that
+    is not a positive multiple of 4 (condition (iii)), is a ValueError; the
+    exhaustive search raises SearchCeilingError for a bound above
     SEARCH_BOUND_CEILING, and the strict search for more cusp-order
     compositions than STRICT_COMPOSITION_CEILING.
     """
@@ -579,6 +584,10 @@ def search_cusp_forms(
         raise ValueError(f"search bound must be >= 1, got {bound}")
     if N < 1:
         raise ValueError(f"search_cusp_forms: N must be >= 1, got {N}")
+    if weight_times_two < 1 or weight_times_two % 4:
+        raise ValueError(
+            f"search_cusp_forms: weight_times_two must be a positive multiple of 4, got {weight_times_two}"
+        )
     if max_order < 1:
         return []
     search = _search_strict if strict else _search_range

@@ -22,6 +22,7 @@ from math import gcd, isqrt
 from typing import Callable
 
 from .arith import classify_level, coprime_pairs, sigma_scaled
+from .qseries import QSeries
 
 WProvider = Callable[[int, int, int], int]
 
@@ -49,13 +50,17 @@ def s4(n: int) -> int:
 
 
 def r4_by_enumeration(n: int) -> int:
-    """Direct 4-variable lattice count; the oracle for r4."""
-    return _self_convolve(_self_convolve(_square_counts(n)))[n]
+    """Direct 4-variable lattice count, theta^2 squared; the oracle for r4."""
+    theta = QSeries(_square_counts(n))
+    theta2 = theta * theta
+    return (theta2 * theta2).coefficient(n)
 
 
 def s4_by_enumeration(n: int) -> int:
-    """Direct lattice count for the hexagonal quaternary form."""
-    return _self_convolve(_hex_counts(n))[n]
+    """Direct lattice count for the hexagonal quaternary form: the binary
+    hexagonal counts squared."""
+    hexes = QSeries(_hex_counts(n))
+    return (hexes * hexes).coefficient(n)
 
 
 def _square_counts(limit: int) -> list[int]:
@@ -64,17 +69,6 @@ def _square_counts(limit: int) -> list[int]:
     while x * x <= limit:
         out[x * x] += 1 if x == 0 else 2
         x += 1
-    return out
-
-
-def _self_convolve(counts: list[int]) -> list[int]:
-    limit = len(counts) - 1
-    out = [0] * (limit + 1)
-    for i, ci in enumerate(counts):
-        if ci:
-            for j in range(limit + 1 - i):
-                if counts[j]:
-                    out[i + j] += ci * counts[j]
     return out
 
 

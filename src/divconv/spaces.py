@@ -7,8 +7,10 @@ of generators that provably lie in the weight-4 cusp space (strict eta
 quotients, their substitutions from sublevels, and weight-2 cusp quotients
 multiplied by weight-2 Eisenstein combinations).
 
-`expand` is the one expansion path of generators: building a basis,
-re-expanding it (`ModularBasis.at_precision`) and the Case 2 rank test of
+`expand` is the one expansion path of generators, and the only caller of
+`qseries.eta_quotient_series` in the package (an `EtaQuotient` is exponent
+data and expands nothing itself): building a basis, re-expanding it
+(`ModularBasis.at_precision`) and the Case 2 rank test of
 `select_cusp_basis` expand each distinct eta quotient once and L(q) once
 per call, and read every L(q) - t*L(q^t) off that one L(q).
 
@@ -30,7 +32,7 @@ from . import fixtures
 from .arith import divisors, euler_phi, index_mu, prime_factors
 from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .linalg import Echelon
-from .qseries import QSeries, eisenstein_L, eisenstein_weight2
+from .qseries import QSeries, eisenstein_L, eisenstein_weight2, eta_quotient_series
 
 
 class UnsupportedLevelError(ValueError):
@@ -92,7 +94,6 @@ def sturm_bound(N: int) -> int:
 
 
 VERIFY_TO = 200  # the least depth of every derivation, and verify-paper's depth
-SUBSTITUTION_ROWS = 64  # the rows fixture_substitution_report compares
 # the largest level a basis is built at.  A basis grows with its level (Case
 # 2 selection expands candidates to 2 dim S4 rows); on 2 CPUs `basis p`, with
 # or without --repair, took at most 0.3 s and 23 MB at ~50 primes p < 10^4,
@@ -149,7 +150,7 @@ def expand(generators: Iterable[CuspGenerator], T: int) -> Iterator[QSeries]:
     for g in generators:
         s = etas.get(g.eta)
         if s is None:
-            s = etas[g.eta] = g.eta.series(T)
+            s = etas[g.eta] = eta_quotient_series(g.eta.exponent_map, T)
         if g.kind == KIND_PRODUCT:
             if g.e2_scale not in weight2:
                 if L is None:
@@ -377,24 +378,3 @@ def repair_basis(N: int) -> ModularBasis:
         merged = cands + [g for g in extra if g.eta not in known]
         basis = select_cusp_basis(N, merged)
     return replace(basis, source="repaired")
-
-
-def fixture_substitution_report(N: int) -> list[tuple]:
-    """Check the published substitution claims b_target(n) = b_source(n/k)
-    on rows 0..SUBSTITUTION_ROWS against the actual expansions; returns
-    (target, source, published_k, actual_k_or_None) rows."""
-    rows = fixtures.BASIS_TABLES[N]
-    out = []
-    for target, source, published_k in fixtures.SUBSTITUTION_CLAIMS.get(N, []):
-        st = EtaQuotient.make(N, rows[target - 1]).series(SUBSTITUTION_ROWS)
-        ss = EtaQuotient.make(N, rows[source - 1]).series(SUBSTITUTION_ROWS)
-        actual = None
-        for k in range(1, SUBSTITUTION_ROWS):
-            if all(
-                st.coefficient(n) == (ss.coefficient(n // k) if n % k == 0 else 0)
-                for n in range(SUBSTITUTION_ROWS + 1)
-            ):
-                actual = k
-                break
-        out.append((target, source, published_k, actual))
-    return out

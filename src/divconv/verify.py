@@ -26,7 +26,7 @@ from .convolution import (
     evaluate_W,
     first_residual_row,
 )
-from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
+from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms, substitution_scale
 from .qseries import eisenstein_L
 from .representation import (
     count_N,
@@ -41,7 +41,6 @@ from .representation import (
 )
 from .spaces import (
     VERIFY_TO,
-    fixture_substitution_report,
     load_fixture_basis,
     profile,
     search_max_order,
@@ -292,9 +291,21 @@ def check_search_regeneration(searches: dict[int, set[EtaQuotient]]) -> list[Ite
 
 
 def check_substitution_claims() -> list[ItemResult]:
+    """Each published b_t(n) = b_s(n/k), read off the fixture exponents.
+
+    A q-series q^s prod (1 - q^n)^{c_n} determines its c_n, and an eta
+    quotient has c_n = sum_{delta | n} r_delta, so by Moebius inversion its
+    expansion determines its exponents.  So b_t(n) = b_s(n/k) iff row t is
+    row s with every delta scaled by k (`substitution_scale`), and as the
+    smallest delta of s times k is the smallest of t, at most one k does.
+    """
     out = []
     for N in sorted(fixtures.SUBSTITUTION_CLAIMS):
-        rows = fixture_substitution_report(N)
+        etas = [EtaQuotient.make(N, exps) for exps in fixtures.BASIS_TABLES[N]]
+        rows = [
+            (t, s, pub, substitution_scale(etas[s - 1], etas[t - 1]))
+            for t, s, pub in fixtures.SUBSTITUTION_CLAIMS[N]
+        ]
         bad = [
             f"b_{N},{t}(n) = b_{N},{s}(n/{actual or '?'}) but published n/{pub}"
             for t, s, pub, actual in rows

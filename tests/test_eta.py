@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 from pathlib import Path
@@ -22,8 +23,10 @@ from divconv.eta import (
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
+    substitution_scale,
 )
-from divconv.spaces import profile
+from divconv.qseries import eta_quotient_series
+from divconv.spaces import profile, search_max_order
 
 
 def is_square_product_by_value(exps: dict[int, int]) -> bool:
@@ -90,7 +93,7 @@ def test_table4_orders():
 
 def test_orders_match_leading_series_term():
     for q in search_cusp_forms(12, 8, 6, max_order=3):
-        s = q.series(30)
+        s = eta_quotient_series(q.exponent_map, 30)
         o = order_at_infinity(q)
         assert all(s.coefficient(n) == 0 for n in range(o))
         assert s.coefficient(o) != 0
@@ -321,10 +324,22 @@ def test_search_cusp_above_bound_ceiling_exits_3(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
-def test_strict_search_needs_even_weight():
-    # with odd weight the character is not trivial and orders need not be integral
-    with pytest.raises(ValueError):
-        search_cusp_forms(12, 6, 3, max_order=3, strict=True)
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("k2", [6, 2, 0, -8])
+def test_search_needs_a_positive_multiple_of_4(k2, strict):
+    # condition (iii), checked once for both searches; with odd weight the
+    # character is not trivial and orders need not be integral
+    with pytest.raises(ValueError, match=f"positive multiple of 4, got {k2}$"):
+        search_cusp_forms(12, k2, 4, max_order=3, strict=strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("k2", [4, 8])
+def test_search_hits_pass_ligozat(k2, strict):
+    found = [
+        q for N in (11, 12, 33) for q in search_cusp_forms(N, k2, 4, max_order=3, strict=strict)
+    ]
+    assert found and all(ligozat_check(q).is_cusp for q in found)
 
 
 def test_search_cusp_strict_above_ceiling_exits_3(capsys):
@@ -439,3 +454,55 @@ def test_substitute_and_at_level():
     # t = 1 views the quotient at a multiple of its level
     same = q.substitute(1, level=24)
     assert same.level == 24 and same.exponent_map == q.exponent_map
+
+
+def _series_scale(source, target, rows=64):
+    """The series comparison substitution_scale replaced, kept as its oracle:
+    the least k < rows with b_t(n) = b_s(n/k) on rows 0..rows, or None."""
+    ts, ss = (eta_quotient_series(q.exponent_map, rows) for q in (target, source))
+    for k in range(1, rows):
+        if all(
+            ts.coefficient(n) == (ss.coefficient(n // k) if n % k == 0 else 0)
+            for n in range(rows + 1)
+        ):
+            return k
+    return None
+
+
+@lru_cache(maxsize=None)
+def _bound2_hits(N):
+    return search_cusp_forms(N, 8, 2, max_order=search_max_order(N))
+
+
+@st.composite
+def substitution_pairs(draw):
+    # a hit at a sublevel M | N viewed at N, and as target either its image
+    # under q -> q^k for a divisor k of N/M or any hit at N
+    N = draw(st.sampled_from([N for N in CLASS_LEVELS if N < 45 and _bound2_hits(N)]))
+    M = draw(st.sampled_from([M for M in divisors(N) if _bound2_hits(M)]))
+    q = draw(st.sampled_from(_bound2_hits(M)))
+    k = draw(st.sampled_from(divisors(N // M)))
+    target = draw(st.sampled_from([q.substitute(k, N), *_bound2_hits(N)]))
+    return EtaQuotient.make(N, q.exponent_map), target
+
+
+# q -> q^2 from level 12 to 24, and two level-24 hits with the same divisors
+@example(
+    pair=(
+        EtaQuotient.make(24, {1: 2, 2: -2, 3: 2, 4: 2, 6: 2, 12: 2}),
+        EtaQuotient.make(24, {2: 2, 4: -2, 6: 2, 8: 2, 12: 2, 24: 2}),
+    )
+)
+@example(
+    pair=(
+        EtaQuotient.make(24, {1: -1, 3: 1, 4: 2, 6: 1, 8: 1, 12: 2, 24: 2}),
+        EtaQuotient.make(24, {1: 1, 3: 1, 4: 1, 6: 2, 8: 2, 12: -1, 24: 2}),
+    )
+)
+@given(pair=substitution_pairs())
+def test_substitution_scale_matches_series(pair):
+    source, target = pair
+    k = substitution_scale(source, target)
+    assert k == _series_scale(source, target)
+    if k is not None:
+        assert source.substitute(k, target.level) == target

@@ -1,6 +1,6 @@
 import pytest
 
-from divconv import eta, fixtures
+from divconv import fixtures
 from divconv.arith import classify_level, num_divisors
 from divconv.eta import EtaQuotient
 from divconv.linalg import rank
@@ -14,13 +14,13 @@ from divconv.spaces import (
     build_basis,
     eta_generator,
     expand,
-    fixture_substitution_report,
     load_fixture_basis,
     profile,
     repair_basis,
     search_basis,
     select_cusp_basis,
 )
+from divconv.verify import DISCREPANCY, PASS, check_substitution_claims
 
 
 def test_profile_published_dimensions():
@@ -78,16 +78,25 @@ def test_fixture_level11_declared_generator():
     assert b.cusp[1].eta.exponent_map == {1: 4, 11: 4}
 
 
-def test_substitution_reports():
-    assert fixture_substitution_report(24) == [
-        (2, 1, 2, 2),
-        (4, 1, 4, 4),
-        (6, 3, 2, 2),
-    ]
-    assert fixture_substitution_report(10) == [(2, 1, 2, 2)]
-    # published as q^2 substitutions; actually q^3
-    assert fixture_substitution_report(33) == [(6, 2, 2, 3)]
-    assert fixture_substitution_report(15) == [(3, 1, 2, 3)]
+def test_substitution_claims():
+    # the published b_t(n) = b_s(n/k), read off the fixture exponents
+    items = {r.item: (r.status, r.detail) for r in check_substitution_claims()}
+    assert items == {
+        "substitution relations level 10": (PASS, "b_10,2=b_10,1(n/2)"),
+        # published as q^2 substitutions; actually q^3
+        "substitution relations level 15": (
+            DISCREPANCY,
+            "b_15,3(n) = b_15,1(n/3) but published n/2",
+        ),
+        "substitution relations level 24": (
+            PASS,
+            "b_24,2=b_24,1(n/2); b_24,4=b_24,1(n/4); b_24,6=b_24,3(n/2)",
+        ),
+        "substitution relations level 33": (
+            DISCREPANCY,
+            "b_33,6(n) = b_33,2(n/3) but published n/2",
+        ),
+    }
 
 
 @pytest.mark.parametrize(
@@ -203,7 +212,7 @@ def test_build_basis_expands_each_series_once(monkeypatch, build):
     basis = build()
     gens, N, T = basis.cusp, basis.level, basis.precision
     oracle = [generator_series(g, T) for g in gens]
-    calls = {eta.eta_quotient_series: 0, spaces.eisenstein_L: 0}
+    calls = {spaces.eta_quotient_series: 0, spaces.eisenstein_L: 0}
 
     def counted(f):
         def call(*args):
@@ -212,8 +221,8 @@ def test_build_basis_expands_each_series_once(monkeypatch, build):
 
         return call
 
-    for module, name in ((eta, "eta_quotient_series"), (spaces, "eisenstein_L")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for name in ("eta_quotient_series", "eisenstein_L"):
+        monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
     rebuilt = build_basis(N, gens)
     # one expansion per distinct quotient, and L(q) once when any product needs it
     products = any(g.kind == KIND_PRODUCT for g in gens)
