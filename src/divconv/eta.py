@@ -53,10 +53,13 @@ leaf table built once per search and indexed by the prefix's exponent sum,
 each entry with its window bounds folded into its step.  Whether a child
 has any tails depends only on the prefix's key (sum r, sum delta*r mod 24,
 parity mask), so a second table, filled the first time the walk meets a
-key, keeps for it only the children whose tail bucket is non-empty, with
-the bucket attached: a child costs one window test and no lookup, and a
-child without tails is never tested.  Both tables are local to one search.
-Bounds above SEARCH_BOUND_CEILING raise SearchCeilingError at once.
+key, keeps for it only the children whose tail bucket is non-empty, and a
+child without tails is never tested.  A child with at most FLAT_TAILS tails
+is kept as flat entries, one per tail, each the tail's own exact test with
+the child's step folded in: a hit costs one test and no scan.  Every other
+child is a scan entry with its bucket attached: one window test, then the
+tails one at a time.  Both tables are local to one search.  Bounds above
+SEARCH_BOUND_CEILING raise SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -202,14 +205,26 @@ def substitution_scale(source: EtaQuotient, target: EtaQuotient) -> int | None:
 # (2*bound + 1)^3 tails, each with one packed integer of #divisors cusp-sum
 # slots, its leaf table at most (2*bound + 1)(6*bound + 1) children, each
 # with three, and its key table at most (8*bound + 1) * 24 * 2^omega(N)
-# keys, each with at most 2*bound + 1 of those children.  At bound 16
-# (tracemalloc, Python 3.11) the tail table adds 6.7 MB at level 40 and
-# 7.5 MB at level 120 and the leaf table 0.65 and 0.83 MB; the key table
-# holds 4.9 MB (3,016 keys) when the level-40 search ends, and 13.6 and
-# 15.7 MB with every key it can hold filled (11,616 and 24,768 keys).  The
-# level-40 search takes 9-11 s.
+# keys, each with at most FLAT_TAILS * (2*bound + 1) entries.  At bound 16
+# (tracemalloc, Python 3.11) the tail table adds 7.0 MB at level 40 and
+# 7.8 MB at level 120 and the leaf table 0.68 and 0.87 MB; the key table
+# holds 5.9 MB (3,016 keys) when the level-40 search ends, and 22.3 and
+# 26.8 MB with every key it can hold filled (11,616 and 24,768 keys), its
+# flat entries holding new tuples (4.6, 13.8 and 16.1 MB with scan entries
+# only).  The level-40 search takes 9-10 s.
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
+# Most tails a child of the last prefix level may have and still be kept as
+# flat entries, one exact test per tail.  As a scan entry, a child with k
+# tails costs one window test, and when the window passes three more
+# additions and k tail tests; as flat entries it costs k tests.  So one tail
+# never costs more, and two cost one test more only where the window fails.
+# At bound 4, levels 40 and 56, four in five children have one tail and the
+# rest two, and most windows pass, so two pay.  At bound 10 buckets hold
+# about 6 tails, and the windows of two-tail children pass about 3% of the
+# time; the scan's plain loop over its tails more than pays for the extra
+# tests there.  A limit of 3 gained nothing at bound 4.
+FLAT_TAILS = 2
 
 
 class SearchCeilingError(ValueError):
@@ -249,10 +264,12 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     (lo, hi) folded into its step, so a child passes iff
     (P + step + lo) & (hi - step - P) & G == G.  `kept`, filled on the first
     visit to each prefix key (sr, sd mod 24, parity mask), holds the
-    children of rows[sr] whose tail bucket is non-empty, in order, each with
-    its bucket, so only those are tested.  A hit is the tail's exponents
-    followed by the prefix reversed, so every hit is already a vector over
-    ascending divisors.
+    children of rows[sr] whose tail bucket is non-empty, in order, so only
+    those are tested: a child with at most FLAT_TAILS tails as one flat
+    entry per tail, the tail test with the child's step folded in, and any
+    other child as a scan entry with its bucket.  A hit is the tail's
+    exponents followed by the child's r and the prefix reversed, so every
+    hit is already a vector over ascending divisors.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -339,33 +356,54 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
         ]
         for sr in range(max(k2 - 4 * B, -reach), min(k2 + 4 * B, reach) + 1)
     }
-    # kept[(sr, sd % 24, pm)]: the children of rows[sr], in order, whose tail
-    # bucket is non-empty for a prefix with that key, as (r, step, step +
-    # lo_t, hi_t - step, bucket); filled on first visit.  sr is within 4B of
-    # k2, so at most (8B + 1) * 24 * 2^omega(N) keys, each with at most
-    # 2B + 1 children.
+    # kept[(sr, sd % 24, pm)]: (flat, scan) for the children of rows[sr]
+    # whose tail bucket is non-empty for a prefix with that key, in order;
+    # filled on first visit.  A child with at most FLAT_TAILS tails is one
+    # flat entry (step + low + add, high - add - step, rs + (r,)) per tail,
+    # which passes iff (P + lo) & (hi - P) & G == G.  Since Q + add = P +
+    # step + add, that is the scan's own tail test on the same slot values,
+    # and it implies the child's window, so the hits are the scan's.  Every
+    # other child is one scan entry (r, step, step + lo_t, hi_t - step,
+    # bucket).  sr is within 4B of k2, so at most (8B + 1) * 24 * 2^omega(N)
+    # keys, each with at most FLAT_TAILS entries for each of its 2B + 1
+    # children: FLAT_TAILS * (2B + 1) entries.
     kept = {}
     out = []
     path = [0] * (head - 1)
+
+    def fill(sr, sd, pm):
+        flat, scan = [], []
+        for r, t, step, lo, hi, dr, flip in rows.get(sr, ()):
+            if not (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip))):
+                continue
+            if len(bucket) <= FLAT_TAILS:
+                flat.extend((step + low + add, high - add - step, rs + (r,)) for add, rs in bucket)
+            else:
+                scan.append((r, step, lo, hi, bucket))
+        return flat, scan
 
     def leaf(P, sr, sd, pm):
         # the last prefix level: P packs the cusp sums of the prefix, and
         # only children that have tails are tested
         key = (sr, sd % 24, pm)
-        if (live := kept.get(key)) is None:
-            live = kept[key] = [
-                (r, step, lo, hi, bucket)
-                for r, t, step, lo, hi, dr, flip in rows.get(sr, ())
-                if (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip)))
-            ]
-        for r, step, lo, hi, bucket in live:
+        if (entry := kept.get(key)) is None:
+            entry = kept[key] = fill(sr, sd, pm)
+        flat, scan = entry
+        prefix = None  # the prefix over ascending divisors, built on the first hit
+        for lo, hi, suffix in flat:
+            if (P + lo) & (hi - P) & G == G:
+                if prefix is None:
+                    prefix = tuple(path[::-1])
+                out.append(suffix + prefix)
+        for r, step, lo, hi, bucket in scan:
             if (P + lo) & (hi - P) & G == G:
                 Q = P + step
                 xl, xh = Q + low, high - Q
-                hits = [rs for add, rs in bucket if (add + xl) & (xh - add) & G == G]
-                if hits:
-                    top = (r, *path[::-1])
-                    out.extend(rs + top for rs in hits)
+                for add, rs in bucket:
+                    if (add + xl) & (xh - add) & G == G:
+                        if prefix is None:
+                            prefix = tuple(path[::-1])
+                        out.append(rs + (r,) + prefix)
 
     def dfs(i, P, sr, sd, pm):
         # P packs the cusp sums, sd = sum delta*r, over the exponents so far
