@@ -28,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .arith import classify_level, coprime_pairs, divisors, sigma, sigma_scaled
+from .arith import coprime_pairs, divisors, sigma, sigma_scaled
 from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
@@ -255,12 +255,6 @@ class FormulaProvider:
     def basis_for(self, level: int) -> ModularBasis:
         if level in self._bases:
             return self._bases[level]
-        cls = classify_level(level)
-        if not cls.in_class:
-            raise UnsupportedLevelError(
-                f"level {level} = 2^{cls.nu} * {cls.mho} is outside the supported "
-                f"class (needs nu <= 3 and odd squarefree part)"
-            )
         basis = failure = None
         if level in fixtures.BASIS_TABLES:
             fb = load_fixture_basis(level)

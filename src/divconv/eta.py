@@ -35,7 +35,7 @@ at d = N at most 24*N*max_order.  At each depth a branch is pruned unless
 every S_d can still reach its window: the exact minimum and maximum of what
 the remaining exponents add to S_d, given their sum, come from a greedy
 assignment.  The last three exponents, at the three smallest divisors (all
-of them when N has fewer), are not searched but looked up: a table built
+but the first if N has fewer), are not searched but looked up: a table built
 before the walk holds every such tail with |r| <= bound, keyed by (sum r,
 sum delta*r mod 24, the parity mask of sum v_p(delta)*r_delta over the
 primes p | N).  A prefix admits only the tails whose key completes
@@ -48,8 +48,8 @@ every slot set, each slot of pack(v) + G keeps its top bit iff v_d >= 0,
 as long as every |v_d| < 2^(W-1).  So a branch or a tail passes when
 (pack(S - floor) + G) & (pack(cap - S) + G) & G == G, one add, one subtract
 and one mask (the guard-bit test of SIMD within a register, Lamport,
-CACM 18(8), 1975).  The last level of the DFS reads its children from a
-leaf table built once per search and indexed by the prefix's exponent sum,
+CACM 18(8), 1975).  Every depth of the DFS reads its children from one
+table, filled on first visit, indexed by depth and the prefix's exponent sum,
 each entry with its window bounds folded into its step.  Whether a child
 has any tails depends only on the prefix's key (sum r, sum delta*r mod 24,
 parity mask), so a second table, filled the first time the walk meets a
@@ -203,15 +203,17 @@ def substitution_scale(source: EtaQuotient, target: EtaQuotient) -> int | None:
 
 # Largest bound the exhaustive search accepts.  Its tail table holds
 # (2*bound + 1)^3 tails, each with one packed integer of #divisors cusp-sum
-# slots, its leaf table at most (2*bound + 1)(6*bound + 1) children, each
-# with three, and its key table at most (8*bound + 1) * 24 * 2^omega(N)
-# keys, each with at most FLAT_TAILS * (2*bound + 1) entries.  At bound 16
-# (tracemalloc, Python 3.11) the tail table adds 7.0 MB at level 40 and
-# 7.8 MB at level 120 and the leaf table 0.68 and 0.87 MB; the key table
-# holds 5.9 MB (3,016 keys) when the level-40 search ends, and 22.3 and
-# 26.8 MB with every key it can hold filled (11,616 and 24,768 keys), its
-# flat entries holding new tuples (4.6, 13.8 and 16.1 MB with scan entries
-# only).  The level-40 search takes 9-10 s.
+# slots; its row tables at most (2*bound + 1)(2*bound*min(i, nd - i - 1) + 1)
+# children at each DFS depth i (nd = #divisors), each with three; and
+# its key table at most (8*bound + 1) * 24 * 2^omega(N) keys, each with at
+# most FLAT_TAILS * (2*bound + 1) entries.  Row and key tables fill as the
+# walk reaches them.  At bound 16 (tracemalloc, Python 3.11) the tail table
+# adds 7.0 MB at level 40 and 7.9 MB at level 120.  When the level-40
+# search ends, its row tables hold 1.3 MB (6,123 children) and its key
+# table 6.1 MB (3,016 keys); with every row and key filled they would hold
+# 2.0 and 21.5 MB at level 40 (9,597 children, 12,384 keys) and 15.3 and
+# 23.8 MB at level 120 (56,325 children, 24,768 keys).  The level-40 search
+# takes 9-10 s.
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
 # Most tails a child of the last prefix level may have and still be kept as
@@ -252,24 +254,24 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     """Exponent vectors of the cusp quotients, over ascending divisors and
     in no particular order; see the module docstring.
 
-    The DFS assigns all but the last min(3, #divisors) exponents; those come
-    from `tails`, which maps each key (sum r, sum delta*r mod 24, parity
-    mask) to the tails with |r| <= B that have it, each with the packed
-    sums `add` it adds and its exponents over ascending divisors.  A child
-    Q = P + pack(r*w_i) of a prefix with packed sums P is kept iff
-    (Q + lo) & (hi - Q) & G == G, (lo, hi) from `bounds`; a tail iff
-    (add + xl) & (xh - add) & G == G, xl = Q - pack(floors) + G and
-    xh = pack(caps) - Q + G.  The last prefix level is `leaf`: `rows[sr]`
-    holds its children for a prefix whose exponents sum to sr, each with
-    (lo, hi) folded into its step, so a child passes iff
-    (P + step + lo) & (hi - step - P) & G == G.  `kept`, filled on the first
-    visit to each prefix key (sr, sd mod 24, parity mask), holds the
-    children of rows[sr] whose tail bucket is non-empty, in order, so only
-    those are tested: a child with at most FLAT_TAILS tails as one flat
-    entry per tail, the tail test with the child's step folded in, and any
-    other child as a scan entry with its bucket.  A hit is the tail's
-    exponents followed by the child's r and the prefix reversed, so every
-    hit is already a vector over ascending divisors.
+    The DFS assigns the first max(#divisors - 3, 1) exponents; the rest
+    come from `tails`, which maps each key (sum r, sum delta*r mod 24,
+    parity mask) to the tails with |r| <= B that have it, each with the
+    packed sums `add` it adds and its exponents over ascending divisors.
+    At every depth i, `rows[i][sr]` holds the children of a prefix whose
+    exponents sum to sr, each with the window bounds (lo, hi) of its later
+    exponents folded into its step, so a child of a prefix with packed sums
+    P passes iff (P + step + lo) & (hi - step - P) & G == G.  With
+    Q = P + step, a tail passes iff (add + xl) & (xh - add) & G == G,
+    xl = Q - pack(floors) + G and xh = pack(caps) - Q + G.  At the last
+    prefix level, `kept`, filled on the first visit to each prefix key
+    (sr, sd mod 24, parity mask), holds the children of its rows[sr] whose
+    tail bucket is non-empty, in order, so only those are tested: a child
+    with at most FLAT_TAILS tails as one flat entry per tail, the tail test
+    with the child's step folded in, and any other child as a scan entry
+    with its bucket.  A hit is the tail's exponents followed by the child's
+    r and the prefix reversed, so every hit is already a vector over
+    ascending divisors.
     """
     if B > SEARCH_BOUND_CEILING:
         raise SearchCeilingError(
@@ -279,7 +281,7 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     divs = divisors(N)
     nd = len(divs)
     proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
-    head = nd - min(3, nd)  # exponents the DFS assigns; the table holds the rest
+    head = max(nd - 3, 1)  # exponents the DFS assigns; the table holds the rest
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
     coefs = [Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs]
     floors = [1] * nd
@@ -330,50 +332,49 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     for i in range(head):
         ext = _window_extremes([pack(ws) for ws in zip(*(sorted(row[i + 1 :]) for row in w))], B)
         bounds.append({t: (low + hi, high - lo) for t, (lo, hi) in ext.items()})
-    if head == 0:
-        # the whole vector is one tail: one lookup with the empty prefix
-        return [rs for add, rs in tails.get((k2, 0, 0), ()) if (add + low) & (high - add) & G == G]
     # kids[i]: each r at depth i with what it adds to the packed sums, to
     # sum delta*r and to the parity mask
     kids = [
         [(r, r * col[i], proc[i] * r, masks[i] if r & 1 else 0) for r in range(-B, B + 1)]
         for i in range(head)
     ]
-    # rows[sr]: the children of a last-level prefix whose exponents sum to
-    # sr, with the window test of each folded into its step: (r, t, step,
-    # step + lo_t, hi_t - step, delta*r, flip) for the r whose tail sum t =
-    # k2 - sr - r has window bounds.  Four exponents sum to k2 - sr, so only
-    # the sums within 4B of k2 that the head - 1 prefix exponents reach have
-    # children, at most 8B + 1 of them, and each r pairs with the 6B + 1
-    # tail sums in -3B..3B: at most (2B + 1)(6B + 1) entries, 3,201 at
-    # SEARCH_BOUND_CEILING, whatever the divisor count.
-    last, reach = bounds[-1], (head - 1) * B
-    rows = {
-        sr: [
-            (r, t, step, step + last[t][0], last[t][1] - step, dr, flip)
-            for r, step, dr, flip in kids[-1]
-            if (t := k2 - sr - r) in last
-        ]
-        for sr in range(max(k2 - 4 * B, -reach), min(k2 + 4 * B, reach) + 1)
-    }
-    # kept[(sr, sd % 24, pm)]: (flat, scan) for the children of rows[sr]
-    # whose tail bucket is non-empty for a prefix with that key, in order;
-    # filled on first visit.  A child with at most FLAT_TAILS tails is one
-    # flat entry (step + low + add, high - add - step, rs + (r,)) per tail,
-    # which passes iff (P + lo) & (hi - P) & G == G.  Since Q + add = P +
-    # step + add, that is the scan's own tail test on the same slot values,
-    # and it implies the child's window, so the hits are the scan's.  Every
-    # other child is one scan entry (r, step, step + lo_t, hi_t - step,
-    # bucket).  sr is within 4B of k2, so at most (8B + 1) * 24 * 2^omega(N)
-    # keys, each with at most FLAT_TAILS entries for each of its 2B + 1
-    # children: FLAT_TAILS * (2B + 1) entries.
+    # rows[i][sr], filled on first visit: the children at depth i of a
+    # prefix whose exponents sum to sr, with the window test of each folded
+    # into its step: (r, t, step, step + lo_t, hi_t - step, delta*r, flip)
+    # for the r whose later sum t = k2 - sr - r has window bounds.  Each r
+    # pairs with at most 2B * min(i, nd - i - 1) + 1 sums sr: those that i
+    # exponents reach and that leave t within reach of the later ones.
+    rows = [{} for _ in range(head)]
+
+    def children(i, sr):
+        if (got := rows[i].get(sr)) is None:
+            bnds = bounds[i]
+            got = rows[i][sr] = [
+                (r, t, step, step + bnds[t][0], bnds[t][1] - step, dr, flip)
+                for r, step, dr, flip in kids[i]
+                if (t := k2 - sr - r) in bnds
+            ]
+        return got
+
+    # kept[(sr, sd % 24, pm)]: (flat, scan) for the children of the last
+    # prefix level's rows[sr] whose tail bucket is non-empty for a prefix
+    # with that key, in order; filled on first visit.  A child with at most
+    # FLAT_TAILS tails is one flat entry (step + low + add, high - add -
+    # step, rs + (r,)) per tail, which passes iff (P + lo) & (hi - P) & G ==
+    # G.  Since Q + add = P + step + add, that is the scan's own tail test on
+    # the same slot values, and it implies the child's window, so the hits
+    # are the scan's.  Every other child is one scan entry (r, step, step +
+    # lo_t, hi_t - step, bucket).  sr is within 4B of k2, so at most (8B + 1)
+    # * 24 * 2^omega(N) keys, each with at most FLAT_TAILS entries for each
+    # of its 2B + 1 children: FLAT_TAILS * (2B + 1) entries.
     kept = {}
     out = []
-    path = [0] * (head - 1)
+    last = head - 1  # the last prefix level, whose children have tails
+    path = [0] * last
 
     def fill(sr, sd, pm):
         flat, scan = [], []
-        for r, t, step, lo, hi, dr, flip in rows.get(sr, ()):
+        for r, t, step, lo, hi, dr, flip in children(last, sr):
             if not (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip))):
                 continue
             if len(bucket) <= FLAT_TAILS:
@@ -382,9 +383,15 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
                 scan.append((r, step, lo, hi, bucket))
         return flat, scan
 
-    def leaf(P, sr, sd, pm):
-        # the last prefix level: P packs the cusp sums of the prefix, and
-        # only children that have tails are tested
+    def dfs(i, P, sr, sd, pm):
+        # P packs the cusp sums, sd = sum delta*r, over the exponents so far
+        if i < last:
+            for r, t, step, lo, hi, dr, flip in children(i, sr):
+                if (P + lo) & (hi - P) & G == G:
+                    path[i] = r
+                    dfs(i + 1, P + step, sr + r, sd + dr, pm ^ flip)
+            return
+        # the last prefix level: only children that have tails are tested
         key = (sr, sd % 24, pm)
         if (entry := kept.get(key)) is None:
             entry = kept[key] = fill(sr, sd, pm)
@@ -405,24 +412,8 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
                             prefix = tuple(path[::-1])
                         out.append(rs + (r,) + prefix)
 
-    def dfs(i, P, sr, sd, pm):
-        # P packs the cusp sums, sd = sum delta*r, over the exponents so far
-        bnds = bounds[i]
-        for r, step, dr, flip in kids[i]:
-            b = bnds.get(k2 - sr - r)  # the later exponents must sum to it
-            Q = P + step
-            if b and (Q + b[0]) & (b[1] - Q) & G == G:
-                path[i] = r
-                if i + 2 < head:
-                    dfs(i + 1, Q, sr + r, sd + dr, pm ^ flip)
-                else:
-                    leaf(Q, sr + r, sd + dr, pm ^ flip)
-
-    if head > 1:
-        dfs(0, 0, 0, 0, 0)
-    else:
-        leaf(0, 0, 0, 0)  # one exponent before the tail: the empty prefix
-    # dfs refers to itself, so without this the table and the other cells it
+    dfs(0, 0, 0, 0, 0)
+    # dfs refers to itself, so without this the tables and the other cells it
     # closes over would stay allocated until the cyclic collector runs
     del dfs
     return out
@@ -595,6 +586,7 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
             )
 
     dfs(0, n, [0] * nd, [0] * nd)
+    del dfs  # as in _search_range: dfs refers to itself
     return out
 
 

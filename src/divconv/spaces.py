@@ -17,8 +17,9 @@ per call, and read every L(q) - t*L(q^t) off that one L(q).
 basis_precision(N) is the one decision on depth: every builder expands a
 level's basis to that many q-rows, and a formula derived on it is sampled
 and verified on exactly those rows.  Each builder asks for it before it
-searches or expands a series, so a level above BASIS_LEVEL_CEILING raises
-UnsupportedLevelError at once.
+searches or expands a series, so a level above BASIS_LEVEL_CEILING or
+outside the supported class (2^nu * m with nu <= 3 and m odd squarefree)
+raises UnsupportedLevelError at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator
 
 from . import fixtures
-from .arith import divisors, euler_phi, index_mu, prime_factors
+from .arith import classify_level, divisors, euler_phi, index_mu, prime_factors
 from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms
 from .linalg import Echelon
 from .qseries import QSeries, eisenstein_L, eisenstein_weight2, eta_quotient_series
@@ -105,10 +106,15 @@ def basis_precision(N: int) -> int:
     """The q-rows of every level-N basis, and so the rows a derivation on it
     samples and verifies: past twice the Sturm bound, 16 rows past dim M4,
     every divisor row, and at least VERIFY_TO.  UnsupportedLevelError above
-    BASIS_LEVEL_CEILING."""
+    BASIS_LEVEL_CEILING, or outside the supported class."""
     if N > BASIS_LEVEL_CEILING:
         raise UnsupportedLevelError(
             f"level {N} is above the basis ceiling BASIS_LEVEL_CEILING = {BASIS_LEVEL_CEILING}"
+        )
+    if not (cls := classify_level(N)).in_class:
+        raise UnsupportedLevelError(
+            f"level {N} = 2^{cls.nu} * {cls.mho} is outside the supported "
+            f"class (needs nu <= 3 and odd squarefree part)"
         )
     return max(2 * sturm_bound(N), profile(N).dim_M4 + 16, N, VERIFY_TO)
 
@@ -250,7 +256,7 @@ def select_cusp_basis(N: int, candidates: list[CuspGenerator]) -> ModularBasis:
     candidate that does not raise the rank; UnsupportedLevelError when the
     rank stays below m.
     """
-    basis_precision(N)  # the level ceiling, before any expansion
+    basis_precision(N)  # the level gates, before any expansion
     m = profile(N).dim_S4
     if m == 0:
         return build_basis(N, [])
@@ -316,7 +322,7 @@ def load_fixture_basis(N: int) -> ModularBasis:
 def search_basis(N: int) -> ModularBasis:
     """Basis from the exhaustive search at SEARCH_BOUND under the published
     membership criterion (no companion congruence); Case 1 / Case 2 selection."""
-    basis_precision(N)  # the level ceiling, before the search
+    basis_precision(N)  # the level gates, before the search
     cands = [
         CuspGenerator(kind=KIND_ETA, eta=q)
         for q in search_cusp_forms(N, 8, max_order=search_max_order(N))
@@ -365,7 +371,7 @@ def repair_candidates(N: int) -> list[CuspGenerator]:
 def repair_basis(N: int) -> ModularBasis:
     """Certified basis: sublevel closure and products first, the strict
     search at N only when those do not span."""
-    basis_precision(N)  # the level ceiling, before the searches
+    basis_precision(N)  # the level gates, before the searches
     cands = repair_candidates(N)
     try:
         basis = select_cusp_basis(N, cands)

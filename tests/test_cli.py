@@ -68,6 +68,9 @@ def test_search_cusp_level_12(capsys):
         ("search-cusp 40 --bound 4", "0e7b6ab05f98057e63044ddddb58e998ea67cecd448d7e94467e5286612593cc"),
         ("search-cusp 40 --strict", "1f717293f4d43216ecc888ccec6ad2b64503ada227c4d0d3dae8b98f54f60131"),
         ("search-cusp 12", "bfa93d13c59ee706df049f9046bcbc07a50d42f669049f1ca3ce6f14e0e06e82"),
+        # three and two divisors: the prefix is the exponent at delta = N alone
+        ("search-cusp 4", "b4bd4acc3436645aba1e77aaa4cd6f095527c7767164a1ab0645a151e4da11c7"),
+        ("search-cusp 11", "52d0b3815f2005a963754808518c4493581c1039a34d2752f5cb7c0379c16463"),
     ],
 )
 def test_search_cusp_machine_output_pinned(capsys, argv, sha256):
@@ -277,16 +280,22 @@ FAILURE_KINDS = {
     "convsum 1 7 --use-fixture": (3, "unsupported level: "),
     "convsum 1 9": (3, "unsupported level: "),
     "convsum 1 21": (3, "unsupported level: "),
+    # levels outside the class: every basis builder refuses them first
+    "basis 9": (3, "unsupported level: "),
+    "basis 16": (3, "unsupported level: "),
+    "basis 48": (3, "unsupported level: "),
+    "basis 48 --repair": (3, "unsupported level: "),
     "search-cusp 40 --bound 17": (3, "search too large: "),
     "convsum 1 33 --use-fixture": (3, "derivation failed: "),
     # a level above spaces.BASIS_LEVEL_CEILING: refused before any search
     "basis 1000000007": (3, "unsupported level: "),
     "basis 1000000007 --repair": (3, "unsupported level: "),
     "convsum 1 1000000007": (3, "unsupported level: "),
+    # the level ceiling comes before the class, which would factorize the level
+    "convsum 1 100000000000000000039": (3, "unsupported level: "),
+    "repnum --form quad 1 100000000000000000039 5": (3, "unsupported level: "),
     # a 21-digit prime factor: trial division stops at its ceiling at once
     "dims 100000000000000000039": (2, "error: factorize: "),
-    "convsum 1 100000000000000000039": (2, "error: factorize: "),
-    "repnum --form quad 1 100000000000000000039 5": (2, "error: factorize: "),
 }
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -158,7 +159,7 @@ def _strictly_increasing(vecs):
 
 
 def test_search_deterministic_order():
-    # 1, 3, 2 and 3 divisors (no exponent is assigned before the tail), then 6 and 8
+    # 1, 3, 2 and 3 divisors (the prefix is the exponent at delta = N alone), then 6 and 8
     cases = [
         (1, 8, 3, 10), (9, 8, 8, 8), (11, 8, 8, 8), (25, 8, 4, 20), (12, 8, 8, 3), (40, 8, 4, 14)
     ]
@@ -242,13 +243,14 @@ _DEEP_LEVELS = [N for N in range(1, 101) if len(divisors(N)) in (7, 8)]
     # and 1 mixes both kinds
     flat_tails=st.sampled_from([0, 1, FLAT_TAILS]),
 )
-# one, two and three divisors: no exponent is assigned before the tail
+# one, two and three divisors: the exponent at delta = N is the last prefix
+# level, entered with the empty prefix, and the tail holds the rest
 @example(level_bound=(1, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
 @example(level_bound=(11, 2), k2=4, max_order=None, flat_tails=FLAT_TAILS)
 @example(level_bound=(9, 3), k2=4, max_order=None, flat_tails=FLAT_TAILS)
 @example(level_bound=(25, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
-# four divisors: the last prefix level is the first, entered with the empty
-# prefix; five divisors: one depth above the last prefix level
+# four divisors: the same with a three-exponent tail; five divisors: one
+# depth above the last prefix level
 @example(level_bound=(10, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
 @example(level_bound=(16, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
 # eight divisors: the last prefix level is the fifth; its keys hold flat
@@ -322,6 +324,19 @@ def test_strict_search_ceiling_raises_at_once():
     msg = str(e.value)
     assert "level 66" in msg and "weight 4" in msg
     assert "62891499" in msg and str(STRICT_COMPOSITION_CEILING) in msg
+
+
+@pytest.mark.parametrize("strict, bound", [(True, 10), (False, 4)])
+def test_searches_leave_no_cyclic_garbage(strict, bound):
+    # each search frees its recursive closure before it returns, so its
+    # tables go at once and not when the cyclic collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert search_cusp_forms(42, 8, bound, max_order=search_max_order(42), strict=strict)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_bound_ceiling_raises_at_once():
