@@ -14,18 +14,13 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
+from .cli import encode_rational
 from .convolution import ConvolutionFormula
 from .eta import EtaQuotient
 from .spaces import CuspGenerator, ModularBasis
 
 FORMAT_VERSION = 1
-
-
-def encode_rational(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _canonical(payload: dict) -> str:

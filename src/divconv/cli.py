@@ -20,26 +20,36 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from math import gcd
 
 from .arith import classify_level, divisors
-from .cache import Cache, encode_rational
 from .convolution import (
     DerivationError,
     FormulaIntegrityError,
     FormulaProvider,
-    UnsupportedLevelError,
     derive_formula,
     dispatch_W,
 )
 from .eta import SEARCH_BOUND, SearchCeilingError, order_at_infinity, search_cusp_forms
-from .representation import count_N, count_R
-from .spaces import load_fixture_basis, profile, repair_basis, search_basis, search_max_order
+from .spaces import (
+    UnsupportedLevelError,
+    load_fixture_basis,
+    profile,
+    repair_basis,
+    search_basis,
+    search_max_order,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
+
+
+def encode_rational(x) -> str:
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _emit(args, machine_doc, human_lines):
@@ -102,6 +112,8 @@ def cmd_basis(args) -> int:
     else:
         basis = search_basis(N)
     if args.cache_dir:
+        from .cache import Cache  # loaded only when --cache-dir is given
+
         Cache(args.cache_dir).store_basis(basis)
     doc = {
         "level": N,
@@ -165,6 +177,8 @@ def cmd_convsum(args) -> int:
         if f.basis.fixture_failure:
             lines.append(f"note: fixture basis unusable ({f.basis.fixture_failure}); using repaired basis")
     if args.cache_dir:
+        from .cache import Cache  # loaded only when --cache-dir is given
+
         # the formula first: its store reads the directory and may refuse it
         cache = Cache(args.cache_dir)
         cache.store_formula(f)
@@ -185,6 +199,8 @@ def cmd_convsum(args) -> int:
 
 
 def cmd_repnum(args) -> int:
+    from .representation import count_N, count_R  # repnum alone counts
+
     a, b, n = args.a, args.b, args.n
     provider = FormulaProvider()
     calls: list[tuple[int, int, int]] = []

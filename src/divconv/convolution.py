@@ -33,7 +33,6 @@ from .linalg import Echelon, InconsistentSystem, over_common_denominator
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
     ModularBasis,
-    UnsupportedLevelError,
     basis_precision,
     load_fixture_basis,
     repair_basis,

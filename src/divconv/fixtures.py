@@ -1,38 +1,17 @@
-"""Embedded reference data: basis exponent tables and published coefficients.
-
-Everything the regression runner (verify-paper) compares against lives in
-this one file, so audits of any discrepancy touch a single place.
+"""Embedded fixture bases: the published eta-exponent tables.
 
 BASIS_TABLES holds the published eta-exponent tables for the supported
-levels, verbatim.  Some published rows are provably not cusp forms (their
-cusp-order sum is exactly 0 at one cusp); they are kept verbatim and the
-expected flags live in NONCUSPIDAL_ROWS so loaders and tests can report
-precisely.  The level-11 entry carries the published weight-2 auxiliary
-generator eta(z)^2 eta(11z)^2 as a declared fixture.
+levels, verbatim, and the library loads them as fixture bases
+(spaces.load_fixture_basis).  Some published rows are provably not cusp
+forms; they are kept verbatim, and published.NONCUSPIDAL_ROWS flags them.
+The level-11 entry carries the published weight-2 auxiliary generator
+eta(z)^2 eta(11z)^2 as a declared fixture (DECLARED_WEIGHT2).
 
-PUBLISHED_EXPANSIONS / PUBLISHED_W hold the printed exact rationals of the
-closed-form results: the expansions
-
-  (a L(q^a) - b L(q^b))^2 = const + sum_n (240 sum_delta sigma3(n/delta) X_delta
-                                           + sum_j b_j(n) Y_j) q^n
-
-keyed by divisor (sigma3 side, storing 240*X_delta as printed) and by
-generator index (cusp side, storing Y_j), and the final W formulas keyed
-the same way.  An Unsigned value is a magnitude printed with its sign
-dropped; the regression runner resolves the sign by exact checks and
-reports DOCUMENTED-DISCREPANCY instead of PASS/FAIL.
+The printed closed-form values that verify-paper compares against are in
+published.py, which only verify and the tests import.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-F = Fraction
-
-
-class Unsigned(Fraction):
-    """A printed value whose sign the source dropped: its magnitude."""
-
 
 FIXTURE_LEVELS = (10, 11, 12, 15, 24, 33, 40, 56)
 
@@ -139,580 +118,3 @@ BASIS_TABLES: dict[int, list[dict[int, int]]] = {
 
 # generator index (1-based) of rows that are declared weight-2 auxiliaries
 DECLARED_WEIGHT2: dict[int, tuple[int, ...]] = {11: (1,)}
-
-# 1-based indices of rows whose cusp-order sum is exactly 0 at some cusp:
-# published as basis elements but not cuspidal (exact-arithmetic fact,
-# reported by verify-paper as discrepancies)
-NONCUSPIDAL_ROWS: dict[int, tuple[int, ...]] = {
-    33: (8, 10),
-    40: (7, 10, 14),
-    56: (20,),
-    24: (8,),
-    15: (4,),
-}
-
-# published substitution relations between generators: level -> list of
-# (target_row, source_row, published_scale)
-SUBSTITUTION_CLAIMS: dict[int, list[tuple[int, int, int]]] = {
-    33: [(6, 2, 2)],
-    15: [(3, 1, 2)],
-    24: [(2, 1, 2), (4, 1, 4), (6, 3, 2)],
-    10: [(2, 1, 2)],
-}
-
-# --- published closed-form coefficients ------------------------------------
-# expansions: {"constant": int, "sigma3": {delta: 240*X_delta}, "cusp": {j: Y_j}}
-# an Unsigned value is printed with its operator/sign dropped.
-
-PUBLISHED_EXPANSIONS: dict[tuple[int, int], dict] = {
-    (1, 33): {
-        "constant": 1024,
-        "sigma3": {
-            1: F(2300736, 1271),
-            3: F(-59459328, 77531),
-            11: F(271016064, 1271),
-            33: F(-75206279808, 77531),
-        },
-        "cusp": {
-            1: F(-348480, 1271),
-            2: F(-14117760, 1271),
-            3: F(-6573339072, 77531),
-            4: F(-26803856448, 77531),
-            5: F(-62014527936, 77531),
-            6: F(-97134678144, 77531),
-            7: F(-87378566400, 77531),
-            8: F(-742808448, 1271),
-            9: F(44352, 1271),
-            10: F(-4447872, 1271),
-        },
-    },
-    (3, 11): {
-        "constant": 64,
-        "sigma3": {
-            1: F(-348480, 1271),
-            3: F(106313472, 77531),
-            11: F(-34793088, 1271),
-            33: F(80875631232, 77531),
-        },
-        "cusp": {
-            1: F(348480, 1271),
-            2: F(3136320, 1271),
-            3: F(1346173632, 77531),
-            4: F(5361496704, 77531),
-            5: F(11895235776, 77531),
-            6: F(17925551424, 77531),
-            7: F(15428171520, 77531),
-            8: F(127847808, 1271),
-            9: F(-44352, 1271),
-            10: F(4447872, 1271),
-        },
-    },
-    (1, 40): {
-        "constant": 1521,
-        "sigma3": {
-            1: F(26800, 117),
-            2: F(43520, 117),
-            4: F(245120, 39),
-            5: F(-26800, 117),
-            8: F(-1766400, 13),
-            10: F(-127760, 117),
-            20: F(-357440, 39),
-            40: F(6558720, 13),
-        },
-        "cusp": {
-            1: F(192224, 117),
-            2: F(439744, 117),
-            3: F(304832, 39),
-            4: F(1061120, 39),
-            5: F(41840, 3),
-            6: F(-15360),
-            7: F(-24320, 3),
-            8: F(1688320, 39),
-            9: F(116800),
-            10: F(-128000, 3),
-            11: F(-485120, 3),
-            12: F(-1130240, 3),
-            13: F(-121280, 3),
-            14: F(-69120),
-        },
-    },
-    (5, 8): {
-        "constant": 9,
-        "sigma3": {
-            1: F(5920, 117),
-            2: F(-76000, 117),
-            4: F(-16960, 39),
-            5: F(668000, 117),
-            8: F(721920, 13),
-            10: F(-8240, 117),
-            20: F(-95360, 39),
-            40: F(-721920, 13),
-        },
-        "cusp": {
-            1: F(-5920, 117),
-            2: F(22720, 117),
-            3: F(-59200, 39),
-            4: F(12800, 39),
-            5: F(-38800, 3),
-            6: F(7680),
-            7: F(-47360, 3),
-            8: F(-505088, 39),
-            9: F(-67520),
-            10: F(-12800, 3),
-            11: F(113920, 3),
-            12: F(298240, 3),
-            13: F(63040, 3),
-            14: F(69120),
-        },
-    },
-    (1, 56): {
-        "constant": 3025,
-        "sigma3": {
-            1: F(1284, 5),
-            2: F(-420),
-            4: F(31584, 5),
-            7: F(-1764, 5),
-            8: F(-32256, 5),
-            14: F(-588),
-            28: F(-51744, 5),
-            56: F(3687936, 5),
-        },
-        # no term was printed for generator 13 (sign_unknown not needed: the
-        # derived coefficient decides whether the omission was a zero)
-        "cusp": {
-            1: F(11916, 5),
-            2: F(92604, 5),
-            3: F(29568),
-            4: F(1140216, 5),
-            5: F(-411936),
-            6: F(2557632, 5),
-            7: F(223608),
-            8: F(3998400),
-            9: F(4042752),
-            10: F(145152, 5),
-            11: F(-8064),
-            12: F(-48384),
-            13: F(0),
-            14: F(532224, 5),
-            15: F(161280),
-            16: F(-225792, 5),
-            17: F(129024),
-            18: F(2515968, 5),
-            19: F(1354752),
-            20: F(-225792),
-        },
-    },
-    (7, 8): {
-        "constant": 1,
-        "sigma3": {
-            1: F(-308, 25),
-            2: F(1876, 25),
-            4: F(-40096, 25),
-            7: F(285908, 25),
-            8: Unsigned(409088, 25),
-            14: F(-27076, 25),
-            28: F(-60704, 25),
-            56: F(-562688, 25),
-        },
-        "cusp": {
-            1: F(308, 25),
-            2: F(2436, 25),
-            3: F(11648, 25),
-            4: F(121352, 25),
-            5: F(-101472, 25),
-            6: F(288064, 25),
-            7: F(-87864, 25),
-            8: F(2190912, 25),
-            9: F(1821312, 25),
-            10: F(201984, 25),
-            11: F(29568),
-            12: Unsigned(284928, 5),
-            13: F(-59136),
-            14: F(-1512192, 25),
-            15: F(59136),
-            16: F(6724096, 25),
-            17: F(118272),
-            18: F(1616896, 25),
-            19: F(430080),
-            20: F(53760),
-        },
-    },
-    (1, 10): {
-        "constant": 81,
-        "sigma3": {1: F(2640, 13), 2: F(-1920, 13), 5: F(-12000, 13), 10: F(264000, 13)},
-        "cusp": {1: F(2976, 13), 2: F(14400, 13), 3: F(-960)},
-    },
-    (2, 5): {
-        "constant": 9,
-        "sigma3": {1: F(-480, 13), 2: F(10560, 13), 5: F(66000, 13), 10: F(-48000, 13)},
-        "cusp": {1: F(480, 13), 2: F(-576, 13), 3: F(960)},
-    },
-    (1, 11): {
-        "constant": 100,
-        "sigma3": {1: F(6240, 49), 11: F(5524320, 49)},
-        "cusp": {1: F(17280, 49), 2: F(77184, 49)},
-    },
-    (1, 12): {
-        "constant": 121,
-        "sigma3": {
-            1: F(1056, 5),
-            2: F(-432, 5),
-            3: F(-1296, 5),
-            4: F(-2304, 5),
-            6: F(-3888, 5),
-            12: F(152064, 5),
-        },
-        "cusp": {1: F(1584, 5), 2: F(4896, 5), 3: F(864)},
-    },
-    (3, 4): {
-        "constant": 1,
-        "sigma3": {
-            1: F(-144, 5),
-            2: F(-432, 5),
-            3: F(9504, 5),
-            4: F(16896, 5),
-            6: F(-3888, 5),
-            12: F(-20736, 5),
-        },
-        "cusp": {1: F(144, 5), 2: F(2016, 5), 3: F(-864)},
-    },
-    (1, 15): {
-        "constant": 196,
-        "sigma3": {1: F(2976, 13), 3: F(-3456, 13), 5: F(-144000, 13), 15: F(756000, 13)},
-        "cusp": {1: F(5760, 13), 2: F(2304), 3: F(48384, 13), 4: F(-3456)},
-    },
-    (3, 5): {
-        "constant": 4,
-        "sigma3": {1: F(-576, 13), 3: F(25056, 13), 5: F(204000, 13), 15: F(-216000, 13)},
-        "cusp": {1: F(576, 13), 2: F(576), 3: F(8640, 13), 4: F(3456)},
-    },
-    (1, 24): {
-        "constant": 529,
-        "sigma3": {
-            1: F(672),
-            2: F(33264, 5),
-            3: F(-576),
-            4: F(-36576, 5),
-            6: F(-35424, 5),
-            8: F(-4608, 5),
-            12: F(27936, 5),
-            24: F(649728, 5),
-        },
-        "cusp": {
-            1: F(432),
-            2: F(-44064, 5),
-            3: F(-8640),
-            4: F(-508608, 5),
-            5: F(-55296),
-            6: F(-316224),
-            7: F(-276480),
-            8: F(-857088),
-        },
-    },
-    (3, 8): {
-        "constant": 25,
-        "sigma3": {
-            1: F(0),
-            2: F(864, 5),
-            3: F(2016),
-            4: F(-2016, 5),
-            6: F(-3024, 5),
-            8: F(72192, 5),
-            12: F(-6624, 5),
-            24: F(-41472, 5),
-        },
-        "cusp": {
-            1: F(0),
-            2: F(-864, 5),
-            3: F(-1296),
-            4: F(-7488, 5),
-            5: F(0),
-            6: F(-15552),
-            7: F(0),
-            8: F(-27648),
-        },
-    },
-}
-
-# final W formulas: {"sigma3": {delta: coeff}, "cusp": {(j, scale): coeff}}
-# where (j, scale) means coeff * b_j(n / scale); scale 1 is the plain term.
-
-PUBLISHED_W: dict[tuple[int, int], dict] = {
-    (1, 33): {
-        "sigma3": {
-            1: F(-13859, 335544),
-            3: F(51614, 2558523),
-            11: F(-7129, 1271),
-            33: F(60271327, 1860744),
-        },
-        "cusp": {
-            (1, 1): F(55, 7626),
-            (2, 1): F(4085, 13981),
-            (3, 1): F(11412047, 5117046),
-            (4, 1): F(15511491, 1705682),
-            (5, 1): F(35888037, 1705682),
-            (6, 1): F(28106099, 852841),
-            (7, 1): F(25283150, 852841),
-            (8, 1): F(214933, 13981),
-            (9, 1): F(-7, 7626),
-            (10, 1): F(117, 1271),
-        },
-    },
-    (3, 11): {
-        "sigma3": {
-            1: F(55, 7626),
-            3: F(12869, 620248),
-            11: F(15089, 10168),
-            33: F(-6382231, 232593),
-        },
-        "cusp": {
-            (1, 1): F(-55, 7626),
-            (2, 1): F(-165, 2542),
-            (3, 1): F(-2337107, 5117046),
-            (4, 1): F(-1551359, 852841),
-            (5, 1): F(-6883817, 1705682),
-            (6, 1): F(-943053, 155062),
-            (7, 1): F(-4464170, 852841),
-            (8, 1): F(-3363, 1271),
-            (9, 1): F(7, 7626),
-            (10, 1): F(-117, 1271),
-        },
-    },
-    (1, 40): {
-        "sigma3": {
-            1: F(1, 4212),
-            2: F(-17, 2106),
-            4: F(-383, 2808),
-            5: F(335, 67392),
-            8: F(115, 39),
-            10: F(1597, 67392),
-            20: F(1117, 5616),
-            40: F(-34, 13),
-        },
-        "cusp": {
-            (1, 1): F(-6007, 168480),
-            (2, 1): F(-6871, 84240),
-            (3, 1): F(-4763, 28080),
-            (4, 1): F(-829, 1404),
-            (5, 1): F(-523, 1728),
-            (6, 1): F(1, 3),
-            (7, 1): F(19, 108),
-            (8, 1): F(-1319, 1404),
-            (9, 1): F(-365, 144),
-            (10, 1): F(25, 27),
-            (11, 1): F(379, 108),
-            (12, 1): F(883, 108),
-            (13, 1): F(379, 432),
-            (14, 1): F(3, 2),
-        },
-    },
-    (5, 8): {
-        "sigma3": {
-            1: F(-37, 33696),
-            2: F(475, 33696),
-            4: F(53, 5616),
-            5: F(425, 67392),
-            8: F(-34, 39),
-            10: F(103, 67392),
-            20: F(149, 2808),
-            40: F(47, 39),
-        },
-        "cusp": {
-            (1, 1): F(37, 33696),
-            (2, 1): F(-71, 16848),
-            (3, 1): F(185, 5616),
-            (4, 1): F(-5, 702),
-            (5, 1): F(485, 1728),
-            (6, 1): F(-1, 6),
-            (7, 1): F(37, 108),
-            (8, 1): F(1973, 7020),
-            (9, 1): F(211, 144),
-            (10, 1): F(5, 54),
-            (11, 1): F(-89, 108),
-            (12, 1): F(-233, 108),
-            (13, 1): F(-197, 432),
-            (14, 1): F(-3, 2),
-        },
-    },
-    (1, 56): {
-        "sigma3": {
-            1: F(-1, 3840),
-            2: F(5, 768),
-            4: F(-47, 480),
-            7: F(7, 1280),
-            8: F(1, 10),
-            14: F(7, 768),
-            28: F(77, 480),
-            56: F(7, 30),
-        },
-        "cusp": {
-            (1, 1): F(-331, 8960),
-            (2, 1): F(-7717, 26880),
-            (3, 1): F(-11, 24),
-            (4, 1): F(-6787, 1920),
-            (5, 1): F(613, 96),
-            (6, 1): F(-1903, 240),
-            (7, 1): F(-1331, 384),
-            (8, 1): F(-2975, 48),
-            (9, 1): F(-188, 3),
-            (10, 1): F(-9, 20),
-            (11, 1): F(1, 8),
-            (12, 1): F(3, 4),
-            (13, 1): F(0),
-            (14, 1): F(-33, 20),
-            (15, 1): F(-5, 2),
-            (16, 1): Unsigned(7, 10),
-            (17, 1): F(-2),
-            (18, 1): F(-39, 5),
-            (19, 1): F(-21),
-            (20, 1): F(7, 2),
-        },
-    },
-    (7, 8): {
-        "sigma3": {
-            1: F(11, 57600),
-            2: F(-67, 57600),
-            4: F(179, 7200),
-            7: F(289, 57600),
-            8: F(-7, 450),
-            14: F(967, 57600),
-            28: F(271, 7200),
-            56: F(157, 450),
-        },
-        "cusp": {
-            (1, 1): F(-11, 57600),
-            (2, 1): F(-29, 19200),
-            (3, 1): F(-13, 1800),
-            (4, 1): F(-2167, 28800),
-            (5, 1): F(151, 2400),
-            (6, 1): F(-643, 3600),
-            (7, 1): F(523, 9600),
-            (8, 1): F(-11411, 8400),
-            (9, 1): F(-1581, 1400),
-            (10, 1): F(-263, 2100),
-            (11, 1): F(-11, 24),
-            (12, 1): F(-53, 60),
-            (13, 1): F(11, 12),
-            (14, 1): F(1969, 2100),
-            (15, 1): F(-11, 12),
-            (16, 1): F(-13133, 3150),
-            (17, 1): F(-11, 6),
-            (18, 1): F(-1579, 1575),
-            (19, 1): F(-20, 3),
-            (20, 1): F(-5, 6),
-        },
-    },
-    (1, 10): {
-        "sigma3": {1: F(1, 312), 2: F(1, 78), 5: F(25, 312), 10: F(25, 78)},
-        "cusp": {(1, 1): F(-31, 1560), (1, 2): F(-5, 52), (3, 1): F(1, 12)},
-    },
-    (2, 5): {
-        "sigma3": {1: F(1, 312), 2: F(1, 78), 5: F(25, 312), 10: F(25, 78)},
-        "cusp": {(1, 1): F(-1, 312), (1, 2): F(1, 260), (3, 1): F(-1, 12)},
-    },
-    (1, 11): {
-        "sigma3": {1: F(5, 1464), 11: F(605, 1464)},
-        "cusp": {(1, 1): F(-14615, 386496), (2, 1): F(-90493, 386496)},
-    },
-    (1, 12): {
-        "sigma3": {
-            1: F(1, 480),
-            2: F(1, 160),
-            3: F(3, 160),
-            4: F(1, 30),
-            6: F(9, 160),
-            12: F(3, 10),
-        },
-        "cusp": {(1, 1): F(-11, 480), (2, 1): F(-17, 240), (3, 1): F(-1, 16)},
-    },
-    (3, 4): {
-        "sigma3": {
-            1: F(1, 480),
-            2: F(1, 160),
-            3: F(3, 160),
-            4: F(1, 30),
-            6: F(9, 160),
-            12: F(3, 10),
-        },
-        "cusp": {(1, 1): F(-1, 480), (2, 1): F(-7, 240), (3, 1): F(1, 16)},
-    },
-    (1, 15): {
-        "sigma3": {1: F(1, 1560), 3: F(1, 65), 5: F(25, 39), 15: F(-25, 104)},
-        "cusp": {
-            (1, 1): F(-1, 39),
-            (2, 1): F(-2, 15),
-            (3, 1): F(-14, 65),
-            (4, 1): F(1, 5),
-        },
-    },
-    (3, 5): {
-        "sigma3": {1: F(1, 390), 3: F(7, 520), 5: F(-175, 312), 15: F(25, 26)},
-        "cusp": {
-            (1, 1): F(-1, 390),
-            (2, 1): F(-1, 30),
-            (3, 1): F(-1, 26),
-            (4, 1): F(-1, 5),
-        },
-    },
-    (1, 24): {
-        "sigma3": {
-            1: F(-1, 64),
-            2: F(-77, 320),
-            3: F(1, 48),
-            4: F(127, 480),
-            6: F(41, 160),
-            8: F(1, 30),
-            12: F(-97, 480),
-            24: F(3, 10),
-        },
-        "cusp": {
-            (1, 1): F(-1, 64),
-            (2, 1): F(51, 160),
-            (3, 1): F(5, 16),
-            (4, 1): F(883, 240),
-            (5, 1): F(2),
-            (6, 1): F(183, 16),
-            (7, 1): F(10),
-            (8, 1): F(31),
-        },
-    },
-    (3, 8): {
-        "sigma3": {
-            1: F(0),
-            2: F(-1, 160),
-            3: F(1, 192),
-            4: F(7, 480),
-            6: F(7, 320),
-            8: F(1, 30),
-            12: F(23, 480),
-            24: F(3, 10),
-        },
-        "cusp": {
-            (1, 1): F(0),
-            (2, 1): F(1, 160),
-            (3, 1): F(3, 64),
-            (4, 1): F(13, 240),
-            (5, 1): F(0),
-            (6, 1): F(9, 16),
-            (7, 1): F(0),
-            (8, 1): F(1),
-        },
-    },
-}
-
-# published dimension statements used by the regression suite
-PUBLISHED_DIMENSIONS = {
-    33: {"dim_E4": 4, "dim_S4": 10},
-    40: {"dim_E4": 8, "dim_S4": 14},
-    56: {"dim_E4": 8, "dim_S4": 20},
-    24: {"dim_S4": 8},
-    12: {"dim_S4": 3},
-}
-
-# published pair-set examples (level -> (quad pairs, hex pairs)); None = n/a
-PUBLISHED_OMEGA = {
-    120: {"quad": [(1, 30), (2, 15), (3, 10), (5, 6)], "hex": [(1, 40), (5, 8)]},
-    40: {"quad": [(1, 10), (2, 5)]},
-    56: {"quad": [(1, 14), (2, 7)]},
-    33: {"hex": [(1, 11)]},
-}

@@ -33,10 +33,10 @@ the scalar recurrence.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable
 
 from .arith import sigma
 

@@ -18,8 +18,8 @@ are the coprime factorizations of level/p.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd, isqrt
-from typing import Callable
 
 from .arith import classify_level, coprime_pairs, sigma_scaled
 from .qseries import QSeries

@@ -25,9 +25,9 @@ raises UnsupportedLevelError at once.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from math import gcd, prod
-from typing import Iterable, Iterator
 
 from . import fixtures
 from .arith import classify_level, divisors, euler_phi, index_mu, prime_factors

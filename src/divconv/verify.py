@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fixtures
+from . import fixtures, published
 from .arith import classify_level, coprime_pairs, num_divisors, sigma, sigma_scaled
 from .convolution import (
     DerivationError,
@@ -118,7 +118,7 @@ def _resolve_signs(printed, first_bad):
     first pattern that holds, else the first failure with every sign "+"
     and an empty list.
     """
-    ambiguous = [k for k, v in printed.items() if isinstance(v, fixtures.Unsigned)]
+    ambiguous = [k for k, v in printed.items() if isinstance(v, published.Unsigned)]
     for signs in itertools.product((1, -1), repeat=len(ambiguous)):
         signed = {**printed, **{k: s * printed[k] for k, s in zip(ambiguous, signs)}}
         if first_bad(signed) is None:
@@ -131,7 +131,7 @@ def _published_expansion_series_check(pair, basis):
     derive_formula's column system; dropped signs are resolved by trying
     both, and a printed key with no column raises ValueError."""
     a, b = pair
-    data = fixtures.PUBLISHED_EXPANSIONS[pair]
+    data = published.PUBLISHED_EXPANSIONS[pair]
     rows, lhs = column_system(a, b, basis)
     # each column's key and scale, in column_system's order
     columns = [(("sigma3", d), Fraction(1, 240)) for d in basis.eisenstein]
@@ -152,7 +152,7 @@ def _published_expansion_series_check(pair, basis):
 
 def _published_w_check(pair, basis):
     a, b = pair
-    data = fixtures.PUBLISHED_W[pair]
+    data = published.PUBLISHED_W[pair]
 
     def first_bad(cusp):
         return _first_w_mismatch(a, b, lambda n: closed_form_W(a, b, data["sigma3"], cusp, basis, n))
@@ -171,18 +171,18 @@ def derived_vs_published(pair, basis):
     mismatches = []
 
     def compare(label, got, printed):
-        if isinstance(printed, fixtures.Unsigned):
+        if isinstance(printed, published.Unsigned):
             if abs(got) != printed:
                 mismatches.append(f"{label}: derived {got} vs printed +-{printed}")
         elif got != printed:
             mismatches.append(f"{label}: derived {got} vs printed {printed}")
 
-    pub = fixtures.PUBLISHED_EXPANSIONS[pair]
+    pub = published.PUBLISHED_EXPANSIONS[pair]
     for d, v in pub["sigma3"].items():
         compare(f"sigma3(n/{d})", 240 * f.x[d], v)
     for j, v in pub["cusp"].items():
         compare(f"Y_{j}", f.y[j - 1], v)
-    pub_w = fixtures.PUBLISHED_W[pair]
+    pub_w = published.PUBLISHED_W[pair]
     sigma3, cusp = f.w_terms
     for d, v in pub_w["sigma3"].items():
         compare(f"W sigma3(n/{d})", sigma3[d], v)
@@ -195,7 +195,7 @@ def derived_vs_published(pair, basis):
 
 def check_dimensions() -> list[ItemResult]:
     bad = []
-    for N, want in fixtures.PUBLISHED_DIMENSIONS.items():
+    for N, want in published.PUBLISHED_DIMENSIONS.items():
         prof = profile(N)
         for key, val in want.items():
             if getattr(prof, key) != val:
@@ -219,7 +219,7 @@ def check_tables_cuspidality() -> list[ItemResult]:
     out = []
     for N, rows in sorted(fixtures.BASIS_TABLES.items()):
         declared = fixtures.DECLARED_WEIGHT2.get(N, ())
-        expected_bad = set(fixtures.NONCUSPIDAL_ROWS.get(N, ()))
+        expected_bad = set(published.NONCUSPIDAL_ROWS.get(N, ()))
         unexpected, confirmed = [], []
         for i, exps in enumerate(rows, start=1):
             if i in declared:
@@ -259,7 +259,7 @@ def check_search_regeneration(searches: dict[int, set[EtaQuotient]]) -> list[Ite
     out = []
     for N in REGENERATION_LEVELS:
         found = searches[N]
-        expected_bad = set(fixtures.NONCUSPIDAL_ROWS.get(N, ()))
+        expected_bad = set(published.NONCUSPIDAL_ROWS.get(N, ()))
         missing, excluded = [], []
         for i, exps in enumerate(fixtures.BASIS_TABLES[N], start=1):
             if EtaQuotient.make(N, exps) in found:
@@ -300,11 +300,11 @@ def check_substitution_claims() -> list[ItemResult]:
     smallest delta of s times k is the smallest of t, at most one k does.
     """
     out = []
-    for N in sorted(fixtures.SUBSTITUTION_CLAIMS):
+    for N in sorted(published.SUBSTITUTION_CLAIMS):
         etas = [EtaQuotient.make(N, exps) for exps in fixtures.BASIS_TABLES[N]]
         rows = [
             (t, s, pub, substitution_scale(etas[s - 1], etas[t - 1]))
-            for t, s, pub in fixtures.SUBSTITUTION_CLAIMS[N]
+            for t, s, pub in published.SUBSTITUTION_CLAIMS[N]
         ]
         bad = [
             f"b_{N},{t}(n) = b_{N},{s}(n/{actual or '?'}) but published n/{pub}"
@@ -323,10 +323,10 @@ def check_substitution_claims() -> list[ItemResult]:
 
 
 def check_published_formulas() -> list[ItemResult]:
-    levels = {a * b for a, b in [*fixtures.PUBLISHED_EXPANSIONS, *fixtures.PUBLISHED_W]}
+    levels = {a * b for a, b in [*published.PUBLISHED_EXPANSIONS, *published.PUBLISHED_W]}
     bases = {N: load_fixture_basis(N) for N in sorted(levels)}
     out = []
-    for pair in sorted(fixtures.PUBLISHED_EXPANSIONS):
+    for pair in sorted(published.PUBLISHED_EXPANSIONS):
         a, b = pair
         basis = bases[a * b]
         first_bad, resolved = _published_expansion_series_check(pair, basis)
@@ -348,7 +348,7 @@ def check_published_formulas() -> list[ItemResult]:
                 note=derived_note,
             )
         )
-    for pair in sorted(fixtures.PUBLISHED_W):
+    for pair in sorted(published.PUBLISHED_W):
         a, b = pair
         first_bad, resolved = _published_w_check(pair, bases[a * b])
         out.append(
@@ -405,7 +405,7 @@ def check_diagonal() -> ItemResult:
 
 def check_omega_sets() -> list[ItemResult]:
     bad = []
-    for level, want in fixtures.PUBLISHED_OMEGA.items():
+    for level, want in published.PUBLISHED_OMEGA.items():
         for form, omega in (("quad", omega4), ("hex", omega3)):
             if form not in want:
                 continue

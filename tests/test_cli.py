@@ -382,17 +382,24 @@ def test_closed_pipe_exits_quietly(argv):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # verify (and the printed values it reads) serves verify-paper alone
-    src = str(Path(divconv.__file__).resolve().parents[1])
-    code = "import sys, divconv.cli; print('divconv.verify' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # verify and the printed values serve verify-paper alone, the cache
+        # writer --cache-dir and representation repnum, so a convsum loads none
+        pytest.param(
+            "divconv.cli",
+            ["divconv.verify", "divconv.published", "divconv.cache", "divconv.representation"],
+            id="divconv.cli",
+        ),
+        # the library never reads the printed values
+        pytest.param("divconv.spaces", ["divconv.published"], id="divconv.spaces"),
+    ],
+)
+def test_import_leaves_unused_modules_unloaded(module, unloaded):
+    code = f"import sys, {module}; print([m for m in {unloaded!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_src_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
 def test_usage_error_exit_2():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divconv import fixtures
+from divconv import fixtures, published
 from divconv.arith import classify_level, coprime_pairs, sigma_scaled
 from divconv.convolution import (
     DIRECT_SUM_MAX_N,
@@ -16,7 +16,6 @@ from divconv.convolution import (
     FormulaIntegrityError,
     FormulaProvider,
     UnderdeterminedBasisError,
-    UnsupportedLevelError,
     VerificationError,
     brute_force_W,
     closed_form_W,
@@ -29,6 +28,7 @@ from divconv.convolution import (
 from divconv.qseries import QSeries, squared_difference
 from divconv.spaces import (
     VERIFY_TO,
+    UnsupportedLevelError,
     basis_precision,
     load_fixture_basis,
     profile,
@@ -106,12 +106,12 @@ def test_every_basis_carries_basis_precision(provider):
 def test_derive_level10_matches_published():
     basis = load_fixture_basis(10)
     f = derive_formula(1, 10, basis)
-    pub = fixtures.PUBLISHED_EXPANSIONS[(1, 10)]
+    pub = published.PUBLISHED_EXPANSIONS[(1, 10)]
     for d, v in pub["sigma3"].items():
         assert 240 * f.x[d] == v
     for j, v in pub["cusp"].items():
         assert f.y[j - 1] == v
-    pub_w = fixtures.PUBLISHED_W[(1, 10)]
+    pub_w = published.PUBLISHED_W[(1, 10)]
     for d, v in pub_w["sigma3"].items():
         assert f.w_terms[0][d] == v
     assert f.w_terms[1][1, 1] == Fraction(-31, 1560)
@@ -310,7 +310,7 @@ def _printed_basis(N):
 @given(st.sampled_from(PRINTED_W_PASS), st.integers(1, 200))
 def test_printed_derived_and_direct_W_agree(provider, pair, n):
     a, b = pair
-    printed = fixtures.PUBLISHED_W[pair]
+    printed = published.PUBLISHED_W[pair]
     want = brute_force_W(a, b, n)
     assert closed_form_W(a, b, printed["sigma3"], printed["cusp"], _printed_basis(a * b), n) == want
     assert evaluate_W(provider.formula(a, b), n) == want
@@ -338,7 +338,7 @@ def _printed_expansion_cases(data):
     """data with every sign pattern of its Unsigned values applied, and
     each of those with +1 planted on each printed coefficient in turn."""
     keys = [("sigma3", d) for d in data["sigma3"]] + [("cusp", j) for j in data["cusp"]]
-    ambiguous = [k for k in keys if isinstance(data[k[0]][k[1]], fixtures.Unsigned)]
+    ambiguous = [k for k in keys if isinstance(data[k[0]][k[1]], published.Unsigned)]
     for signs in itertools.product((1, -1), repeat=len(ambiguous)):
         sign = dict(zip(ambiguous, signs))
         signed = {k: sign.get(k, 1) * Fraction(data[k[0]][k[1]]) for k in keys}
@@ -351,7 +351,7 @@ def _printed_expansion_cases(data):
             }
 
 
-@pytest.mark.parametrize("pair", sorted(fixtures.PUBLISHED_EXPANSIONS), ids=str)
+@pytest.mark.parametrize("pair", sorted(published.PUBLISHED_EXPANSIONS), ids=str)
 def test_printed_expansion_check_matches_the_expansion_oracle(monkeypatch, pair):
     # verify-paper's printed-expansion check runs on derive_formula's column
     # system; its first failing row must be the first n where the printed
@@ -359,8 +359,8 @@ def test_printed_expansion_check_matches_the_expansion_oracle(monkeypatch, pair)
     a, b = pair
     basis = _printed_basis(a * b)
     lhs = squared_difference(a, b, VERIFY_TO)
-    assert fixtures.PUBLISHED_EXPANSIONS[pair]["constant"] == (a - b) ** 2
-    for case in _printed_expansion_cases(fixtures.PUBLISHED_EXPANSIONS[pair]):
+    assert published.PUBLISHED_EXPANSIONS[pair]["constant"] == (a - b) ** 2
+    for case in _printed_expansion_cases(published.PUBLISHED_EXPANSIONS[pair]):
         cusp = {(j, 1): v for j, v in case["cusp"].items()}
         want = next(
             (
@@ -370,14 +370,14 @@ def test_printed_expansion_check_matches_the_expansion_oracle(monkeypatch, pair)
             ),
             None,
         )
-        monkeypatch.setitem(fixtures.PUBLISHED_EXPANSIONS, pair, case)
+        monkeypatch.setitem(published.PUBLISHED_EXPANSIONS, pair, case)
         assert verify._published_expansion_series_check(pair, basis) == (want, [])
 
 
 def test_printed_expansion_key_without_a_column_raises(monkeypatch):
-    data = fixtures.PUBLISHED_EXPANSIONS[1, 10]
+    data = published.PUBLISHED_EXPANSIONS[1, 10]
     for extra in ({"sigma3": {**data["sigma3"], 3: 1}}, {"cusp": {**data["cusp"], 4: 1}}):
-        monkeypatch.setitem(fixtures.PUBLISHED_EXPANSIONS, (1, 10), {**data, **extra})
+        monkeypatch.setitem(published.PUBLISHED_EXPANSIONS, (1, 10), {**data, **extra})
         with pytest.raises(ValueError, match=r"published expansion \(1, 10\): no column for"):
             verify._published_expansion_series_check((1, 10), _printed_basis(10))
 

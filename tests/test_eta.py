@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from divconv import cli, eta, fixtures
+from divconv import cli, eta, fixtures, published
 from divconv.arith import classify_level, divisors, index_mu
 from divconv.eta import (
     FLAT_TAILS,
@@ -112,7 +112,7 @@ def test_square_condition_two_implementations_agree():
 
 
 def test_noncuspidal_published_rows_have_zero_order_sum():
-    for N, rows in fixtures.NONCUSPIDAL_ROWS.items():
+    for N, rows in published.NONCUSPIDAL_ROWS.items():
         for i in rows:
             e = EtaQuotient.make(N, fixtures.BASIS_TABLES[N][i - 1])
             rep = ligozat_check(e)
@@ -123,7 +123,7 @@ def test_noncuspidal_published_rows_have_zero_order_sum():
 
 def test_cuspidal_published_rows_pass():
     for N, rows in fixtures.BASIS_TABLES.items():
-        skip = set(fixtures.NONCUSPIDAL_ROWS.get(N, ())) | set(
+        skip = set(published.NONCUSPIDAL_ROWS.get(N, ())) | set(
             fixtures.DECLARED_WEIGHT2.get(N, ())
         )
         for i, row in enumerate(rows, start=1):
@@ -148,7 +148,7 @@ def test_search_level_33_bound_8():
     found = {q.exponents for q in search_cusp_forms(33, 8, 8, max_order=10)}
     for i, row in enumerate(fixtures.BASIS_TABLES[33], start=1):
         key = EtaQuotient.make(33, row).exponents
-        if i in fixtures.NONCUSPIDAL_ROWS[33]:
+        if i in published.NONCUSPIDAL_ROWS[33]:
             assert key not in found  # zero cusp-order sum: correctly rejected
         else:
             assert key in found, f"row {i} missing"
