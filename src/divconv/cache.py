@@ -16,9 +16,6 @@ import tempfile
 from dataclasses import dataclass, fields
 
 from .cli import encode_rational
-from .convolution import ConvolutionFormula
-from .eta import EtaQuotient
-from .spaces import CuspGenerator, ModularBasis
 
 FORMAT_VERSION = 1
 

@@ -54,12 +54,10 @@ each entry with its window bounds folded into its step.  Whether a child
 has any tails depends only on the prefix's key (sum r, sum delta*r mod 24,
 parity mask), so a second table, filled the first time the walk meets a
 key, keeps for it only the children whose tail bucket is non-empty, and a
-child without tails is never tested.  A child with at most FLAT_TAILS tails
-is kept as flat entries, one per tail, each the tail's own exact test with
-the child's step folded in: a hit costs one test and no scan.  Every other
-child is a scan entry with its bucket attached: one window test, then the
-tails one at a time.  Both tables are local to one search.  Bounds above
-SEARCH_BOUND_CEILING raise SearchCeilingError at once.
+child without tails is never tested.  Each kept child is a scan entry with
+its bucket attached: one window test, then the tails one at a time.  Both
+tables are local to one search.  Bounds above SEARCH_BOUND_CEILING raise
+SearchCeilingError at once.
 
 The strict search runs in cusp-order space instead (Ligozat's criterion
 read as in Kilford (2007), "Generating spaces of modular forms with
@@ -206,27 +204,15 @@ def substitution_scale(source: EtaQuotient, target: EtaQuotient) -> int | None:
 # slots; its row tables at most (2*bound + 1)(2*bound*min(i, nd - i - 1) + 1)
 # children at each DFS depth i (nd = #divisors), each with three; and
 # its key table at most (8*bound + 1) * 24 * 2^omega(N) keys, each with at
-# most FLAT_TAILS * (2*bound + 1) entries.  Row and key tables fill as the
-# walk reaches them.  At bound 16 (tracemalloc, Python 3.11) the tail table
-# adds 7.0 MB at level 40 and 7.9 MB at level 120.  When the level-40
-# search ends, its row tables hold 1.3 MB (6,123 children) and its key
-# table 6.1 MB (3,016 keys); with every row and key filled they would hold
-# 2.0 and 21.5 MB at level 40 (9,597 children, 12,384 keys) and 15.3 and
-# 23.8 MB at level 120 (56,325 children, 24,768 keys).  The level-40 search
-# takes 9-10 s.
+# most 2*bound + 1 entries.  Row and key tables fill as the walk reaches
+# them.  At bound 16 (tracemalloc, Python 3.11) the tail table holds 6.7 MB
+# at level 40 and 7.5 MB at level 120.  When the level-40 search ends, its
+# row tables hold 1.2 MB (6,123 children) and its key table 4.7 MB (3,016
+# keys); with every row and key filled they would hold 2.0 and 13.5 MB at
+# level 40 (9,633 children, 12,384 keys) and 14.6 and 15.4 MB at level 120
+# (56,325 children, 24,768 keys).  The level-40 search takes 8-9 s.
 SEARCH_BOUND = 10  # the default |r_delta| bound of every search
 SEARCH_BOUND_CEILING = 16
-# Most tails a child of the last prefix level may have and still be kept as
-# flat entries, one exact test per tail.  As a scan entry, a child with k
-# tails costs one window test, and when the window passes three more
-# additions and k tail tests; as flat entries it costs k tests.  So one tail
-# never costs more, and two cost one test more only where the window fails.
-# At bound 4, levels 40 and 56, four in five children have one tail and the
-# rest two, and most windows pass, so two pay.  At bound 10 buckets hold
-# about 6 tails, and the windows of two-tail children pass about 3% of the
-# time; the scan's plain loop over its tails more than pays for the extra
-# tests there.  A limit of 3 gained nothing at bound 4.
-FLAT_TAILS = 2
 
 
 class SearchCeilingError(ValueError):
@@ -266,10 +252,8 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     xl = Q - pack(floors) + G and xh = pack(caps) - Q + G.  At the last
     prefix level, `kept`, filled on the first visit to each prefix key
     (sr, sd mod 24, parity mask), holds the children of its rows[sr] whose
-    tail bucket is non-empty, in order, so only those are tested: a child
-    with at most FLAT_TAILS tails as one flat entry per tail, the tail test
-    with the child's step folded in, and any other child as a scan entry
-    with its bucket.  A hit is the tail's exponents followed by the child's
+    tail bucket is non-empty, in order, each with its bucket, so only those
+    are tested.  A hit is the tail's exponents followed by the child's
     r and the prefix reversed, so every hit is already a vector over
     ascending divisors.
     """
@@ -356,32 +340,22 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
             ]
         return got
 
-    # kept[(sr, sd % 24, pm)]: (flat, scan) for the children of the last
-    # prefix level's rows[sr] whose tail bucket is non-empty for a prefix
-    # with that key, in order; filled on first visit.  A child with at most
-    # FLAT_TAILS tails is one flat entry (step + low + add, high - add -
-    # step, rs + (r,)) per tail, which passes iff (P + lo) & (hi - P) & G ==
-    # G.  Since Q + add = P + step + add, that is the scan's own tail test on
-    # the same slot values, and it implies the child's window, so the hits
-    # are the scan's.  Every other child is one scan entry (r, step, step +
-    # lo_t, hi_t - step, bucket).  sr is within 4B of k2, so at most (8B + 1)
-    # * 24 * 2^omega(N) keys, each with at most FLAT_TAILS entries for each
-    # of its 2B + 1 children: FLAT_TAILS * (2B + 1) entries.
+    # kept[(sr, sd % 24, pm)]: one entry (r, step, step + lo_t, hi_t - step,
+    # bucket) for each child of the last prefix level's rows[sr] whose tail
+    # bucket is non-empty for a prefix with that key, in order; filled on
+    # first visit.  sr is within 4B of k2, so at most (8B + 1) * 24 *
+    # 2^omega(N) keys, each with at most 2B + 1 entries.
     kept = {}
     out = []
     last = head - 1  # the last prefix level, whose children have tails
     path = [0] * last
 
     def fill(sr, sd, pm):
-        flat, scan = [], []
-        for r, t, step, lo, hi, dr, flip in children(last, sr):
-            if not (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip))):
-                continue
-            if len(bucket) <= FLAT_TAILS:
-                flat.extend((step + low + add, high - add - step, rs + (r,)) for add, rs in bucket)
-            else:
-                scan.append((r, step, lo, hi, bucket))
-        return flat, scan
+        return [
+            (r, step, lo, hi, bucket)
+            for r, t, step, lo, hi, dr, flip in children(last, sr)
+            if (bucket := tails.get((t, -(sd + dr) % 24, pm ^ flip)))
+        ]
 
     def dfs(i, P, sr, sd, pm):
         # P packs the cusp sums, sd = sum delta*r, over the exponents so far
@@ -393,15 +367,9 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
             return
         # the last prefix level: only children that have tails are tested
         key = (sr, sd % 24, pm)
-        if (entry := kept.get(key)) is None:
-            entry = kept[key] = fill(sr, sd, pm)
-        flat, scan = entry
+        if (scan := kept.get(key)) is None:
+            scan = kept[key] = fill(sr, sd, pm)
         prefix = None  # the prefix over ascending divisors, built on the first hit
-        for lo, hi, suffix in flat:
-            if (P + lo) & (hi - P) & G == G:
-                if prefix is None:
-                    prefix = tuple(path[::-1])
-                out.append(suffix + prefix)
         for r, step, lo, hi, bucket in scan:
             if (P + lo) & (hi - P) & G == G:
                 Q = P + step

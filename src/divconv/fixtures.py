@@ -13,8 +13,6 @@ published.py, which only verify and the tests import.
 
 from __future__ import annotations
 
-FIXTURE_LEVELS = (10, 11, 12, 15, 24, 33, 40, 56)
-
 # --- eta exponent tables (divisor -> exponent), row order as published ---
 
 _TABLE_33 = [
@@ -115,6 +113,7 @@ BASIS_TABLES: dict[int, list[dict[int, int]]] = {
     40: _TABLE_40,
     56: _TABLE_56,
 }
+FIXTURE_LEVELS = tuple(sorted(BASIS_TABLES))
 
 # generator index (1-based) of rows that are declared weight-2 auxiliaries
 DECLARED_WEIGHT2: dict[int, tuple[int, ...]] = {11: (1,)}

@@ -341,14 +341,6 @@ def repair_candidates(N: int) -> list[CuspGenerator]:
     strict quotients at N itself only when they do not span.
     """
     m = search_max_order(N)
-    out: list[CuspGenerator] = []
-    seen: set[tuple] = set()
-
-    def add(gen: CuspGenerator):
-        key = (gen.kind, gen.eta, gen.e2_scale)
-        if key not in seen:
-            seen.add(key)
-            out.append(gen)
 
     def pushed_up(k2: int, levels: list[int]):
         # strict quotients of weight k2/2 at each level M, pushed up to N by
@@ -360,12 +352,13 @@ def repair_candidates(N: int) -> list[CuspGenerator]:
                     if order_at_infinity(up) <= m:
                         yield up
 
-    for q in pushed_up(8, divisors(N)[1:-1]):
-        add(CuspGenerator(kind=KIND_ETA, eta=q))
-    for q in pushed_up(4, divisors(N)[1:]):
-        for t in divisors(N)[1:]:
-            add(CuspGenerator(kind=KIND_PRODUCT, eta=q, e2_scale=t))
-    return out
+    gens = [CuspGenerator(kind=KIND_ETA, eta=q) for q in pushed_up(8, divisors(N)[1:-1])]
+    gens += [
+        CuspGenerator(kind=KIND_PRODUCT, eta=q, e2_scale=t)
+        for q in pushed_up(4, divisors(N)[1:])
+        for t in divisors(N)[1:]
+    ]
+    return list(dict.fromkeys(gens))  # distinct generators, first occurrence kept
 
 
 def repair_basis(N: int) -> ModularBasis:
@@ -380,7 +373,5 @@ def repair_basis(N: int) -> ModularBasis:
             CuspGenerator(kind=KIND_ETA, eta=q)
             for q in search_cusp_forms(N, 8, max_order=search_max_order(N), strict=True)
         ]
-        known = {c.eta for c in cands if c.kind == KIND_ETA}
-        merged = cands + [g for g in extra if g.eta not in known]
-        basis = select_cusp_basis(N, merged)
+        basis = select_cusp_basis(N, list(dict.fromkeys(cands + extra)))
     return replace(basis, source="repaired")

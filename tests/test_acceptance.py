@@ -11,6 +11,7 @@ arbitrates).  Each failure message carries the refutation; the ledger
 outside the package documents the analysis.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -159,6 +160,23 @@ def test_criterion_2_table_rows_are_cusp_forms(searches):
     assert not problems, (
         "published rows refuted by exact arithmetic (see ledger): " + "; ".join(problems)
     )
+
+
+# the bound-10 hit sets: count and sha256 of the sorted exponent vectors,
+# one comma-joined line each (the search benchmark's digest)
+REGENERATION_DIGESTS = {
+    33: (17, "e69e2592e2defd3a624732a16f9a378d2e693bb3481dcc976eb70f7f69e731bd"),
+    40: (21086, "37d1dfeb5ceb9ff343e2f40443bdeae52e39353af98f2a95fa093d4c4f42c3b6"),
+    56: (15212, "13848c27084dd768b13c3f7e784fd56022748be48b094940c7e0ad5e673d28b8"),
+}
+
+
+def test_regeneration_hit_sets_are_pinned(searches):
+    got = {}
+    for N, (found, _) in searches.items():
+        text = "\n".join(",".join(map(str, v)) for v in sorted(q.vector() for q in found))
+        got[N] = (len(found), hashlib.sha256(text.encode()).hexdigest())
+    assert got == REGENERATION_DIGESTS
 
 
 def test_criterion_3_level_56_coefficients():

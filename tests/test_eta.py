@@ -8,16 +8,14 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from divconv import cli, eta, fixtures, published
+from divconv import cli, fixtures, published
 from divconv.arith import classify_level, divisors, index_mu
 from divconv.eta import (
-    FLAT_TAILS,
     SEARCH_BOUND_CEILING,
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
@@ -238,34 +236,27 @@ _DEEP_LEVELS = [N for N in range(1, 101) if len(divisors(N)) in (7, 8)]
     | st.tuples(st.sampled_from(_DEEP_LEVELS), st.just(1)),
     k2=st.sampled_from([4, 8]),
     max_order=st.none() | st.integers(1, 12),
-    # below bound 4 hardly any bucket holds more than FLAT_TAILS tails, so
-    # lower limits drive scan entries too: 0 keeps every child a scan entry,
-    # and 1 mixes both kinds
-    flat_tails=st.sampled_from([0, 1, FLAT_TAILS]),
 )
 # one, two and three divisors: the exponent at delta = N is the last prefix
 # level, entered with the empty prefix, and the tail holds the rest
-@example(level_bound=(1, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
-@example(level_bound=(11, 2), k2=4, max_order=None, flat_tails=FLAT_TAILS)
-@example(level_bound=(9, 3), k2=4, max_order=None, flat_tails=FLAT_TAILS)
-@example(level_bound=(25, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
+@example(level_bound=(1, 3), k2=8, max_order=None)
+@example(level_bound=(11, 2), k2=4, max_order=None)
+@example(level_bound=(9, 3), k2=4, max_order=None)
+@example(level_bound=(25, 3), k2=8, max_order=None)
 # four divisors: the same with a three-exponent tail; five divisors: one
 # depth above the last prefix level
-@example(level_bound=(10, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
-@example(level_bound=(16, 3), k2=8, max_order=None, flat_tails=FLAT_TAILS)
-# eight divisors: the last prefix level is the fifth; its keys hold flat
-# entries only, scan entries only, and both kinds (one-tail children flat,
-# two-tail children scanned)
-@example(level_bound=(40, 2), k2=8, max_order=None, flat_tails=FLAT_TAILS)
-@example(level_bound=(40, 2), k2=4, max_order=None, flat_tails=0)
-@example(level_bound=(24, 2), k2=4, max_order=None, flat_tails=1)
-def test_search_matches_oracle_on_random_levels(level_bound, k2, max_order, flat_tails):
+@example(level_bound=(10, 3), k2=8, max_order=None)
+@example(level_bound=(16, 3), k2=8, max_order=None)
+# eight divisors: the last prefix level is the fifth
+@example(level_bound=(40, 2), k2=8, max_order=None)
+@example(level_bound=(40, 2), k2=4, max_order=None)
+@example(level_bound=(24, 2), k2=4, max_order=None)
+def test_search_matches_oracle_on_random_levels(level_bound, k2, max_order):
     N, bound = level_bound
     if max_order is None:
         # twice the valence bound k2 * mu / 24 on the order at infinity: no cap
         max_order = k2 * index_mu(N) // 12
-    with mock.patch.object(eta, "FLAT_TAILS", flat_tails):
-        quotients = search_cusp_forms(N, k2, bound, max_order=max_order)
+    quotients = search_cusp_forms(N, k2, bound, max_order=max_order)
     assert _strictly_increasing([q.vector() for q in quotients])
     found = [q.exponents for q in quotients]
     assert len(found) == len(set(found))
