@@ -7,7 +7,7 @@ by the shape 2^nu * m with nu <= 3 and m odd squarefree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -103,14 +103,8 @@ def euler_phi(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class LevelClass:
-    """Factorization n = 2^nu * mho; in_class iff nu <= 3 and mho squarefree odd."""
-
-    n: int
-    nu: int
-    mho: int
-    in_class: bool
+# factorization n = 2^nu * mho; in_class iff nu <= 3 and mho squarefree odd
+LevelClass = namedtuple("LevelClass", "n nu mho in_class")
 
 
 def classify_level(n: int) -> LevelClass:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .cli import encode_rational
 
@@ -28,13 +28,7 @@ def _checksum(payload: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical(payload).encode()).hexdigest()[:32]
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    kind: str  # "basis" | "formula"
-    level: int
-    payload: dict
-    checksum: str
-
+class CacheEntry(namedtuple("CacheEntry", "kind level payload checksum")):  # kind: "basis" | "formula"
     @staticmethod
     def wrap(kind: str, level: int, payload: dict) -> "CacheEntry":
         return CacheEntry(kind=kind, level=level, payload=payload, checksum=_checksum(payload))
@@ -91,7 +85,7 @@ class Cache:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(vars(entry), fh, sort_keys=True, indent=1)
+                    json.dump(entry._asdict(), fh, sort_keys=True, indent=1)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -107,7 +101,7 @@ class Cache:
                 doc = json.load(fh)
         except (OSError, ValueError) as e:
             raise ValueError(f"cannot read cache entry {path}: {e}") from e
-        names = [f.name for f in fields(CacheEntry)]
+        names = CacheEntry._fields
         if not (
             isinstance(doc, dict)
             and all(name in doc for name in names)

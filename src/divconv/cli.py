@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
@@ -68,7 +67,7 @@ def _emit(args, machine_doc, human_lines):
 
 def cmd_dims(args) -> int:
     prof = profile(args.level)
-    doc = {**asdict(prof), "in_class": classify_level(args.level).in_class}
+    doc = {**prof._asdict(), "in_class": classify_level(args.level).in_class}
     lines = [
         f"level {prof.level}: index mu={prof.index_mu} eps2={prof.eps2} "
         f"eps3={prof.eps3} cusps={prof.cusp_count} genus={prof.genus}",

@@ -22,7 +22,7 @@ so a basis is never re-expanded to serve a query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -117,16 +117,7 @@ def diagonal_W(alpha: int, n: int) -> int:
     return _natural_W(alpha, alpha, {alpha: Fraction(5, 12)}, {}, None, n)
 
 
-@dataclass
-class ConvolutionFormula:
-    alpha: int
-    beta: int
-    level: int
-    x: dict[int, Fraction]
-    y: list[Fraction]
-    basis: ModularBasis = field(compare=False, repr=False)
-    verified_to: int
-
+class ConvolutionFormula(namedtuple("ConvolutionFormula", "alpha beta level x y basis verified_to")):
     @cached_property
     def w_terms(self) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
         """closed_form_W's sigma3 and cusp coefficients, built once."""
@@ -265,7 +256,7 @@ class FormulaProvider:
             except DerivationError as e:
                 failure = str(e)
         if basis is None:
-            basis = replace(repair_basis(level), fixture_failure=failure)
+            basis = repair_basis(level)._replace(fixture_failure=failure)
         self._bases[level] = basis
         return basis
 

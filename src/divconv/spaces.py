@@ -25,8 +25,8 @@ raises UnsupportedLevelError at once.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
 from math import gcd, prod
 
 from . import fixtures
@@ -41,17 +41,9 @@ class UnsupportedLevelError(ValueError):
     has no fixture basis, or no dim S4 independent cusp generators were found."""
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
-    level: int
-    index_mu: int
-    eps2: int
-    eps3: int
-    cusp_count: int
-    genus: int
-    dim_E4: int
-    dim_S4: int
-    dim_M4: int
+SpaceProfile = namedtuple(
+    "SpaceProfile", "level index_mu eps2 eps3 cusp_count genus dim_E4 dim_S4 dim_M4"
+)
 
 
 def profile(N: int) -> SpaceProfile:
@@ -124,13 +116,8 @@ KIND_DECLARED = "declared-fixture"
 KIND_PRODUCT = "eta-eisenstein-product"
 
 
-@dataclass(frozen=True)
-class CuspGenerator:
+class CuspGenerator(namedtuple("CuspGenerator", "kind eta e2_scale", defaults=(None,))):
     """One cusp-space generator: an eta quotient, optionally times L(q)-t*L(q^t)."""
-
-    kind: str
-    eta: EtaQuotient
-    e2_scale: int | None = None
 
     def order(self) -> int:
         # the weight-2 Eisenstein factor has nonzero constant term
@@ -170,18 +157,17 @@ def eta_generator(level: int, exponents: dict[int, int], kind: str = KIND_ETA) -
     return CuspGenerator(kind=kind, eta=EtaQuotient.make(level, exponents))
 
 
-@dataclass
-class ModularBasis:
-    """Eisenstein degrees plus selected cusp generators, expanded to a precision."""
-
-    level: int
-    cusp: list[CuspGenerator]
-    precision: int
-    cusp_series: list[QSeries] = field(repr=False)
-    defects: list[str] = field(default_factory=list)
-    checksum: str = ""
-    source: str = ""  # "fixture", "repaired" or "searched": the function that built it
-    fixture_failure: str | None = None  # why a repaired basis replaced the fixture basis
+class ModularBasis(
+    namedtuple(
+        "ModularBasis",
+        "level cusp precision cusp_series defects checksum source fixture_failure",
+        defaults=("", None),
+    )
+):
+    """Eisenstein degrees plus selected cusp generators, expanded to a
+    precision.  source is "fixture", "repaired" or "searched", the function
+    that built it; fixture_failure says why a repaired basis replaced the
+    fixture basis."""
 
     @property
     def eisenstein(self) -> list[int]:  # the degrees t | level of the M(q^t)
@@ -199,9 +185,7 @@ class ModularBasis:
         # the checksum covers rows 1..dim S4 and no defect depends on T
         if T <= self.precision:
             return self
-        return replace(
-            self, precision=T, cusp_series=list(expand(self.cusp, T))
-        )
+        return self._replace(precision=T, cusp_series=list(expand(self.cusp, T)))
 
 
 def _matrix_checksum(cusp_series: list[QSeries], m: int) -> str:
@@ -316,7 +300,7 @@ def load_fixture_basis(N: int) -> ModularBasis:
         basis.defects.append(
             f"generator {i} ({gens[i - 1].describe()}) is a declared weight-2 auxiliary"
         )
-    return replace(basis, source="fixture")
+    return basis._replace(source="fixture")
 
 
 def search_basis(N: int) -> ModularBasis:
@@ -327,7 +311,7 @@ def search_basis(N: int) -> ModularBasis:
         CuspGenerator(kind=KIND_ETA, eta=q)
         for q in search_cusp_forms(N, 8, max_order=search_max_order(N))
     ]
-    return replace(select_cusp_basis(N, cands), source="searched")
+    return select_cusp_basis(N, cands)._replace(source="searched")
 
 
 def repair_candidates(N: int) -> list[CuspGenerator]:
@@ -374,4 +358,4 @@ def repair_basis(N: int) -> ModularBasis:
             for q in search_cusp_forms(N, 8, max_order=search_max_order(N), strict=True)
         ]
         basis = select_cusp_basis(N, list(dict.fromkeys(cands + extra)))
-    return replace(basis, source="repaired")
+    return basis._replace(source="repaired")

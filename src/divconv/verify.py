@@ -10,7 +10,7 @@ reports DOCUMENTED-DISCREPANCY with the exact point of failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import fixtures, published
@@ -56,12 +56,7 @@ REGENERATION_LEVELS = (33, 40, 56)
 REPRESENTATION_DEPTH = 100  # below VERIFY_TO: the lattice oracle enumerates
 
 
-@dataclass
-class ItemResult:
-    item: str
-    status: str
-    detail: str
-
+class ItemResult(namedtuple("ItemResult", "item status detail")):
     def line(self) -> str:
         return f"{self.status:<24} {self.item}: {self.detail}"
 

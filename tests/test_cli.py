@@ -71,10 +71,18 @@ def test_search_cusp_level_12(capsys):
         # three and two divisors: the prefix is the exponent at delta = N alone
         ("search-cusp 4", "b4bd4acc3436645aba1e77aaa4cd6f095527c7767164a1ab0645a151e4da11c7"),
         ("search-cusp 11", "52d0b3815f2005a963754808518c4493581c1039a34d2752f5cb7c0379c16463"),
+        # documents built from the records: generators, bases (searched,
+        # fixture and repaired), a formula and representation counts
+        ("basis 12", "e0c86b59c3b68efe0263d197e04181c91ed97e60532cf8f727ef5ac304504251"),
+        ("basis 40 --use-fixture", "e7dbac481cdbf1e335eb46f730c36f2ad08147b74b8d7539fa125a19f8429f79"),
+        ("basis 42 --repair", "970b14415ff47c47616110f3298e435482eea702b8074a9471b373dbef5bb4a9"),
+        ("convsum 1 10 --use-fixture", "5b25985912f965a6319c16c4e11f05d9760545b665d303fc75a304d84215ca5c"),
+        ("repnum --form quad 1 10 50", "9a95d8b552c760de82f70d28f653e720cb3f5029ef5f221d35eea4ba6f66da2c"),
+        ("repnum --form hex 1 11 40", "590c5386376febcafcbc9e8af9eb61baf3708c4ec08cd5147c3fc4d9b68561fb"),
     ],
 )
-def test_search_cusp_machine_output_pinned(capsys, argv, sha256):
-    # the exact --machine stdout: hits, their order and their fields
+def test_machine_output_pinned(capsys, argv, sha256):
+    # the exact --machine stdout: every field, row and order
     code, out, _ = run_cli(capsys, "--machine", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
@@ -383,22 +391,38 @@ def test_closed_pipe_exits_quietly(argv):
 
 
 @pytest.mark.parametrize(
-    "module, unloaded",
+    "module, unloaded, flags",
     [
         # verify and the printed values serve verify-paper alone, the cache
-        # writer --cache-dir and representation repnum, so a convsum loads none
+        # writer --cache-dir, representation repnum and the searches their
+        # first call, so a convsum loads none; no record needs dataclasses
         pytest.param(
             "divconv.cli",
-            ["divconv.verify", "divconv.published", "divconv.cache", "divconv.representation"],
+            [
+                "divconv.verify",
+                "divconv.published",
+                "divconv.cache",
+                "divconv.representation",
+                "divconv.search",
+                "dataclasses",
+                "inspect",
+            ],
+            [],
             id="divconv.cli",
         ),
-        # the library never reads the printed values
-        pytest.param("divconv.spaces", ["divconv.published"], id="divconv.spaces"),
+        # the library never reads the printed values, nor searches on import
+        pytest.param("divconv.spaces", ["divconv.published", "divconv.search"], [], id="divconv.spaces"),
+        pytest.param("divconv.cache", ["dataclasses"], [], id="divconv.cache"),
+        pytest.param("divconv.verify", ["dataclasses"], [], id="divconv.verify"),
+        # without site, which may load them itself, nothing of ours does
+        pytest.param("divconv.cli", ["typing", "tempfile"], ["-S"], id="divconv.cli-S"),
     ],
 )
-def test_import_leaves_unused_modules_unloaded(module, unloaded):
+def test_import_leaves_unused_modules_unloaded(module, unloaded, flags):
     code = f"import sys, {module}; print([m for m in {unloaded!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_src_env(), timeout=120)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, env=_src_env(), timeout=120
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
@@ -432,7 +456,7 @@ def test_cache_rejects_tampering(tmp_path, provider):
 
 
 # the last holds a valid checksum over a payload this package never writes
-_FORGED_ENTRIES = json.dumps(vars(CacheEntry.wrap("formula", 10, {"entries": [1]})))
+_FORGED_ENTRIES = json.dumps(CacheEntry.wrap("formula", 10, {"entries": [1]})._asdict())
 
 
 @pytest.mark.parametrize(

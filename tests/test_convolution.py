@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -131,7 +130,7 @@ def test_closed_form_serves_exactly_verified_to():
 def test_dispatch_routes_past_verified_to_to_direct_sum(provider, monkeypatch):
     from divconv import convolution
 
-    short = replace(provider.formula(1, 12), verified_to=100)
+    short = provider.formula(1, 12)._replace(verified_to=100)
     served = []
 
     def recording(g, n):
@@ -209,7 +208,7 @@ def test_verification_names_the_first_failing_row():
     basis = load_fixture_basis(10)
     coeffs = list(basis.cusp_series[0].coeffs)
     coeffs[150] += 1
-    planted = replace(basis, cusp_series=[QSeries(coeffs), *basis.cusp_series[1:]])
+    planted = basis._replace(cusp_series=[QSeries(coeffs), *basis.cusp_series[1:]])
     with pytest.raises(VerificationError) as err:
         derive_formula(1, 10, planted)
     assert str(err.value) == (
@@ -422,7 +421,7 @@ def test_dispatch_refuses_direct_sum_past_its_ceiling(provider):
 
 def test_evaluate_integrity_guard(provider):
     f = provider.formula(1, 10)
-    broken = replace(f, y=[y + Fraction(1, 7) for y in f.y])
+    broken = f._replace(y=[y + Fraction(1, 7) for y in f.y])
     with pytest.raises(FormulaIntegrityError):
         evaluate_W(broken, 5)
 

@@ -20,13 +20,13 @@ from divconv.eta import (
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
     SearchCeilingError,
-    _window_extremes,
     ligozat_check,
     order_at_infinity,
     search_cusp_forms,
     substitution_scale,
 )
 from divconv.qseries import eta_quotient_series
+from divconv.search import _window_extremes
 from divconv.spaces import profile, search_max_order
 
 

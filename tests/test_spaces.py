@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from divconv import fixtures
@@ -168,6 +170,23 @@ def test_repair_basis_level_33():
     k = b.dim_cusp
     m = [[b.coefficient(j, n) for j in range(k)] for n in range(1, 2 * k + 1)]
     assert rank(m) == k
+
+
+@pytest.mark.parametrize(
+    "level, count, sha256",
+    [
+        (30, 98, "1ab328230edef7457e6cec0906a1711e5e8212f981122cb94097b4b78a4e75b3"),
+        (33, 11, "b451dd1632162068f48d568e2f662a43de86a56ecd3f1a39f98fce42a19da93e"),
+        (42, 96, "bd0d48dd279138eecf6efb00b44564731dccd7344e31f852c1cc94580140bf88"),
+        (70, 198, "83935bb28db98810b01d94b543276db1159a877065517e9717aa094cb5f9c1c0"),
+    ],
+)
+def test_repair_candidates_pinned(level, count, sha256):
+    # the dedup keeps the first of equal generators, so these rest on how
+    # generators and eta quotients compare and hash
+    rows = [(g.kind, g.eta.vector(), g.e2_scale) for g in spaces.repair_candidates(level)]
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha256
 
 
 def test_basis_at_precision_extends():
