@@ -11,8 +11,10 @@ give the closed form
 
 closed_form_W evaluates this W shape for derived, diagonal (5/12
 sigma3(n/a), no b_j) and printed coefficients alike.  column_system builds
-the expansion's columns (M(q^delta), then the b_j) over the basis's rows,
-and first_residual_row is its one check, in integers: it checks every
+the expansion's columns over the basis's rows, the b_j before M(q^delta):
+at a basis of orders 1..m the integer elimination's first pivots are then
+1, not 240 sigma3 values, and column order changes neither rank nor solution.
+first_residual_row is the system's one check, in integers: it checks every
 derivation and, in verify-paper, the printed expansions.  The dispatcher
 reduces by gcd, short-circuits the diagonal a = b through the classical
 closed form, serves n up to the formula's verified_to with the closed form
@@ -29,7 +31,7 @@ from math import gcd
 from operator import mul
 
 from .arith import coprime_pairs, divisors, sigma, sigma_scaled
-from .linalg import Echelon, InconsistentSystem, over_common_denominator
+from .linalg import Echelon, InconsistentSystem
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
     ModularBasis,
@@ -62,15 +64,16 @@ class FormulaIntegrityError(ArithmeticError):
 
 
 def brute_force_W(alpha: int, beta: int, n: int) -> int:
-    """The defining double sum; the ground-truth oracle for everything here."""
+    """The defining double sum, the ground-truth oracle for everything here,
+    over its terms only: beta | n - alpha l iff l = l0 (mod beta/g), g | n."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("brute_force_W: alpha, beta, n must be >= 1")
-    total = 0
-    for l in range(1, (n - 1) // alpha + 1):
-        rest = n - alpha * l
-        if rest % beta == 0:
-            total += sigma(1, l) * sigma(1, rest // beta)
-    return total
+    g = gcd(alpha, beta)
+    if n % g:
+        return 0
+    step = beta // g
+    l0 = n // g * pow(alpha // g, -1, step) % step or step
+    return sum(sigma(1, l) * sigma(1, (n - alpha * l) // beta) for l in range(l0, (n - 1) // alpha + 1, step))
 
 
 def reduce_by_gcd(alpha: int, beta: int, n: int):
@@ -134,28 +137,28 @@ DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direc
 
 
 def column_system(alpha: int, beta: int, basis: ModularBasis) -> tuple[list[tuple], list[int]]:
-    """rows[n]: the q^n coefficients of M(q^delta) for each delta | N ascending,
-    then of each b_j; lhs[n]: that of (alpha L(q^alpha) - beta L(q^beta))^2;
-    for n = 0..basis_precision(N)."""
+    """rows[n]: the q^n coefficients of each b_j, then of M(q^delta) for each
+    delta | N ascending; lhs[n]: that of (alpha L(q^alpha) - beta L(q^beta))^2;
+    for n = 0..basis_precision(N).  The cusp columns come first: rows 1..m
+    of a basis of orders 1..m are unit lower triangular in them, so the
+    elimination's first m pivots stay 1."""
     N = alpha * beta
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
     T = basis_precision(N)
     # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
     M = eisenstein_M(1, T).coeffs
-    cols = []
+    cols = [s.coeffs for s in basis.cusp_series]
     for d in divisors(N):
         col = [0] * (T + 1)
         col[::d] = M[: T // d + 1]
         cols.append(col)
-    cols += [s.coeffs for s in basis.cusp_series]
     return list(zip(*cols)), squared_difference(alpha, beta, T).coeffs
 
 
-def first_residual_row(rows, lhs, coeffs, upto: int):
-    """The first n in 1..upto with rows[n] . coeffs != lhs[n], or None; in
-    integers, both sides times the lcm of the denominators of coeffs."""
-    scaled, den = over_common_denominator(coeffs)
+def first_residual_row(rows, lhs, scaled, den: int, upto: int):
+    """The first n in 1..upto with rows[n] . scaled / den != lhs[n], or None;
+    in integers, both sides times den."""
     ns = range(1, upto + 1)
     return next((n for n in ns if sum(map(mul, scaled, rows[n])) != den * lhs[n]), None)
 
@@ -179,9 +182,9 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
     N = alpha * beta
     T = len(rows) - 1
     divs = divisors(N)
-    nunk = len(divs) + basis.dim_cusp
-
-    sampled = sorted(set(divs) | set(range(1, basis.dim_cusp + 1)))
+    m = basis.dim_cusp
+    nunk = len(divs) + m
+    sampled = sorted(set(divs) | set(range(1, m + 1)))
     order = [0, *sampled, *(n for n in range(1, T + 1) if n not in sampled)]
     first_batch = max(1 + len(sampled), nunk + 4)
     ech = Echelon(nunk)
@@ -195,25 +198,26 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
             f"exhausting n <= {T}; the basis is degenerate"
         )
     try:
-        sol = ech.solution()
+        nums, D = ech.solution()
     except InconsistentSystem as e:
         raise BasisNotSpanningError(
             f"level {N} ({alpha},{beta}): no exact solution; the basis does "
             f"not span the squared Eisenstein difference"
         ) from e
     # an exact check apart from the elimination, so a solver fault shows
-    first_bad = first_residual_row(rows, lhs, sol, T)
+    first_bad = first_residual_row(rows, lhs, nums, D, T)
     if first_bad is not None:
         raise VerificationError(
             f"level {N} ({alpha},{beta}): solved identity fails first at n={first_bad} "
             f"(sturm bound {sturm_bound(N)}); the basis columns do not span the form"
         )
+    sol = [Fraction(v, D) for v in nums]
     return ConvolutionFormula(
         alpha=alpha,
         beta=beta,
         level=N,
-        x=dict(zip(divs, sol[: len(divs)])),
-        y=sol[len(divs):],
+        x=dict(zip(divs, sol[m:])),
+        y=sol[:m],
         basis=basis,
         verified_to=T,
     )

@@ -51,6 +51,10 @@ class EtaQuotient(namedtuple("EtaQuotient", "level rs")):
             raise ValueError(f"level {level} has {nd} divisors, got {len(rs)} exponents")
         return tuple.__new__(cls, (level, rs))
 
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @staticmethod
     def make(level: int, exponents: dict[int, int]) -> "EtaQuotient":
         """From a map delta -> r_delta (absent divisors are 0); a nonzero r_delta
@@ -101,7 +105,7 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     exps = e.exponent_map
     s24 = sum(d * r for d, r in exps.items())
     cond_i = s24 % 24 == 0
-    cond_ii = _is_square_product(exps)
+    cond_ii = is_square_product(exps)
     ssum = sum(exps.values())
     cond_iii = ssum > 0 and ssum % 4 == 0
     # sum_delta gcd(d, delta)^2 r_delta / delta over the common denominator N
@@ -114,7 +118,7 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     return LigozatReport(cond_i, cond_ii, cond_iii, orders, is_modular=modular, is_cusp=cusp)
 
 
-def _is_square_product(exps: dict[int, int]) -> bool:
+def is_square_product(exps: dict[int, int]) -> bool:
     # prod delta^{r_delta} is a rational square iff every prime valuation is even
     vals: dict[int, int] = {}
     for d, r in exps.items():

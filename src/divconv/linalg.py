@@ -5,16 +5,19 @@ echelon form and takes one row at a time: each row is reduced once against
 the stored pivot rows, reports whether the rank rose, and flags an
 inconsistent system when it reduces to 0 = nonzero.  Every reduced entry is
 a minor of the rows added so far (Sylvester's identity, Bareiss 1968), so
-the divisions are exact and the entries stay bounded.  The unique solution
-is back-substituted in integers, scaled by the last pivot, and divided out
-into Fractions once.  `rank` and `solve` are one-shot loops over it;
-`solve` rejects underdetermined or inconsistent systems instead of guessing.
+the divisions are exact and the entries stay bounded.  Rows are integers
+only: a Fraction entry is a TypeError, never floored.  `solution` gives the
+unique solution as integer numerators over the last pivot D, back-substituted
+in integers.  `rank` and `solve` are one-shot loops over it that scale
+Fraction rows to integers first; `solve` divides out into Fractions and
+rejects underdetermined or inconsistent systems instead of guessing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 
 class UnderdeterminedSystem(ValueError):
@@ -51,9 +54,8 @@ class Echelon:
         return len(self._rows)
 
     def add(self, coeffs, rhs=0) -> bool:
-        """Reduce the row [coeffs | rhs]; True when it raised the rank."""
-        # scaling a whole row [coeffs | rhs] changes neither rank nor solution
-        row, _ = over_common_denominator([*coeffs, rhs])
+        """Reduce the integer row [coeffs | rhs]; True when it raised the rank."""
+        row = [*map(index, coeffs), index(rhs)]
         prev = 1
         for pivot_row, c in zip(self._rows, self._pivots):
             pivot = pivot_row[c]
@@ -72,8 +74,8 @@ class Echelon:
         self._pivots.append(c)
         return True
 
-    def solution(self) -> list[Fraction]:
-        """The unique solution; needs full column rank and no inconsistency."""
+    def solution(self) -> tuple[list[int], int]:
+        """(y, D): y / D is the unique solution, D the last pivot; needs full rank, no inconsistency."""
         if self.rank < self.ncols:
             raise UnderdeterminedSystem(f"rank {self.rank} < {self.ncols} unknowns")
         if self.inconsistent:
@@ -85,21 +87,21 @@ class Echelon:
         for row, c in zip(reversed(self._rows), reversed(self._pivots)):
             acc = D * row[self.ncols] - sum(row[j] * y[j] for j in self._pivots if j != c and row[j])
             y[c] = acc // row[c]
-        return [Fraction(v, D) for v in y]
+        return y, D
 
 
 def rank(rows) -> int:
-    """Exact rank of a matrix given as a list of rows."""
+    """Exact rank of a matrix given as a list of int or Fraction rows."""
     if not rows:
         return 0
     ech = Echelon(len(rows[0]))
     for row in rows:
-        ech.add(row)
+        ech.add(over_common_denominator(row)[0])
     return ech.rank
 
 
 def solve(rows, rhs) -> list[Fraction]:
-    """Unique exact solution of rows * x = rhs.
+    """Unique exact solution of rows * x = rhs, int or Fraction entries.
 
     The system may be overdetermined; every extra equation must be
     consistent with the unique solution or InconsistentSystem is raised.
@@ -109,5 +111,7 @@ def solve(rows, rhs) -> list[Fraction]:
         raise UnderdeterminedSystem("no equations")
     ech = Echelon(len(rows[0]))
     for row, b in zip(rows, rhs):
-        ech.add(row, b)
-    return ech.solution()
+        *scaled, b = over_common_denominator([*row, b])[0]
+        ech.add(scaled, b)
+    y, D = ech.solution()
+    return [Fraction(v, D) for v in y]

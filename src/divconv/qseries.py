@@ -92,7 +92,8 @@ class QSeries:
         # a_i b_j, so its absolute value stays below 2^(bits-1) = half; every
         # operand coefficient goes in through a slot too, so it must as well.
         # bits = 8 * size: a slot is whole bytes.
-        ma, mb = max(map(abs, a)), max(map(abs, b))
+        ma = max(map(abs, a))
+        mb = ma if other is self else max(map(abs, b))
         size = (max(ma * mb * (t + 1), ma, mb).bit_length() + 8) // 8
         half = 1 << (8 * size - 1)
         bias = int.from_bytes(half.to_bytes(size, "little") * (t + 1), "little")
@@ -106,7 +107,8 @@ class QSeries:
         # the product plus the bias holds c_k + half, in [0, 2^bits), in each
         # of its t + 1 low slots, and the mask drops the slots above them
         width = size * (t + 1)
-        low = (pack(a) * pack(b) + bias) & ((1 << (8 * width)) - 1)
+        pa = pack(a)  # a square packs its operand once
+        low = (pa * (pa if other is self else pack(b)) + bias) & ((1 << (8 * width)) - 1)
         digits = low.to_bytes(width, "little")
         unpack = int.from_bytes
         return QSeries([unpack(digits[i : i + size], "little") - half for i in range(0, width, size)])
@@ -158,10 +160,14 @@ def eisenstein_weight2(t: int, L: QSeries) -> QSeries:
 
 
 def squared_difference(alpha: int, beta: int, T: int) -> QSeries:
-    """(alpha*L(q^alpha) - beta*L(q^beta))^2 with constant term (alpha-beta)^2."""
+    """(alpha*L(q^alpha) - beta*L(q^beta))^2; the difference is one list read off sigma."""
     if alpha < 1 or beta < 1:
         raise ValueError("squared_difference: alpha, beta must be >= 1")
-    d = eisenstein_L(alpha, T).scale(alpha) - eisenstein_L(beta, T).scale(beta)
+    _check_precision(T)
+    d = [alpha - beta] + [0] * T
+    for t, c in ((alpha, -24 * alpha), (beta, 24 * beta)):
+        d[t::t] = map(add, d[t::t], [c * sigma(1, n) for n in range(1, T // t + 1)])
+    d = QSeries(d)
     return d * d
 
 

@@ -65,7 +65,7 @@ from functools import reduce
 from math import comb, gcd, lcm
 
 from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
-from .eta import SEARCH_BOUND_CEILING, STRICT_COMPOSITION_CEILING, SearchCeilingError, _is_square_product
+from .eta import SEARCH_BOUND_CEILING, STRICT_COMPOSITION_CEILING, SearchCeilingError, is_square_product
 from .linalg import Echelon
 
 
@@ -301,7 +301,8 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
         ech = Echelon(nd)
         for i, row in enumerate(A):
             ech.add(row, int(i == j))
-        inv_cols.append(ech.solution())
+        ys, den = ech.solution()
+        inv_cols.append([Fraction(y, den) for y in ys])
     D = lcm(*(x.denominator for col in inv_cols for x in col))
     g = [gcd(d, N // d) for d in divs]
     s = [24 * gd * d for gd, d in zip(g, divs)]  # S_d = s_d * v_d
@@ -385,7 +386,7 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
                 if not -BD <= t <= BD:
                     return
                 v.append(t // D)
-            if _is_square_product(dict(zip(divs, v))):
+            if is_square_product(dict(zip(divs, v))):
                 out.append(tuple(v))
             return
         lo_x, hi_x = interval(i, R, P)

@@ -27,6 +27,7 @@ from .convolution import (
     first_residual_row,
 )
 from .eta import EtaQuotient, ligozat_check, order_at_infinity, search_cusp_forms, substitution_scale
+from .linalg import over_common_denominator
 from .qseries import eisenstein_L
 from .representation import (
     count_N,
@@ -129,8 +130,8 @@ def _published_expansion_series_check(pair, basis):
     data = published.PUBLISHED_EXPANSIONS[pair]
     rows, lhs = column_system(a, b, basis)
     # each column's key and scale, in column_system's order
-    columns = [(("sigma3", d), Fraction(1, 240)) for d in basis.eisenstein]
-    columns += [(("cusp", j), 1) for j in range(1, basis.dim_cusp + 1)]
+    columns = [(("cusp", j), 1) for j in range(1, basis.dim_cusp + 1)]
+    columns += [(("sigma3", d), Fraction(1, 240)) for d in basis.eisenstein]
     printed = {("sigma3", d): v for d, v in data["sigma3"].items()}
     printed.update({("cusp", j): v for j, v in data["cusp"].items()})
     if unknown := printed.keys() - dict(columns).keys():
@@ -140,7 +141,7 @@ def _published_expansion_series_check(pair, basis):
         if data["constant"] != (a - b) ** 2:
             return 0
         coeffs = [signed.get(key, 0) * scale for key, scale in columns]
-        return first_residual_row(rows, lhs, coeffs, VERIFY_TO)
+        return first_residual_row(rows, lhs, *over_common_denominator(coeffs), VERIFY_TO)
 
     return _resolve_signs(printed, first_bad)
 

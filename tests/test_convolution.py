@@ -1,14 +1,15 @@
 import itertools
+import json
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divconv import fixtures, published
-from divconv.arith import classify_level, coprime_pairs, sigma_scaled
+from divconv.arith import classify_level, coprime_pairs, sigma, sigma_scaled
 from divconv.convolution import (
     DIRECT_SUM_MAX_N,
     BasisNotSpanningError,
@@ -18,12 +19,14 @@ from divconv.convolution import (
     VerificationError,
     brute_force_W,
     closed_form_W,
+    column_system,
     derive_formula,
     diagonal_W,
     dispatch_W,
     evaluate_W,
     reduce_by_gcd,
 )
+from divconv.linalg import solve
 from divconv.qseries import QSeries, squared_difference
 from divconv.spaces import (
     VERIFY_TO,
@@ -42,6 +45,28 @@ def test_brute_force_examples():
     assert brute_force_W(1, 1, 3) == 6
     assert brute_force_W(1, 33, 1) == 0
     assert brute_force_W(1, 1, 2) == 1
+
+
+def double_sum_W(alpha, beta, n):
+    """The definition: sigma(l) sigma(m) over every l >= 1 whose m = (n -
+    alpha l) / beta is a natural number."""
+    total = 0
+    for l in range(1, (n - 1) // alpha + 1):
+        rest = n - alpha * l
+        if rest % beta == 0:
+            total += sigma(1, l) * sigma(1, rest // beta)
+    return total
+
+
+@example(6, 4, 3000)  # gcd 2, n a multiple of it
+@example(6, 4, 2999)  # gcd 2 does not divide n
+@example(60, 60, 3000)  # the diagonal
+@example(7, 7, 2999)
+@example(1, 60, 61)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 3000))
+def test_brute_force_is_the_double_sum(alpha, beta, n):
+    # brute_force_W visits only its terms; the definition visits every (l, m)
+    assert brute_force_W(alpha, beta, n) == double_sum_W(alpha, beta, n)
 
 
 def test_reduce_by_gcd():
@@ -178,6 +203,18 @@ LEVEL_24_FAILURE = (
 )
 
 
+@pytest.mark.parametrize(
+    "N, failure",
+    [
+        (24, LEVEL_24_FAILURE),
+        (33, "level 33 (3,11): no exact solution; the basis does not span the squared Eisenstein difference"),
+    ],
+)
+def test_fixture_probe_failures_are_pinned(provider, N, failure):
+    # FormulaProvider probes a fixture basis with its smallest coprime b > a
+    assert provider.basis_for(N).fixture_failure == failure
+
+
 def test_fixture_level_24_underdetermined():
     with pytest.raises(UnderdeterminedBasisError) as err:
         derive_formula(1, 24, load_fixture_basis(24))
@@ -215,6 +252,28 @@ def test_verification_names_the_first_failing_row():
         "level 10 (1,10): solved identity fails first at n=150 (sturm bound 6); "
         "the basis columns do not span the form"
     )
+
+
+RESOLVE_GOLDEN = Path(__file__).parents[1] / "perfbench" / "golden" / "resolve.json"
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [tuple(map(int, k.split(","))) for k, v in json.loads(RESOLVE_GOLDEN.read_text()).items() if v["exit"] == 0],
+    ids=str,
+)
+def test_derivation_equals_a_solve_in_the_m_first_column_order(provider, pair):
+    # column_system puts the cusp columns first; solving every row of the
+    # system with the M(q^delta) columns first must give the same X and Y
+    a, b = pair
+    basis = provider.basis_for(a * b)
+    f = derive_formula(a, b, basis)
+    rows, lhs = column_system(a, b, basis)
+    m = basis.dim_cusp
+    sol = solve([row[m:] + row[:m] for row in rows], lhs)
+    nd = len(sol) - m
+    assert f.x == dict(zip(basis.eisenstein, sol[:nd]))
+    assert f.y == sol[nd:]
 
 
 def test_provider_notes(provider):

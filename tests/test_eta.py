@@ -455,6 +455,20 @@ def test_vector_of_wrong_length_is_rejected(rs):
         EtaQuotient(10, rs)
 
 
+def test_make_and_replace_check_the_length():
+    # namedtuple's _make and _replace build through tuple.__new__ unless
+    # _make goes through EtaQuotient.__new__
+    message = "^level 10 has 4 divisors, got 1 exponents$"
+    for build in (
+        lambda: EtaQuotient(10, (1,)),
+        lambda: EtaQuotient(10, (1, 2, 3, 4))._replace(rs=(1,)),
+        lambda: EtaQuotient._make((10, (1,))),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert EtaQuotient(10, (1, 2, 3, 4))._replace(rs=(0, 0, 0, 8)) == EtaQuotient.make(10, {10: 8})
+
+
 def test_window_extremes_match_brute_force():
     # every multiset of m <= 4 weights from 1..5 and every B <= 3: the (min,
     # max) of sum w_j r_j at each t = -mB..mB over all |r_j| <= B summing to t

@@ -108,3 +108,29 @@ def test_fraction_rows_and_edge_cases():
     assert rank([]) == 0
     with pytest.raises(UnderdeterminedSystem, match="no equations"):
         solve([], [])
+
+
+@given(systems(), st.randoms(use_true_random=False))
+def test_column_order_changes_neither_rank_nor_solution(system, rnd):
+    # a column permutation keeps the rank after every row and the
+    # inconsistency flag, and permutes the unique solution the same way
+    rows, rhs = system
+    perm = list(range(len(rows[0])))
+    rnd.shuffle(perm)
+    ech, permuted = Echelon(len(perm)), Echelon(len(perm))
+    for row, b in zip(rows, rhs):
+        assert ech.add(row, b) == permuted.add([row[j] for j in perm], b)
+        assert (ech.rank, ech.inconsistent) == (permuted.rank, permuted.inconsistent)
+    if ech.rank == len(perm) and not ech.inconsistent:
+        (y, D), (py, pD) = ech.solution(), permuted.solution()
+        assert [Fraction(py[k], pD) for k in range(len(perm))] == [Fraction(y[j], D) for j in perm]
+
+
+def test_add_refuses_fraction_entries():
+    # rows are integers only; a Fraction would otherwise be floored by //
+    ech = Echelon(2)
+    with pytest.raises(TypeError):
+        ech.add([1, Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        ech.add([1, 2], Fraction(1, 2))
+    assert ech.rank == 0
