@@ -227,9 +227,7 @@ def cmd_repnum(args) -> int:
 def cmd_verify_paper(args) -> int:
     from . import verify as verify_mod  # verify-paper alone reads it
 
-    provider = FormulaProvider()
-    searches = {N: verify_mod.regeneration_search(N) for N in verify_mod.REGENERATION_LEVELS}
-    results = verify_mod.run_all(provider, searches)
+    results = verify_mod.run_all(FormulaProvider())
     doc = {
         "items": [
             {"item": r.item, "status": r.status, "detail": r.detail} for r in results

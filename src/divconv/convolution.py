@@ -35,7 +35,6 @@ from .linalg import Echelon, InconsistentSystem
 from .qseries import eisenstein_M, squared_difference
 from .spaces import (
     ModularBasis,
-    basis_precision,
     load_fixture_basis,
     repair_basis,
     sturm_bound,
@@ -139,13 +138,13 @@ DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direc
 def column_system(alpha: int, beta: int, basis: ModularBasis) -> tuple[list[tuple], list[int]]:
     """rows[n]: the q^n coefficients of each b_j, then of M(q^delta) for each
     delta | N ascending; lhs[n]: that of (alpha L(q^alpha) - beta L(q^beta))^2;
-    for n = 0..basis_precision(N).  The cusp columns come first: rows 1..m
+    for n = 0..basis.precision.  The cusp columns come first: rows 1..m
     of a basis of orders 1..m are unit lower triangular in them, so the
     elimination's first m pivots stay 1."""
     N = alpha * beta
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
-    T = basis_precision(N)
+    T = basis.precision
     # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
     M = eisenstein_M(1, T).coeffs
     cols = [s.coeffs for s in basis.cusp_series]
@@ -165,7 +164,7 @@ def first_residual_row(rows, lhs, scaled, den: int, upto: int):
 
 def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
-    T = basis_precision(N), the basis's own precision.
+    T = basis.precision, the depth every basis builder expands to.
 
     The system is column_system's.  Sample rows of that matrix go into one
     incremental fraction-free elimination: row 0 (the constant row,

@@ -1,10 +1,11 @@
 """Truncated integer q-series.
 
 A QSeries tracks the integer coefficients of q^0 .. q^T for a declared
-precision T and never invents values beyond it: products and sums carry the
-minimum of the operand precisions.  Every series the method expands is
-integral (L(q^t), M(q^t), the squared difference and every eta quotient);
-only the solved X_delta and Y_j are rational, and they never enter a QSeries.
+precision T and never invents values beyond it: its one operation, the
+product, carries the minimum of the operand precisions.  Every series the
+method expands is integral (L(q^t), M(q^t), the squared difference and every
+eta quotient); only the solved X_delta and Y_j are rational, and they never
+enter a QSeries.
 
 A product is one big-integer multiplication (Kronecker substitution; see
 Harvey, J. Symb. Comput. 44, 2009): each operand is packed into one int, a
@@ -17,16 +18,17 @@ Provides the weight-2 and weight-4 Eisenstein series
 
     L(q) = 1 - 24 sum sigma(n) q^n,      M(q) = 1 + 240 sum sigma_3(n) q^n,
 
-L(q) - t*L(q^t) read off a given L(q), the squared difference
-(a*L(q^a) - b*L(q^b))^2, and eta-quotient expansions.  An eta quotient
-prod eta(delta*z)^{r_delta} is q^s times prod (1 - q^{delta n})^{r_delta},
-a series in q^g for g the gcd of the keys delta with r_delta != 0; only its
-(T - s)//g + 1 rows in q^g that survive the shift by s are computed, then
-spread to every g-th row.  Each factor goes in as sparse series (Koehler,
-Eta Products and Theta Series Identities, 2011, ch. 1): |r| // 3 copies of
-Jacobi's cube sum (-1)^j (2j+1) q^{delta j(j+1)/2} and |r| % 3 of Euler's
-pentagonal sum (-1)^k q^{delta k(3k-1)/2}.  The first two multipliers make
-one sparse-by-sparse product; each later multiplication adds every term's
+each L(q^t) from its one builder, L(q) - t*L(q^t) read off a given L(q),
+the squared difference (a*L(q^a) - b*L(q^b))^2 of two L(q^t), and
+eta-quotient expansions.  An eta quotient prod eta(delta*z)^{r_delta} is
+q^s times prod (1 - q^{delta n})^{r_delta}, a series in q^g for g the gcd
+of the keys delta with r_delta != 0; only its (T - s)//g + 1 rows in q^g
+that survive the shift by s are computed, then spread to every g-th row.
+Each factor goes in as sparse series (Koehler, Eta Products and Theta
+Series Identities, 2011, ch. 1): |r| // 3 copies of Jacobi's cube sum
+(-1)^j (2j+1) q^{delta j(j+1)/2} and |r| % 3 of Euler's pentagonal sum
+(-1)^k q^{delta k(3k-1)/2}.  The first two multipliers make one
+sparse-by-sparse product; each later multiplication adds every term's
 shifted, scaled copy of the whole list in one step, and each division runs
 the scalar recurrence.
 """
@@ -75,12 +77,6 @@ class QSeries:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QSeries[T={self.precision}]({head}{', ...' if self.precision > 5 else ''})"
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return QSeries(map(add, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return QSeries(map(sub, self.coeffs, other.coeffs))
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -112,9 +108,6 @@ class QSeries:
         digits = low.to_bytes(width, "little")
         unpack = int.from_bytes
         return QSeries([unpack(digits[i : i + size], "little") - half for i in range(0, width, size)])
-
-    def scale(self, c: int) -> "QSeries":
-        return QSeries(c * x for x in self.coeffs)
 
 
 def _check_precision(T: int) -> None:
@@ -160,14 +153,11 @@ def eisenstein_weight2(t: int, L: QSeries) -> QSeries:
 
 
 def squared_difference(alpha: int, beta: int, T: int) -> QSeries:
-    """(alpha*L(q^alpha) - beta*L(q^beta))^2; the difference is one list read off sigma."""
+    """(alpha*L(q^alpha) - beta*L(q^beta))^2, the difference read off both eisenstein_L."""
     if alpha < 1 or beta < 1:
         raise ValueError("squared_difference: alpha, beta must be >= 1")
-    _check_precision(T)
-    d = [alpha - beta] + [0] * T
-    for t, c in ((alpha, -24 * alpha), (beta, 24 * beta)):
-        d[t::t] = map(add, d[t::t], [c * sigma(1, n) for n in range(1, T // t + 1)])
-    d = QSeries(d)
+    La, Lb = eisenstein_L(alpha, T).coeffs, eisenstein_L(beta, T).coeffs
+    d = QSeries([alpha * x - beta * y for x, y in zip(La, Lb)])
     return d * d
 
 

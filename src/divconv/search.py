@@ -6,9 +6,9 @@ compiles it.  Each returns exponent vectors over ascending divisors;
 Both searches work with the integer cusp sums S_d = sum_delta A[d][delta] *
 r_delta, A[d][delta] = gcd(d, delta)^2 * N/delta, so S_d > 0 is the cusp
 condition at d and S_N = 24*N*(order at infinity), and with the valence
-identity
+identity, taken times N so that every weight is an integer (g_d * d | N),
 
-    sum_{d | N} phi(g_d)/(g_d * d) * S_d = k2 * mu(N),   g_d = gcd(d, N/d),
+    sum_{d | N} N*phi(g_d)/(g_d * d) * S_d = k2 * N * mu(N),   g_d = gcd(d, N/d),
 
 k2 = sum r_delta, which bounds every S_d above once all are positive.
 
@@ -53,14 +53,15 @@ is a positive integer, S_d = 24 * g_d * d * v_d, and the valence identity
 reads sum phi(g_d) * v_d = k2 * mu / 24.  The search enumerates those
 weighted compositions, maps each v back to r = A^-1 * S and keeps it when r
 is integral, |r_delta| <= bound, v_N <= max_order and (ii) holds; (i) and
-the companion congruence are v_N and v_1 being integers.  There are at most
+the companion congruence are v_N and v_1 being integers.  It works with
+D * r = (D * A^-1) * S: A^-1 comes as integer numerators over one pivot den,
+and D is |den| over its gcd with every numerator.  There are at most
 C(k2*mu/24 - 1, #divisors - 1) compositions; above
 STRICT_COMPOSITION_CEILING the search raises SearchCeilingError at once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 
@@ -87,6 +88,17 @@ def _window_extremes(asc: list[int], B: int) -> dict[int, tuple[int, int]]:
         hi += asc[m - 1 - k // run]
         out[k + 1 - m * B] = (lo, hi)
     return out
+
+
+def _windows(N: int, k2: int, max_order: int) -> tuple[list[int], list[int]]:
+    """(floors, caps) of the cusp sums S_d over ascending d | N; see the module docstring."""
+    divs = divisors(N)
+    coefs = [N * euler_phi(gcd(c, N // c)) // (gcd(c, N // c) * c) for c in divs]
+    floors = [1] * (len(divs) - 1) + [24 * N]
+    slack = k2 * index_mu(N) * N - sum(c * f for c, f in zip(coefs, floors))
+    caps = [f + slack // c for c, f in zip(coefs, floors)]
+    caps[-1] = min(caps[-1], 24 * N * max_order)
+    return floors, caps
 
 
 def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ...]]:
@@ -120,13 +132,7 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
     head = max(nd - 3, 1)  # exponents the DFS assigns; the table holds the rest
     w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
-    coefs = [Fraction(euler_phi(gcd(c, N // c)), gcd(c, N // c) * c) for c in divs]
-    floors = [1] * nd
-    floors[-1] = 24 * N
-    # what the valence identity leaves once every S_d is at its floor
-    slack = k2 * index_mu(N) - sum(c * f for c, f in zip(coefs, floors))
-    caps = [f + slack // c for c, f in zip(coefs, floors)]
-    caps[-1] = min(caps[-1], 24 * N * max_order)
+    floors, caps = _windows(N, k2, max_order)
     # Slot bound: every tested slot value is S_d + add_d - floor_d or
     # cap_d - S_d - add_d, or the same with the extreme of the later
     # exponents in place of add_d.  All exponents together move S_d by at
@@ -271,6 +277,21 @@ def _column_hermite(M: list[list[int]]) -> list[list[int]]:
     return H
 
 
+def _scaled_inverse(A: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(columns of D * A^-1, D), D > 0 least with them integral.  Column j
+    solves A * x = e_j over the last pivot den, the same for every j: the
+    same rows go in in the same order."""
+    cols = []
+    for j in range(len(A)):
+        ech = Echelon(len(A))
+        for i, row in enumerate(A):
+            ech.add(row, int(i == j))
+        ys, den = ech.solution()
+        cols.append(ys)
+    D = abs(den) // gcd(den, *(y for col in cols for y in col))
+    return [[y // (den // D) for y in col] for col in cols], D
+
+
 def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ...]]:
     """Exponent vectors of the strict quotients, over ascending divisors,
     from their cusp orders; see the module docstring.
@@ -294,19 +315,11 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
             f"compositions exceed the ceiling of {STRICT_COMPOSITION_CEILING}"
         )
     A = [[gcd(d, e) ** 2 * (N // e) for e in divs] for d in divs]
-    # r = A^-1 * S = C * v / D with C = D * A^-1 * diag(s) integral;
-    # column j of A^-1 solves A * x = e_j
-    inv_cols = []
-    for j in range(nd):
-        ech = Echelon(nd)
-        for i, row in enumerate(A):
-            ech.add(row, int(i == j))
-        ys, den = ech.solution()
-        inv_cols.append([Fraction(y, den) for y in ys])
-    D = lcm(*(x.denominator for col in inv_cols for x in col))
+    # r = A^-1 * S = C * v / D with C = D * A^-1 * diag(s) integral
+    inv_cols, D = _scaled_inverse(A)
     g = [gcd(d, N // d) for d in divs]
     s = [24 * gd * d for gd, d in zip(g, divs)]  # S_d = s_d * v_d
-    cols = [[int(x * D) * sd for x in col] for sd, col in zip(s, inv_cols)]
+    cols = [[y * sd for y in col] for sd, col in zip(s, inv_cols)]
     # the cusps with the largest columns go first (then the larger d), so
     # that the columns left bound each later r_delta tightly
     order = sorted(range(nd), key=lambda j: (-max(map(abs, cols[j])), -j))

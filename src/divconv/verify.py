@@ -532,13 +532,13 @@ def check_classical_identities() -> list[ItemResult]:
     ]
 
 
-def run_all(provider: FormulaProvider, searches: dict[int, set[EtaQuotient]]) -> list[ItemResult]:
-    """Every verify-paper item, in report order; searches maps each of
-    REGENERATION_LEVELS to its regeneration_search output."""
+def run_all(provider: FormulaProvider) -> list[ItemResult]:
+    """Every verify-paper item, in report order, with the regeneration
+    search run at each of REGENERATION_LEVELS."""
     results: list[ItemResult] = []
     results += check_dimensions()
     results += check_tables_cuspidality()
-    results += check_search_regeneration(searches)
+    results += check_search_regeneration({N: regeneration_search(N) for N in REGENERATION_LEVELS})
     results += check_substitution_claims()
     results += check_published_formulas()
     results += check_oracle_equivalence(provider)

@@ -250,8 +250,7 @@ def test_global_flags_before_and_after_the_subcommand_agree(capsys, monkeypatch,
     from divconv import verify
 
     # verify-paper runs two cheap items and no regeneration search
-    monkeypatch.setattr(verify, "REGENERATION_LEVELS", ())
-    cheap_items = lambda provider, searches: verify.check_dimensions() + verify.check_omega_sets()
+    cheap_items = lambda provider: verify.check_dimensions() + verify.check_omega_sets()
     monkeypatch.setattr(verify, "run_all", cheap_items)
     cmd = argv.split()
     runs = []

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divconv import cli, fixtures, published
-from divconv.arith import classify_level, divisors, index_mu
+from divconv.arith import classify_level, divisors, euler_phi, index_mu
 from divconv.eta import (
     SEARCH_BOUND_CEILING,
     STRICT_COMPOSITION_CEILING,
@@ -26,7 +26,7 @@ from divconv.eta import (
     substitution_scale,
 )
 from divconv.qseries import eta_quotient_series
-from divconv.search import _window_extremes
+from divconv.search import _scaled_inverse, _window_extremes, _windows
 from divconv.spaces import profile, search_max_order
 
 
@@ -481,6 +481,43 @@ def test_window_extremes_match_brute_force():
                     lo, hi = ext.get(t, (v, v))
                     ext[t] = (min(lo, v), max(hi, v))
                 assert _window_extremes(list(ws), B) == ext, (ws, B)
+
+
+def _fraction_inverse(A):
+    """A^-1 as Fraction columns, by Gauss-Jordan elimination."""
+    n = len(A)
+    M = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(A)
+    ]
+    for c in range(n):
+        p = next(i for i in range(c, n) if M[i][c])
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for i in range(n):
+            if i != c and M[i][c]:
+                M[i] = [x - M[i][c] * y for x, y in zip(M[i], M[c])]
+    return [[M[i][n + j] for i in range(n)] for j in range(n)]
+
+
+def test_search_windows_and_inverse_match_fractions():
+    # the integer caps and D * A^-1 of both searches against the same
+    # quantities in Fractions: the valence identity with the weights
+    # phi(g_d)/(g_d*d), and D the lcm of the reduced denominators of A^-1
+    for N in (N for N in range(1, 200) if classify_level(N).in_class):
+        divs = divisors(N)
+        g = [gcd(d, N // d) for d in divs]
+        coefs = [Fraction(euler_phi(gd), gd * d) for gd, d in zip(g, divs)]
+        floors = [1] * (len(divs) - 1) + [24 * N]
+        for k2, max_order in product((4, 8), (1, N)):
+            slack = k2 * index_mu(N) - sum(c * f for c, f in zip(coefs, floors))
+            caps = [f + slack // c for c, f in zip(coefs, floors)]
+            caps[-1] = min(caps[-1], 24 * N * max_order)
+            assert _windows(N, k2, max_order) == (floors, caps), (N, k2, max_order)
+        A = [[gcd(d, e) ** 2 * (N // e) for e in divs] for d in divs]
+        inv = _fraction_inverse(A)
+        D = lcm(*(x.denominator for col in inv for x in col))
+        assert _scaled_inverse(A) == ([[int(x * D) for x in col] for col in inv], D), N
 
 
 def test_substitute_and_at_level():

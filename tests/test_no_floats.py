@@ -57,3 +57,29 @@ def test_float_guard_sees_each_form():
         "4: call of round",
         "5: math.log",
     ]
+
+
+# the layers whose data are integers: eta/Eisenstein series, the searches,
+# the bases and the representation counts
+INTEGER_LAYERS = ["arith", "qseries", "search", "spaces", "representation"]
+
+
+def fraction_imports(source: str) -> list[str]:
+    """Each import of the fractions module in the source, as 'line: import'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"{node.lineno}: from fractions")
+        elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            found.append(f"{node.lineno}: import fractions")
+    return found
+
+
+@pytest.mark.parametrize("name", INTEGER_LAYERS)
+def test_integer_layers_import_no_fractions(name):
+    assert fraction_imports((SRC / f"{name}.py").read_text()) == []
+
+
+def test_fraction_guard_sees_each_form():
+    source = "import os, fractions\nfrom fractions import Fraction\nimport fractionsx\n"
+    assert fraction_imports(source) == ["1: import fractions", "2: from fractions"]

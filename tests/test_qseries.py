@@ -1,3 +1,5 @@
+from operator import add
+
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -26,13 +28,6 @@ def one(T):
 small_series = st.builds(
     QSeries, st.lists(st.integers(-9, 9), min_size=5, max_size=9)
 )
-
-
-def test_add_scale_examples():
-    L = eisenstein_L(1, 30)
-    assert (L + L.scale(-1)) == zero(30)
-    assert eisenstein_M(1, 20).scale(0) == zero(20)
-    assert L.scale(2).coefficient(1) == -48
 
 
 def schoolbook_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -113,16 +108,18 @@ def test_mul_associative_and_distributive(a, b, c):
     def cut(s):
         return QSeries(s.coeffs[: t + 1])
 
+    def plus(x, y):
+        return QSeries(map(add, x.coeffs, y.coeffs))
+
     a, b, c = cut(a), cut(b), cut(c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a * plus(b, c) == plus(a * b, a * c)
 
 
 def test_precision_rules():
     a = one(10)
     b = one(5)
     assert (a * b).precision == 5
-    assert (a + b).precision == 5
     with pytest.raises(ValueError):
         a.coefficient(11)
 
@@ -158,7 +155,8 @@ def test_weight2_combination():
 @given(st.integers(2, 60), st.integers(0, 120))
 def test_weight2_matches_two_expansions(t, T):
     L = eisenstein_L(1, T)
-    assert eisenstein_weight2(t, L) == L - eisenstein_L(t, T).scale(t)
+    Lt = eisenstein_L(t, T)
+    assert eisenstein_weight2(t, L).coeffs == tuple(x - t * y for x, y in zip(L.coeffs, Lt.coeffs))
 
 
 def test_squared_difference_constants():

@@ -6,7 +6,7 @@ from divconv import fixtures
 from divconv.arith import classify_level, num_divisors
 from divconv.eta import EtaQuotient
 from divconv.linalg import rank
-from divconv.qseries import eisenstein_L, eta_quotient_series
+from divconv.qseries import QSeries, eisenstein_L, eta_quotient_series
 from divconv import spaces
 from divconv.spaces import (
     BASIS_LEVEL_CEILING,
@@ -218,7 +218,8 @@ def generator_series(g: CuspGenerator, T: int):
     s = eta_quotient_series(g.eta.exponent_map, T)
     if g.kind == KIND_PRODUCT:
         t = g.e2_scale
-        return s * (eisenstein_L(1, T) - eisenstein_L(t, T).scale(t))
+        L, Lt = eisenstein_L(1, T).coeffs, eisenstein_L(t, T).coeffs
+        return s * QSeries(x - t * y for x, y in zip(L, Lt))
     return s
 
 
