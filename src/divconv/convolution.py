@@ -32,7 +32,7 @@ from operator import mul
 
 from .arith import coprime_pairs, divisors, sigma, sigma_scaled
 from .linalg import Echelon, InconsistentSystem
-from .qseries import eisenstein_M, squared_difference
+from .qseries import QSeries, eisenstein_M, squared_difference
 from .spaces import (
     ModularBasis,
     load_fixture_basis,
@@ -135,24 +135,27 @@ class ConvolutionFormula(namedtuple("ConvolutionFormula", "alpha beta level x y 
 DIRECT_SUM_MAX_N = 10**5  # the largest n dispatch_W answers with the O(n) direct sum
 
 
-def column_system(alpha: int, beta: int, basis: ModularBasis) -> tuple[list[tuple], list[int]]:
+def column_system(
+    alpha: int, beta: int, basis: ModularBasis, M: QSeries | None = None, lhs: QSeries | None = None
+) -> tuple[list[tuple], list[int]]:
     """rows[n]: the q^n coefficients of each b_j, then of M(q^delta) for each
     delta | N ascending; lhs[n]: that of (alpha L(q^alpha) - beta L(q^beta))^2;
     for n = 0..basis.precision.  The cusp columns come first: rows 1..m
     of a basis of orders 1..m are unit lower triangular in them, so the
-    elimination's first m pivots stay 1."""
+    elimination's first m pivots stay 1.  M(q) and the squared difference
+    are built here unless given, each to basis.precision."""
     N = alpha * beta
     if basis.level != N:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {N}")
     T = basis.precision
     # M(q^delta) has M(q)'s q^n coefficient at q^{delta n}, so one M(q) gives all
-    M = eisenstein_M(1, T).coeffs
+    M = (M or eisenstein_M(1, T)).coeffs
     cols = [s.coeffs for s in basis.cusp_series]
     for d in divisors(N):
         col = [0] * (T + 1)
         col[::d] = M[: T // d + 1]
         cols.append(col)
-    return list(zip(*cols)), squared_difference(alpha, beta, T).coeffs
+    return list(zip(*cols)), (lhs or squared_difference(alpha, beta, T)).coeffs
 
 
 def first_residual_row(rows, lhs, scaled, den: int, upto: int):
@@ -162,12 +165,15 @@ def first_residual_row(rows, lhs, scaled, den: int, upto: int):
     return next((n for n in ns if sum(map(mul, scaled, rows[n])) != den * lhs[n]), None)
 
 
-def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
+def derive_formula(
+    alpha: int, beta: int, basis: ModularBasis, M: QSeries | None = None, lhs: QSeries | None = None
+) -> ConvolutionFormula:
     """Solve for (X_delta, Y_j) and verify the identity on every row up to
     T = basis.precision, the depth every basis builder expands to.
 
-    The system is column_system's.  Sample rows of that matrix go into one
-    incremental fraction-free elimination: row 0 (the constant row,
+    The system is column_system's, on M(q) and the squared difference lhs
+    when given.  Sample rows of that matrix go into one incremental
+    fraction-free elimination: row 0 (the constant row,
     sum X_delta = (alpha-beta)^2), then the q^n rows for n in D(N) union
     {1..m_S}, filled up to nunk + 4 rows with further indices, then one row
     at a time until the rank reaches nunk.  Consistency is judged over
@@ -177,7 +183,7 @@ def derive_formula(alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFor
     """
     if gcd(alpha, beta) != 1:
         raise ValueError("derive_formula: alpha and beta must be coprime")
-    rows, lhs = column_system(alpha, beta, basis)
+    rows, lhs = column_system(alpha, beta, basis, M, lhs)
     N = alpha * beta
     T = len(rows) - 1
     divs = divisors(N)
@@ -239,11 +245,27 @@ class FormulaProvider:
     at eta.SEARCH_BOUND), which carries the fixture's failure as its
     fixture_failure.  Each level has one basis, fixed once resolved; the
     formulas of all pairs at that level share it.
+
+    Every derivation here reads M(q) and its pair's squared difference off
+    the provider, which builds M(q) once per basis precision and each pair's
+    squared difference once, and keeps both while it exists.  So a
+    derivation on the repaired basis after a failed fixture probe, and the
+    other pairs of a level after the probe, build neither again.
     """
 
     def __init__(self):
         self._formulas: dict[tuple[int, int], ConvolutionFormula] = {}
         self._bases: dict[int, ModularBasis] = {}
+        self._M: dict[int, QSeries] = {}  # by precision
+        self._lhs: dict[tuple[int, int], QSeries] = {}  # by pair, at its level's precision
+
+    def _derive(self, alpha: int, beta: int, basis: ModularBasis) -> ConvolutionFormula:
+        T = basis.precision
+        if T not in self._M:
+            self._M[T] = eisenstein_M(1, T)
+        if (alpha, beta) not in self._lhs:
+            self._lhs[(alpha, beta)] = squared_difference(alpha, beta, T)
+        return derive_formula(alpha, beta, basis, self._M[T], self._lhs[(alpha, beta)])
 
     def basis_for(self, level: int) -> ModularBasis:
         if level in self._bases:
@@ -253,7 +275,7 @@ class FormulaProvider:
             fb = load_fixture_basis(level)
             probe = min((b for a, b in coprime_pairs(level) if a < b), default=level)
             try:
-                f = derive_formula(level // probe, probe, fb)
+                f = self._derive(level // probe, probe, fb)
                 self._formulas[(f.alpha, f.beta)] = f
                 basis = fb
             except DerivationError as e:
@@ -274,7 +296,7 @@ class FormulaProvider:
             basis = self.basis_for(alpha * beta)
             # the fixture probe inside basis_for may have derived this pair
             if key not in self._formulas:
-                self._formulas[key] = derive_formula(alpha, beta, basis)
+                self._formulas[key] = self._derive(alpha, beta, basis)
         return self._formulas[key]
 
     def w(self, alpha: int, beta: int, n: int) -> int:

@@ -32,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from .arith import FACTORIZE_CACHE_SIZE, divisors, factorize
 
@@ -40,6 +41,18 @@ from .arith import FACTORIZE_CACHE_SIZE, divisors, factorize
 def _slots(level: int) -> dict[int, int]:
     """delta -> its index among the ascending divisors of level; read only."""
     return {d: i for i, d in enumerate(divisors(level))}
+
+
+# a level with nd divisors holds nd^2 entries: 4,096 at the 64 divisors of
+# 9240, the most of any class level under spaces.BASIS_LEVEL_CEILING, about
+# 0.15 MB; a repair at N reads the matrix of each divisor of N
+@lru_cache(maxsize=128)
+def cusp_matrix(level: int) -> tuple[tuple[int, ...], ...]:
+    """A[d][delta] = gcd(d, delta)^2 * level/delta over the ascending divisors
+    d, delta of level, so that S_d = sum_delta A[d][delta] * r_delta is
+    level times the order sum at the cusp 1/d of condition (iv); read only."""
+    divs = divisors(level)
+    return tuple(tuple(gcd(d, e) ** 2 * (level // e) for e in divs) for d in divs)
 
 
 class EtaQuotient(namedtuple("EtaQuotient", "level rs")):
@@ -100,7 +113,10 @@ LigozatReport = namedtuple(
 
 
 def ligozat_check(e: EtaQuotient) -> LigozatReport:
-    """Evaluate conditions (i)-(iv') exactly; orders kept un-normalized."""
+    """Evaluate conditions (i)-(iv') exactly; orders kept un-normalized.
+
+    (iv) is judged on the integer cusp sums S_d of `cusp_matrix`; only the
+    report's orders, S_d / N, are Fractions."""
     N = e.level
     exps = e.exponent_map
     s24 = sum(d * r for d, r in exps.items())
@@ -108,13 +124,10 @@ def ligozat_check(e: EtaQuotient) -> LigozatReport:
     cond_ii = is_square_product(exps)
     ssum = sum(exps.values())
     cond_iii = ssum > 0 and ssum % 4 == 0
-    # sum_delta gcd(d, delta)^2 r_delta / delta over the common denominator N
-    orders = {
-        d: Fraction(sum(gcd(d, delta) ** 2 * r * (N // delta) for delta, r in exps.items()), N)
-        for d in divisors(N)
-    }
-    modular = cond_i and cond_ii and cond_iii and all(v >= 0 for v in orders.values())
-    cusp = cond_i and cond_ii and cond_iii and all(v > 0 for v in orders.values())
+    sums = [sum(map(mul, row, e.rs)) for row in cusp_matrix(N)]
+    orders = {d: Fraction(S, N) for d, S in zip(divisors(N), sums)}
+    modular = cond_i and cond_ii and cond_iii and min(sums) >= 0
+    cusp = cond_i and cond_ii and cond_iii and min(sums) > 0
     return LigozatReport(cond_i, cond_ii, cond_iii, orders, is_modular=modular, is_cusp=cusp)
 
 

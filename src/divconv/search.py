@@ -4,9 +4,10 @@ compiles it.  Each returns exponent vectors over ascending divisors;
 (i)-(iv) are the membership conditions of `eta`.
 
 Both searches work with the integer cusp sums S_d = sum_delta A[d][delta] *
-r_delta, A[d][delta] = gcd(d, delta)^2 * N/delta, so S_d > 0 is the cusp
-condition at d and S_N = 24*N*(order at infinity), and with the valence
-identity, taken times N so that every weight is an integer (g_d * d | N),
+r_delta, A[d][delta] = gcd(d, delta)^2 * N/delta (`eta.cusp_matrix`, built
+once per level), so S_d > 0 is the cusp condition at d and S_N = 24*N*(order
+at infinity), and with the valence identity, taken times N so that every
+weight is an integer (g_d * d | N),
 
     sum_{d | N} N*phi(g_d)/(g_d * d) * S_d = k2 * N * mu(N),   g_d = gcd(d, N/d),
 
@@ -66,7 +67,13 @@ from functools import reduce
 from math import comb, gcd, lcm
 
 from .arith import divisors, euler_phi, factorize, index_mu, prime_factors
-from .eta import SEARCH_BOUND_CEILING, STRICT_COMPOSITION_CEILING, SearchCeilingError, is_square_product
+from .eta import (
+    SEARCH_BOUND_CEILING,
+    STRICT_COMPOSITION_CEILING,
+    SearchCeilingError,
+    cusp_matrix,
+    is_square_product,
+)
 from .linalg import Echelon
 
 
@@ -131,7 +138,7 @@ def _search_range(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, ..
     nd = len(divs)
     proc = divs[::-1]  # exponents are assigned from delta = N down to delta = 1
     head = max(nd - 3, 1)  # exponents the DFS assigns; the table holds the rest
-    w = [[gcd(c, d) ** 2 * (N // d) for d in proc] for c in divs]
+    w = [row[::-1] for row in cusp_matrix(N)]  # the columns in proc's order
     floors, caps = _windows(N, k2, max_order)
     # Slot bound: every tested slot value is S_d + add_d - floor_d or
     # cap_d - S_d - add_d, or the same with the extreme of the later
@@ -261,7 +268,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _column_hermite(M: list[list[int]]) -> list[list[int]]:
     """Lower-triangular H = M * U, U unimodular, by integer column operations."""
-    H = [row[:] for row in M]
+    H = [list(row) for row in M]
     n = len(H)
     for i in range(n):
         for j in range(i + 1, n):
@@ -314,7 +321,7 @@ def _search_strict(N: int, k2: int, B: int, max_order: int) -> list[tuple[int, .
             f"strict search at level {N}, weight {k2 // 2}: {count} cusp-order "
             f"compositions exceed the ceiling of {STRICT_COMPOSITION_CEILING}"
         )
-    A = [[gcd(d, e) ** 2 * (N // e) for e in divs] for d in divs]
+    A = cusp_matrix(N)
     # r = A^-1 * S = C * v / D with C = D * A^-1 * diag(s) integral
     inv_cols, D = _scaled_inverse(A)
     g = [gcd(d, N // d) for d in divs]

@@ -11,8 +11,10 @@ multiplied by weight-2 Eisenstein combinations).
 `qseries.eta_quotient_series` in the package (an `EtaQuotient` is exponent
 data and expands nothing itself): building a basis, re-expanding it
 (`ModularBasis.at_precision`) and the Case 2 rank test of
-`select_cusp_basis` expand each distinct eta quotient once and L(q) once
-per call, and read every L(q) - t*L(q^t) off that one L(q).
+`select_cusp_basis` each make one call.  Within it a quotient and its
+q -> q^k images share one reduced product, expanded once unless an image
+was met first and holds too few rows (see `expand`), and L(q) is expanded
+once, with every L(q) - t*L(q^t) read off it.
 
 basis_precision(N) is the one decision on depth: every builder expands a
 level's basis to that many q-rows, and a formula derived on it is sampled
@@ -133,17 +135,33 @@ class CuspGenerator(namedtuple("CuspGenerator", "kind eta e2_scale", defaults=(N
 def expand(generators: Iterable[CuspGenerator], T: int) -> Iterator[QSeries]:
     """Each generator's series to T, in order and only as far as it is read.
 
-    Within the call each distinct eta quotient is expanded once and L(q)
-    once, and every L(q) - t*L(q^t) is read off that one L(q); nothing is
-    kept across calls.
+    An eta quotient with leading power s and g the gcd of its deltas is
+    q^s * P(q^g), P = prod (1 - q^{(delta/g) n})^{r_delta} its reduced
+    product, which the quotient shares with its q -> q^k images (s and g
+    times k).  Within the call P is kept per reduced exponents, as the rows
+    of the last quotient expanded with them; a quotient whose
+    (T - s)//g + 1 rows that table holds is read off it, and any other is
+    expanded by `eta_quotient_series` and replaces the table's rows.  So
+    every image read after its source costs no expansion, and an image read
+    first costs its source one.  L(q) is expanded once and every
+    L(q) - t*L(q^t) read off it; nothing is kept across calls.
     """
-    etas: dict[EtaQuotient, QSeries] = {}
+    products: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
     weight2: dict[int, QSeries] = {}
     L = None
     for g in generators:
-        s = etas.get(g.eta)
-        if s is None:
-            s = etas[g.eta] = eta_quotient_series(g.eta.exponent_map, T)
+        pairs = g.eta.exponents
+        step = gcd(*(d for d, _ in pairs)) or 1
+        key = tuple((d // step, r) for d, r in pairs)
+        lead, rows = order_at_infinity(g.eta), products.get(key, ())
+        n = (T - lead) // step + 1  # the rows of P the quotient reads
+        if len(rows) >= n:
+            cs = [0] * (T + 1)
+            cs[lead::step] = rows[: max(n, 0)]
+            s = QSeries(cs)
+        else:
+            s = eta_quotient_series(g.eta.exponent_map, T)
+            products[key] = s.coeffs[lead::step]
         if g.kind == KIND_PRODUCT:
             if g.e2_scale not in weight2:
                 if L is None:

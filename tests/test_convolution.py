@@ -309,6 +309,39 @@ def test_provider_keeps_fixture_probe_formula(monkeypatch):
     assert all(evaluate_W(f, n) == brute_force_W(3, 4, n) for n in range(1, 101))
 
 
+@pytest.mark.parametrize(
+    "pair, derived",
+    [((3, 11), [(3, 11), (3, 11)]), ((1, 10), [(2, 5), (1, 10)])],
+    ids=["33-probe-fails", "10-probe-other-pair"],
+)
+def test_provider_builds_each_series_once(monkeypatch, pair, derived):
+    # level 33's probe (3, 11) fails on the fixture basis and derives again
+    # on the repaired one; level 10's probe (2, 5) comes before (1, 10)
+    from divconv import convolution
+
+    calls = []
+
+    def counted(name):
+        real = getattr(convolution, name)
+
+        def call(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(convolution, name, call)
+
+    for name in ("derive_formula", "eisenstein_M", "squared_difference"):
+        counted(name)
+    f = FormulaProvider().formula(*pair)
+    T = f.basis.precision
+    assert [args[:2] for name, args in calls if name == "derive_formula"] == derived
+    assert [args for name, args in calls if name == "eisenstein_M"] == [(1, T)]
+    assert [args for name, args in calls if name == "squared_difference"] == [
+        (*p, T) for p in dict.fromkeys(derived)
+    ]
+    assert all(evaluate_W(f, n) == brute_force_W(*pair, n) for n in range(1, 101))
+
+
 def test_basis_independence_level_12(provider):
     f_fix = provider.formula(1, 12)
     f_rep = derive_formula(1, 12, repair_basis(12))

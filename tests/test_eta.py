@@ -19,6 +19,7 @@ from divconv.eta import (
     SEARCH_BOUND_CEILING,
     STRICT_COMPOSITION_CEILING,
     EtaQuotient,
+    LigozatReport,
     SearchCeilingError,
     ligozat_check,
     order_at_infinity,
@@ -393,24 +394,37 @@ def test_ligozat_orders_are_exact_rationals():
 
 @st.composite
 def level_quotients(draw):
-    N = draw(st.sampled_from([24, 40, 56]))
+    N = draw(st.sampled_from(CLASS_LEVELS))
     return EtaQuotient.make(N, {d: draw(st.integers(-12, 12)) for d in divisors(N)})
+
+
+def _ligozat_by_fractions(e):
+    """ligozat_check with each order sum a Fraction, as it read before the
+    integer cusp sums, kept as its oracle."""
+    N, exps = e.level, e.exponent_map
+    s24, ssum = sum(d * r for d, r in exps.items()), sum(exps.values())
+    conditions = (s24 % 24 == 0, is_square_product_by_value(exps), ssum > 0 and ssum % 4 == 0)
+    orders = {
+        d: sum(Fraction(gcd(d, delta) ** 2 * r, delta) for delta, r in exps.items())
+        for d in divisors(N)
+    }
+    return LigozatReport(
+        *conditions,
+        orders,
+        is_modular=all(conditions) and all(v >= 0 for v in orders.values()),
+        is_cusp=all(conditions) and all(v > 0 for v in orders.values()),
+    )
 
 
 @example(EtaQuotient.make(24, {}))
 @example(EtaQuotient.make(56, {1: 12, 56: -12}))
+@example(EtaQuotient.make(33, {1: 3, 3: 1, 11: 3, 33: 1}))  # a cusp form
+@example(EtaQuotient.make(4, {1: -8, 2: 20, 4: -8}))  # modular, order 0 at d = 1 and 4
 @given(level_quotients())
 def test_ligozat_orders_match_fraction_sum(e):
     rep = ligozat_check(e)
-    orders = {
-        d: sum(Fraction(gcd(d, delta) ** 2 * r, delta) for delta, r in e.exponents)
-        for d in divisors(e.level)
-    }
-    assert rep.orders == orders
+    assert rep._asdict() == _ligozat_by_fractions(e)._asdict()
     assert all(isinstance(v, Fraction) for v in rep.orders.values())
-    conditions = rep.cond_i and rep.cond_ii and rep.cond_iii
-    assert rep.is_modular == (conditions and all(v >= 0 for v in orders.values()))
-    assert rep.is_cusp == (conditions and all(v > 0 for v in orders.values()))
 
 
 def test_eta_quotient_level_guard():

@@ -1,15 +1,18 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from divconv import fixtures
-from divconv.arith import classify_level, num_divisors
+from divconv.arith import classify_level, divisors, num_divisors
 from divconv.eta import EtaQuotient
 from divconv.linalg import rank
 from divconv.qseries import QSeries, eisenstein_L, eta_quotient_series
 from divconv import spaces
 from divconv.spaces import (
     BASIS_LEVEL_CEILING,
+    KIND_ETA,
     KIND_PRODUCT,
     CuspGenerator,
     UnsupportedLevelError,
@@ -224,11 +227,11 @@ def generator_series(g: CuspGenerator, T: int):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: repair_basis(33), lambda: repair_basis(42), lambda: load_fixture_basis(56)],
+    "build, expansions",
+    [(lambda: repair_basis(33), 3), (lambda: repair_basis(42), 4), (lambda: load_fixture_basis(56), 13)],
     ids=["33-repaired", "42-repaired", "56-fixture"],
 )
-def test_build_basis_expands_each_series_once(monkeypatch, build):
+def test_build_basis_expands_each_series_once(monkeypatch, build, expansions):
     basis = build()
     gens, N, T = basis.cusp, basis.level, basis.precision
     oracle = [generator_series(g, T) for g in gens]
@@ -244,12 +247,40 @@ def test_build_basis_expands_each_series_once(monkeypatch, build):
     for name in ("eta_quotient_series", "eisenstein_L"):
         monkeypatch.setattr(spaces, name, counted(getattr(spaces, name)))
     rebuilt = build_basis(N, gens)
-    # one expansion per distinct quotient, and L(q) once when any product needs it
+    # one expansion per reduced product, its q^k images read off it (the
+    # 20 level-56 fixture generators have 13), and L(q) once when any
+    # product needs it
     products = any(g.kind == KIND_PRODUCT for g in gens)
-    assert list(calls.values()) == [len({g.eta.exponents for g in gens}), int(products)]
+    assert list(calls.values()) == [expansions, int(products)]
     assert products == (N != 56)
     assert rebuilt.cusp_series == oracle
     assert rebuilt.checksum == basis.checksum == spaces._matrix_checksum(oracle, len(gens))
+
+
+CLASS_LEVELS = [N for N in range(1, 121) if classify_level(N).in_class]
+
+
+@st.composite
+def quotient_and_image(draw):
+    # a quotient over the divisors of N/k, at a class level N, and its image
+    # under q -> q^k; exponents of at most 3 but at delta = 1, which takes
+    # sum delta*r to a multiple of 24, and all signs flip if it is negative
+    N = draw(st.sampled_from(CLASS_LEVELS))
+    k = draw(st.sampled_from(divisors(N)))
+    exps = {d: draw(st.integers(-3, 3)) for d in divisors(N // k)}
+    exps[1] += -sum(d * r for d, r in exps.items()) % 24
+    if sum(d * r for d, r in exps.items()) < 0:
+        exps = {d: -r for d, r in exps.items()}
+    q = EtaQuotient.make(N, exps)
+    return q, q.substitute(k, level=N)
+
+
+@given(quotient_and_image(), st.integers(0, 150), st.booleans())
+def test_expand_reads_each_image_off_one_product(pair, T, image_first):
+    gens = [CuspGenerator(kind=KIND_ETA, eta=q) for q in pair]
+    if image_first:
+        gens.reverse()
+    assert list(expand(gens, T)) == [eta_quotient_series(g.eta.exponent_map, T) for g in gens]
 
 
 def test_generator_series_product_kind():
