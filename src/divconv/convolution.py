@@ -203,7 +203,7 @@ def derive_formula(
             f"exhausting n <= {T}; the basis is degenerate"
         )
     try:
-        nums, D = ech.solution()
+        (nums,), D = ech.solution()
     except InconsistentSystem as e:
         raise BasisNotSpanningError(
             f"level {N} ({alpha},{beta}): no exact solution; the basis does "

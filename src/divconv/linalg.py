@@ -1,13 +1,14 @@
 """Exact linear algebra: one incremental fraction-free elimination.
 
-`Echelon` holds integer rows [coeffs | rhs] in fraction-free (Bareiss)
+`Echelon` holds integer rows [coeffs | rhs...] in fraction-free (Bareiss)
 echelon form and takes one row at a time: each row is reduced once against
 the stored pivot rows, reports whether the rank rose, and flags an
-inconsistent system when it reduces to 0 = nonzero.  Every reduced entry is
-a minor of the rows added so far (Sylvester's identity, Bareiss 1968), so
-the divisions are exact and the entries stay bounded.  Rows are integers
-only: a Fraction entry is a TypeError, never floored.  `solution` gives the
-unique solution as integer numerators over the last pivot D, back-substituted
+inconsistent system when its coefficients reduce to 0 and a right-hand side
+does not.  Every reduced entry is a minor of the rows added so far
+(Sylvester's identity, Bareiss 1968), so the divisions are exact and the
+entries stay bounded.  Rows are integers only: a Fraction entry is a
+TypeError, never floored.  `solution` gives the unique solution of each
+right-hand side as integer numerators over the last pivot D, back-substituted
 in integers.  `rank` and `solve` are one-shot loops over it that scale
 Fraction rows to integers first; `solve` divides out into Fractions and
 rejects underdetermined or inconsistent systems instead of guessing.
@@ -53,9 +54,10 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, coeffs, rhs=0) -> bool:
-        """Reduce the integer row [coeffs | rhs]; True when it raised the rank."""
-        row = [*map(index, coeffs), index(rhs)]
+    def add(self, coeffs, *rhs) -> bool:
+        """Reduce the integer row [coeffs | rhs...]; True when it raised the rank.
+        Every row has the same number of right-hand sides, one 0 when none is given."""
+        row = [*map(index, coeffs), *map(index, rhs or (0,))]
         prev = 1
         for pivot_row, c in zip(self._rows, self._pivots):
             pivot = pivot_row[c]
@@ -67,15 +69,15 @@ class Echelon:
             prev = pivot
         c = next((j for j in range(self.ncols) if row[j]), None)
         if c is None:
-            if row[self.ncols]:
+            if any(row[self.ncols :]):
                 self.inconsistent = True
             return False
         self._rows.append(row)
         self._pivots.append(c)
         return True
 
-    def solution(self) -> tuple[list[int], int]:
-        """(y, D): y / D is the unique solution, D the last pivot; needs full rank, no inconsistency."""
+    def solution(self) -> tuple[list[list[int]], int]:
+        """(ys, D): ys[b] / D solves right-hand side b, D the last pivot; needs full rank, no inconsistency."""
         if self.rank < self.ncols:
             raise UnderdeterminedSystem(f"rank {self.rank} < {self.ncols} unknowns")
         if self.inconsistent:
@@ -83,11 +85,14 @@ class Echelon:
         # the last pivot D is a minor of the selected rows, so y = D*x is
         # integral (Cramer) and each y_c divides out exactly
         D = self._rows[-1][self._pivots[-1]] if self._rows else 1
-        y = [0] * self.ncols
-        for row, c in zip(reversed(self._rows), reversed(self._pivots)):
-            acc = D * row[self.ncols] - sum(row[j] * y[j] for j in self._pivots if j != c and row[j])
-            y[c] = acc // row[c]
-        return y, D
+        ys = []
+        for b in range(self.ncols, len(self._rows[0]) if self._rows else self.ncols + 1):
+            y = [0] * self.ncols
+            for row, c in zip(reversed(self._rows), reversed(self._pivots)):
+                acc = D * row[b] - sum(row[j] * y[j] for j in self._pivots if j != c and row[j])
+                y[c] = acc // row[c]
+            ys.append(y)
+        return ys, D
 
 
 def rank(rows) -> int:
@@ -113,5 +118,5 @@ def solve(rows, rhs) -> list[Fraction]:
     for row, b in zip(rows, rhs):
         *scaled, b = over_common_denominator([*row, b])[0]
         ech.add(scaled, b)
-    y, D = ech.solution()
+    (y,), D = ech.solution()
     return [Fraction(v, D) for v in y]

@@ -49,18 +49,15 @@ def s4(n: int) -> int:
     return _quaternary("s4", "hex", n)
 
 
-def r4_by_enumeration(n: int) -> int:
-    """Direct 4-variable lattice count, theta^2 squared; the oracle for r4."""
-    theta = QSeries(_square_counts(n))
-    theta2 = theta * theta
-    return (theta2 * theta2).coefficient(n)
-
-
-def s4_by_enumeration(n: int) -> int:
-    """Direct lattice count for the hexagonal quaternary form: the binary
-    hexagonal counts squared."""
-    hexes = QSeries(_hex_counts(n))
-    return (hexes * hexes).coefficient(n)
+def lattice_counts(form: str, X: int) -> list[int]:
+    """Direct quaternary lattice counts for n = 0..X, the oracle for r4 and
+    s4: theta^2 squared for "quad", the binary hexagonal counts squared for "hex"."""
+    if form == "quad":
+        theta = QSeries(_square_counts(X))
+        binary = theta * theta
+    else:
+        binary = QSeries(_hex_counts(X))
+    return list((binary * binary).coeffs)
 
 
 def _square_counts(limit: int) -> list[int]:

@@ -285,16 +285,13 @@ def _column_hermite(M: list[list[int]]) -> list[list[int]]:
 
 
 def _scaled_inverse(A: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(columns of D * A^-1, D), D > 0 least with them integral.  Column j
-    solves A * x = e_j over the last pivot den, the same for every j: the
-    same rows go in in the same order."""
-    cols = []
-    for j in range(len(A)):
-        ech = Echelon(len(A))
-        for i, row in enumerate(A):
-            ech.add(row, int(i == j))
-        ys, den = ech.solution()
-        cols.append(ys)
+    """(columns of D * A^-1, D), D > 0 least with them integral: one
+    elimination of A with the unit vectors as right-hand sides, column j
+    the solution for e_j over the last pivot den."""
+    ech = Echelon(len(A))
+    for i, row in enumerate(A):
+        ech.add(row, *(int(i == j) for j in range(len(A))))
+    cols, den = ech.solution()
     D = abs(den) // gcd(den, *(y for col in cols for y in col))
     return [[y // (den // D) for y in col] for col in cols], D
 

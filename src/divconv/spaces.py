@@ -9,12 +9,12 @@ multiplied by weight-2 Eisenstein combinations).
 
 `expand` is the one expansion path of generators, and the only caller of
 `qseries.eta_quotient_series` in the package (an `EtaQuotient` is exponent
-data and expands nothing itself): building a basis, re-expanding it
-(`ModularBasis.at_precision`) and the Case 2 rank test of
-`select_cusp_basis` each make one call.  Within it a quotient and its
-q -> q^k images share one reduced product, expanded once unless an image
-was met first and holds too few rows (see `expand`), and L(q) is expanded
-once, with every L(q) - t*L(q^t) read off it.
+data and expands nothing itself): building a basis and the Case 2 rank test
+of `select_cusp_basis` each make one call (`ModularBasis.at_precision`, which
+no library code calls, stays only while perfbench's tracer binds it).  In
+`expand` a quotient and its q -> q^k images share one reduced product,
+expanded once unless an image was met first and holds too few rows, and L(q)
+is expanded once, with every L(q) - t*L(q^t) read off it.
 
 basis_precision(N) is the one decision on depth: every builder expands a
 level's basis to that many q-rows, and a formula derived on it is sampled

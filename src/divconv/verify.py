@@ -32,13 +32,12 @@ from .qseries import eisenstein_L
 from .representation import (
     count_N,
     count_R,
+    lattice_counts,
     omega3,
     omega4,
     r4,
-    r4_by_enumeration,
     rep_oracle,
     s4,
-    s4_by_enumeration,
 )
 from .spaces import (
     VERIFY_TO,
@@ -515,8 +514,9 @@ def check_level_11(provider: FormulaProvider) -> list[ItemResult]:
 def check_classical_identities() -> list[ItemResult]:
     L = eisenstein_L(1, VERIFY_TO)
     L2 = L * L
-    bad = _first_failure(range(0, 101), lambda n: r4(n) == r4_by_enumeration(n))
-    bad2 = _first_failure(range(0, 101), lambda n: s4(n) == s4_by_enumeration(n))
+    quad, hexes = lattice_counts("quad", 100), lattice_counts("hex", 100)
+    bad = _first_failure(range(0, 101), lambda n: r4(n) == quad[n])
+    bad2 = _first_failure(range(0, 101), lambda n: s4(n) == hexes[n])
     return [
         _oracle_item(
             "weight-2 square identity",

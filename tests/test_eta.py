@@ -6,11 +6,11 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divconv import cli, fixtures, published
@@ -288,6 +288,26 @@ _CLASS_LEVELS = [N for N in range(1, 60) if classify_level(N).in_class]
 @pytest.mark.parametrize("k2", [4, 8])
 @pytest.mark.parametrize("N", _CLASS_LEVELS)
 def test_strict_search_equals_filtered_search(N, k2):
+    m = max(profile(N).dim_S4, 1)
+    strict = {q.exponents for q in search_cusp_forms(N, k2, 3, max_order=m, strict=True)}
+    assert strict == _strict_oracle(N, k2, 3, m)
+
+
+# the 8-divisor class levels below 200 and weights whose strict search
+# stays under the composition ceiling
+_EIGHT_DIVISOR_CASES = [
+    (N, k2)
+    for N in range(1, 200)
+    if classify_level(N).in_class and len(divisors(N)) == 8
+    for k2 in (4, 8)
+    if comb(k2 * index_mu(N) // 24 - 1, 7) <= STRICT_COMPOSITION_CEILING
+]
+
+
+@settings(max_examples=5)
+@given(st.sampled_from(_EIGHT_DIVISOR_CASES))
+def test_strict_search_equals_filtered_search_on_random_levels(case):
+    N, k2 = case
     m = max(profile(N).dim_S4, 1)
     strict = {q.exponents for q in search_cusp_forms(N, k2, 3, max_order=m, strict=True)}
     assert strict == _strict_oracle(N, k2, 3, m)

@@ -36,6 +36,9 @@ def gauss_jordan(rows, rhs):
     return piv_r, inconsistent, solution
 
 
+ENTRY = st.integers(-6, 6)
+
+
 @st.composite
 def systems(draw):
     """Small integer systems [rows | rhs]: some rows are integer combinations
@@ -43,20 +46,27 @@ def systems(draw):
     away from a hidden solution (inconsistent)."""
     nc = draw(st.integers(1, 5))
     nr = draw(st.integers(1, 8))
-    entry = st.integers(-6, 6)
-    hidden = draw(st.lists(entry, min_size=nc, max_size=nc))
     rows = []
     for _ in range(nr):
         if rows and draw(st.booleans()):
-            picks = draw(st.lists(st.tuples(st.sampled_from(rows), entry), min_size=1, max_size=3))
+            picks = draw(st.lists(st.tuples(st.sampled_from(rows), ENTRY), min_size=1, max_size=3))
             row = [sum(k * r[j] for r, k in picks) for j in range(nc)]
         else:
-            row = draw(st.lists(entry, min_size=nc, max_size=nc))
+            row = draw(st.lists(ENTRY, min_size=nc, max_size=nc))
         rows.append(row)
+    return rows, draw(right_hand_sides(rows))
+
+
+@st.composite
+def right_hand_sides(draw, rows):
+    """rows * hidden for a drawn hidden solution, with up to two entries
+    perturbed away from it."""
+    nc = len(rows[0])
+    hidden = draw(st.lists(ENTRY, min_size=nc, max_size=nc))
     rhs = [sum(a * x for a, x in zip(row, hidden)) for row in rows]
-    for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
         rhs[i] += draw(st.integers(1, 3))
-    return rows, rhs
+    return rhs
 
 
 @given(systems())
@@ -70,6 +80,25 @@ def test_echelon_matches_reference_row_by_row(system):
         assert ech.rank == want_rank
         assert rose == (want_rank > before)
         assert ech.inconsistent == want_inconsistent
+
+
+@given(systems(), st.data())
+def test_echelon_with_k_right_hand_sides_matches_k_eliminations(system, data):
+    # one elimination carrying k = 1..4 right-hand sides gives the rank, the
+    # inconsistency flag and, when solvable, the D and numerators of k
+    # single-rhs eliminations of the same rows
+    rows, rhs = system
+    k = data.draw(st.integers(1, 4))
+    cols = [rhs, *(data.draw(right_hand_sides(rows)) for _ in range(k - 1))]
+    many, singles = Echelon(len(rows[0])), [Echelon(len(rows[0])) for _ in cols]
+    for i, row in enumerate(rows):
+        rose = many.add(row, *(b[i] for b in cols))
+        assert [ech.add(row, b[i]) for ech, b in zip(singles, cols)] == [rose] * k
+    assert {ech.rank for ech in singles} == {many.rank}
+    assert many.inconsistent == any(ech.inconsistent for ech in singles)
+    if many.rank == len(rows[0]) and not many.inconsistent:
+        ys, D = many.solution()
+        assert [ech.solution() for ech in singles] == [([y], D) for y in ys]
 
 
 F = Fraction
@@ -122,7 +151,7 @@ def test_column_order_changes_neither_rank_nor_solution(system, rnd):
         assert ech.add(row, b) == permuted.add([row[j] for j in perm], b)
         assert (ech.rank, ech.inconsistent) == (permuted.rank, permuted.inconsistent)
     if ech.rank == len(perm) and not ech.inconsistent:
-        (y, D), (py, pD) = ech.solution(), permuted.solution()
+        ([y], D), ([py], pD) = ech.solution(), permuted.solution()
         assert [Fraction(py[k], pD) for k in range(len(perm))] == [Fraction(y[j], D) for j in perm]
 
 

@@ -9,13 +9,12 @@ from divconv.convolution import brute_force_W
 from divconv.representation import (
     count_N,
     count_R,
+    lattice_counts,
     omega3,
     omega4,
     r4,
-    r4_by_enumeration,
     rep_oracle,
     s4,
-    s4_by_enumeration,
 )
 
 
@@ -32,9 +31,8 @@ def test_s4_examples():
 
 
 def test_quaternary_closed_forms_vs_enumeration():
-    for n in range(0, 101):
-        assert r4(n) == r4_by_enumeration(n)
-        assert s4(n) == s4_by_enumeration(n)
+    assert lattice_counts("quad", 100) == [r4(n) for n in range(101)]
+    assert lattice_counts("hex", 100) == [s4(n) for n in range(101)]
 
 
 def test_omega4_examples():
